@@ -3,14 +3,21 @@
 Under a perfect-learning assumption the network is replaceable by an oracle
 that returns exactly its training target for any input.  Every residual
 error in a simulated pipeline is then a property of the data processing
-alone, which makes desk-scale measurement of those errors possible:
+alone, which makes desk-scale measurement of those errors possible.
 
-* ``ANALYTIC_SHIFT`` mode propagates keypoints through the transform
-  algebra at coordinate level.  Classification-map averaging is modeled by
-  its single-peak approximation (the averaged map's peak sits at the
-  midpoint of the two branch peaks), decoding is exact for the unbiased
-  codecs, and the quarter-shift decoder applies its closed-form
-  quantization law.
+Both oracle modes share one trial flow: map the ground truth to the input
+plane (skipping keypoints outside it), render the original and the flipped
+input's prediction, combine them (average the decoded coordinates, or
+mirror the flipped map back, optionally shift it one node and average the
+maps), apply the residual correction, decode, and map the result to the
+output and source planes.  The modes differ only in how a map is
+represented:
+
+* ``ANALYTIC_SHIFT`` mode keeps a map as its peak coordinates.
+  Classification-map averaging is modeled by its single-peak approximation
+  (the averaged map's peak sits at the midpoint of the two branch peaks),
+  decoding is exact for the unbiased codecs, and the quarter-shift decoder
+  applies its closed-form quantization law.
 * ``FULL_HEATMAP`` mode renders real heatmaps through the configured
   encoder, averages/shifts/flips them as arrays and runs the real decoders,
   so it also captures what the coordinate-level approximation leaves out.
@@ -36,6 +43,8 @@ from .codec import (
     _dark_offset,
     _gaussian_array,
     _quarter_offset,
+    encode_ccrf,
+    encode_gaussian,
 )
 from .geometry import Point, Roi, Transform2D, apply_point, invert
 from .pipeline import (
@@ -306,188 +315,176 @@ def _quarter_law(v: float) -> float:
     return fl + 0.25 if v - fl < 0.5 else fl + 0.75
 
 
-class _RoiContext:
-    __slots__ = (
-        "s2i", "i2o", "o2s", "inv_s2i", "inv_i2o",
-        "w_i", "h_i", "wo", "ho", "ec", "ec_dp",
-    )
+class _PeakMaps:
+    """Coordinate-level oracle: a map is its single peak ``(x, y)`` in the
+    output plane, so two maps average to the midpoint of their peaks.
+    Decoding is exact except for the quarter-shift decoder, which applies
+    its quantization law; ``up`` maps output to input plane for rno."""
 
-    def __init__(self, cfg: PipelineConfig, roi: Roi) -> None:
-        s2i_t = test_transform(roi, cfg)
-        i2o_t = input_to_output(cfg)
-        self.s2i = _aff(s2i_t)
-        self.i2o = _aff(i2o_t)
-        self.o2s = _aff(output_to_source(roi, cfg))
-        self.inv_s2i = _aff(invert(s2i_t))
-        self.inv_i2o = _aff(invert(i2o_t))
-        self.w_i = cfg.input.width_units
-        self.h_i = cfg.input.height_units
+    __slots__ = ("wo", "up", "quarter")
+
+    def __init__(self, cfg: PipelineConfig, up=None) -> None:
         self.wo = cfg.output.width_units
-        self.ho = cfg.output.height_units
-        self.ec = 1.0 / (2.0 * cfg.stride)
-        # Residual correction expressed in decode-plane units: the decode
-        # plane is the input plane when the output is upsampled first.
-        self.ec_dp = self.ec / self.i2o[0] if cfg.rno else self.ec
+        self.up = up
+        self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
+
+    @staticmethod
+    def render(kx: float, ky: float):
+        return kx, ky
+
+    def flip_back(self, p):
+        return self.wo - p[0], p[1]
+
+    @staticmethod
+    def shift(p):
+        return p[0] + 1.0, p[1]
+
+    @staticmethod
+    def average(a, b):
+        return 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
+
+    def decode(self, p) -> tuple[float, float, bool]:
+        x, y = p
+        if self.up is not None:
+            x, y = _ap(self.up, x, y)
+        if self.quarter:
+            return _quarter_law(x), _quarter_law(y), False
+        return x, y, False
 
 
-class _Engine:
-    def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
+def _shift_right(arr: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(arr)
+    out[:, 1:] = arr[:, :-1]
+    return out
+
+
+class _ArrayMaps:
+    """Rendered-heatmap oracle: a map is the configured encoder's array, or
+    the ``(c, x_off, y_off)`` arrays of the disc codec, decoded by the real
+    decoders."""
+
+    __slots__ = ("cfg", "ccrf")
+
+    def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
-        self.mode = mode
+        self.ccrf = cfg.codec is Codec.CCRF
 
-    def context(self, roi: Roi) -> _RoiContext:
-        return _RoiContext(self.cfg, roi)
-
-    # -- shared front end ---------------------------------------------------
-
-    def run(self, ctx: _RoiContext, gx: float, gy: float):
-        """Simulate one trial; returns (pox, poy, psx, psy, kox, koy, deg)."""
-        kix, kiy = _ap(ctx.s2i, gx, gy)
-        if not (0.0 <= kix <= ctx.w_i and 0.0 <= kiy <= ctx.h_i):
+    def render(self, kx: float, ky: float):
+        out = self.cfg.output
+        if not (0.0 <= kx <= out.width_units and 0.0 <= ky <= out.height_units):
             raise SkipTrial
-        kox, koy = _ap(ctx.i2o, kix, kiy)
-        if self.mode is OracleMode.ANALYTIC_SHIFT:
-            return self._run_analytic(ctx, kix, kiy, kox, koy)
-        return self._run_heatmap(ctx, kix, kiy, kox, koy)
+        if self.ccrf:
+            return _ccrf_arrays(out.width_px, out.height_px, kx, ky, self.cfg.radius)
+        return _gaussian_array(out.width_px, out.height_px, kx, ky, self.cfg.sigma)
 
-    # -- coordinate-level oracle ---------------------------------------------
+    def flip_back(self, arrs):
+        if self.ccrf:
+            c, x_off, y_off = arrs
+            return c[:, ::-1], -x_off[:, ::-1], y_off[:, ::-1]
+        return arrs[:, ::-1]
 
-    def _dec_dp(self, ctx: _RoiContext, x: float, y: float) -> tuple[float, float]:
-        if self.cfg.rno:
-            x, y = _ap(ctx.inv_i2o, x, y)
-        if self.cfg.codec is Codec.CF_BIASED_DECODE:
-            return _quarter_law(x), _quarter_law(y)
-        return x, y
+    def shift(self, arrs):
+        if self.ccrf:
+            return tuple(_shift_right(a) for a in arrs)
+        return _shift_right(arrs)
 
-    def _run_analytic(self, ctx, kix, kiy, kox, koy):
+    def average(self, a, b):
+        if self.ccrf:
+            return tuple(0.5 * (x + y) for x, y in zip(a, b))
+        return 0.5 * (a + b)
+
+    def decode(self, arrs) -> tuple[float, float, bool]:
         cfg = self.cfg
-        if cfg.flip_test:
-            kifx = ctx.w_i - kix
-            kofx, kofy = _ap(ctx.i2o, kifx, kiy)
-            fbx = ctx.wo - kofx
-            fby = kofy
-            if cfg.compensation is not Compensation.NONE:
-                fbx += 1.0
-            if cfg.combine is Combine.AVERAGE_COORDS:
-                x1, y1 = self._dec_dp(ctx, kox, koy)
-                x2, y2 = self._dec_dp(ctx, fbx, fby)
-                x, y = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-            else:
-                x, y = self._dec_dp(ctx, 0.5 * (kox + fbx), 0.5 * (koy + fby))
-            if cfg.compensation is Compensation.SNOOP_PLUS_EC:
-                x -= ctx.ec_dp
-        else:
-            x, y = self._dec_dp(ctx, kox, koy)
-        if cfg.rno:
-            pox, poy = _ap(ctx.i2o, x, y)
-            psx, psy = _ap(ctx.inv_s2i, x, y)
-        else:
-            pox, poy = x, y
-            psx, psy = _ap(ctx.o2s, x, y)
-        return pox, poy, psx, psy, kox, koy, False
-
-    # -- rendered-heatmap oracle ----------------------------------------------
-
-    def _render(self, kx: float, ky: float):
-        cfg = self.cfg
-        wp, hp = cfg.output.width_px, cfg.output.height_px
-        if cfg.codec is Codec.CCRF:
-            return _ccrf_arrays(wp, hp, kx, ky, cfg.radius)
-        return _gaussian_array(wp, hp, kx, ky, cfg.sigma)
-
-    def _decode_gauss(self, arr: np.ndarray) -> tuple[float, float, bool]:
-        codec = self.cfg.codec
-        ix, iy = _argmax_xy(arr)
-        if codec is Codec.CF:
-            dx, dy, deg = _dark_offset(arr, ix, iy)
-            return ix + dx, iy + dy, deg
-        if codec is Codec.CF_BIASED_DECODE:
-            dx, dy = _quarter_offset(arr, ix, iy)
-            return ix + dx, iy + dy, False
-        return float(ix), float(iy), False
-
-    def _decode_arrays(self, arrs) -> tuple[float, float, bool]:
-        if self.cfg.codec is Codec.CCRF:
+        if self.ccrf:
             c, x_off, y_off = arrs
             if not np.any(c):
                 raise NoDetectionError("classification map is identically zero")
             ix, iy = _argmax_xy(c)
             return ix + x_off[iy, ix], iy + y_off[iy, ix], False
-        return self._decode_gauss(arrs)
-
-    @staticmethod
-    def _shift_right(arr: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(arr)
-        out[:, 1:] = arr[:, :-1]
-        return out
-
-    def _flip_back_arrays(self, arrs):
-        if self.cfg.codec is Codec.CCRF:
-            c, x_off, y_off = arrs
-            return c[:, ::-1], -x_off[:, ::-1], y_off[:, ::-1]
-        return arrs[:, ::-1]
-
-    def _snoop_arrays(self, arrs):
-        if self.cfg.codec is Codec.CCRF:
-            return tuple(self._shift_right(a) for a in arrs)
-        return self._shift_right(arrs)
-
-    def _average_arrays(self, a, b):
-        if self.cfg.codec is Codec.CCRF:
-            return tuple(0.5 * (x + y) for x, y in zip(a, b))
-        return 0.5 * (a + b)
-
-    def _finish_heatmap(self, ctx, arrs, kox, koy, apply_ec: bool):
-        cfg = self.cfg
         if cfg.rno:
-            grid = ImageGrid(cfg.output, arrs)
-            up = rno_upsample(grid, cfg).data[:, :, 0]
-            x, y, deg = self._decode_gauss(up)
-            if apply_ec:
-                x -= ctx.ec_dp
-            pox, poy = _ap(ctx.i2o, x, y)
-            psx, psy = _ap(ctx.inv_s2i, x, y)
+            arrs = rno_upsample(ImageGrid(cfg.output, arrs), cfg).data[:, :, 0]
+        ix, iy = _argmax_xy(arrs)
+        if cfg.codec is Codec.CF:
+            dx, dy, deg = _dark_offset(arrs, ix, iy)
+            return ix + dx, iy + dy, deg
+        if cfg.codec is Codec.CF_BIASED_DECODE:
+            dx, dy = _quarter_offset(arrs, ix, iy)
+            return ix + dx, iy + dy, False
+        return float(ix), float(iy), False
+
+
+class _Engine:
+    """The test pass of one configuration, trial by trial.
+
+    The oracle mode only picks the map representation; the flow is the
+    same for both.  Predictions are decoded in the decode plane: the input
+    plane when the output is upsampled first (rno), else the output plane.
+    """
+
+    def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
+        self.cfg = cfg
+        i2o_t = input_to_output(cfg)
+        self.i2o = _aff(i2o_t)
+        self.w_i = cfg.input.width_units
+        self.h_i = cfg.input.height_units
+        # Decode plane -> output plane; None when they coincide.
+        self.dp2o = self.i2o if cfg.rno else None
+        if mode is OracleMode.ANALYTIC_SHIFT:
+            self.maps = _PeakMaps(cfg, _aff(invert(i2o_t)) if cfg.rno else None)
         else:
-            x, y, deg = self._decode_arrays(arrs)
-            if apply_ec:
-                x -= ctx.ec
-            pox, poy = x, y
-            psx, psy = _ap(ctx.o2s, x, y)
+            self.maps = _ArrayMaps(cfg)
+        # Decoded coordinates combine as peaks in the output plane: the
+        # config rejects coordinate averaging together with rno.
+        self.peaks = _PeakMaps(cfg)
+        self.snoop = cfg.compensation is not Compensation.NONE
+        self.average_coords = cfg.combine is Combine.AVERAGE_COORDS
+        # The 1/(2s) residual correction, in decode-plane units.
+        self.ec = None
+        if cfg.compensation is Compensation.SNOOP_PLUS_EC:
+            ec = 1.0 / (2.0 * cfg.stride)
+            self.ec = ec / self.i2o[0] if cfg.rno else ec
+
+    def context(self, roi: Roi):
+        """The per-crop-box transforms: source -> input, decode plane -> source."""
+        s2i_t = test_transform(roi, self.cfg)
+        if self.cfg.rno:
+            return _aff(s2i_t), _aff(invert(s2i_t))
+        return _aff(s2i_t), _aff(output_to_source(roi, self.cfg))
+
+    def _combine(self, ops, a, b):
+        """Mirror ``b`` back, shift it one node in +x when compensating, and
+        average it with ``a``."""
+        back = ops.flip_back(b)
+        if self.snoop:
+            back = ops.shift(back)
+        return ops.average(a, back)
+
+    def run(self, ctx, gx: float, gy: float):
+        """Simulate one trial; returns (pox, poy, psx, psy, kox, koy, deg)."""
+        s2i, dp2s = ctx
+        kix, kiy = _ap(s2i, gx, gy)
+        if not (0.0 <= kix <= self.w_i and 0.0 <= kiy <= self.h_i):
+            raise SkipTrial
+        kox, koy = _ap(self.i2o, kix, kiy)
+        maps = self.maps
+        m = maps.render(kox, koy)
+        if not self.cfg.flip_test:
+            x, y, deg = maps.decode(m)
+        else:
+            kofx, kofy = _ap(self.i2o, self.w_i - kix, kiy)
+            m_flip = maps.render(kofx, kofy)
+            if self.average_coords:
+                x1, y1, deg1 = maps.decode(m)
+                x2, y2, deg2 = maps.decode(m_flip)
+                x, y = self._combine(self.peaks, (x1, y1), (x2, y2))
+                deg = deg1 or deg2
+            else:
+                x, y, deg = maps.decode(self._combine(maps, m, m_flip))
+            if self.ec is not None:
+                x -= self.ec
+        pox, poy = (x, y) if self.dp2o is None else _ap(self.dp2o, x, y)
+        psx, psy = _ap(dp2s, x, y)
         return pox, poy, psx, psy, kox, koy, deg
-
-    def _run_heatmap(self, ctx, kix, kiy, kox, koy):
-        cfg = self.cfg
-        if not (0.0 <= kox <= ctx.wo and 0.0 <= koy <= ctx.ho):
-            raise SkipTrial
-        arrs = self._render(kox, koy)
-        apply_ec = cfg.compensation is Compensation.SNOOP_PLUS_EC
-        if not cfg.flip_test:
-            return self._finish_heatmap(ctx, arrs, kox, koy, apply_ec=False)
-
-        kifx = ctx.w_i - kix
-        kofx, kofy = _ap(ctx.i2o, kifx, kiy)
-        if not (0.0 <= kofx <= ctx.wo and 0.0 <= kofy <= ctx.ho):
-            raise SkipTrial
-        arrs_f = self._render(kofx, kofy)
-
-        if cfg.combine is Combine.AVERAGE_COORDS:
-            x1, y1, deg1 = self._decode_arrays(arrs)
-            x2, y2, deg2 = self._decode_arrays(arrs_f)
-            fbx = ctx.wo - x2
-            if cfg.compensation is not Compensation.NONE:
-                fbx += 1.0
-            x = 0.5 * (x1 + fbx)
-            y = 0.5 * (y1 + y2)
-            if apply_ec:
-                x -= ctx.ec
-            psx, psy = _ap(ctx.o2s, x, y)
-            return x, y, psx, psy, kox, koy, (deg1 or deg2)
-
-        back = self._flip_back_arrays(arrs_f)
-        if cfg.compensation is not Compensation.NONE:
-            back = self._snoop_arrays(back)
-        avg = self._average_arrays(arrs, back)
-        return self._finish_heatmap(ctx, avg, kox, koy, apply_ec=apply_ec)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +507,7 @@ def ideal_network(k_i: Point, cfg: PipelineConfig, mode: OracleMode = OracleMode
     if not (0.0 <= k_o.x <= cfg.output.width_units and 0.0 <= k_o.y <= cfg.output.height_units):
         raise SkipTrial
     if cfg.codec is Codec.CCRF:
-        from .codec import encode_ccrf
-
         return encode_ccrf(k_o, cfg.output, cfg.radius)
-    from .codec import encode_gaussian
-
     return encode_gaussian(k_o, cfg.output, cfg.sigma)
 
 
@@ -578,20 +571,17 @@ class _Partial:
         )
 
 
-def _run_chunk(cfg, mode, sampler, seed, start, stop, engine=None, bound=None, ctx=None):
-    if engine is None:
-        engine = _Engine(cfg, mode)
-    if bound is None:
-        bound = sampler.bind(cfg)
-        if bound.fixed_roi is not None:
-            ctx = engine.context(bound.fixed_roi)
+def _run_chunk(cfg, mode, sampler, seed, start, stop):
+    engine = _Engine(cfg, mode)
+    bound = sampler.bind(cfg)
+    fixed = engine.context(bound.fixed_roi) if bound.fixed_roi is not None else None
     part = _Partial()
     for i in range(start, stop):
         rng = substream(seed, i)
         roi, gx, gy = bound.draw(rng)
-        trial_ctx = ctx if ctx is not None else engine.context(roi)
+        ctx = fixed if fixed is not None else engine.context(roi)
         try:
-            pox, poy, psx, _, kox, koy, deg = engine.run(trial_ctx, gx, gy)
+            pox, poy, psx, _, kox, koy, deg = engine.run(ctx, gx, gy)
         except SkipTrial:
             part.skipped += 1
             continue
@@ -609,10 +599,6 @@ def _run_chunk(cfg, mode, sampler, seed, start, stop, engine=None, bound=None, c
         if deg:
             part.degenerate += 1
     return part.sums()
-
-
-def _run_chunk_args(args):
-    return _run_chunk(*args)
 
 
 def monte_carlo(
@@ -637,21 +623,17 @@ def monte_carlo(
     if sampler is None:
         sampler = UniformKeypointSampler(default_roi(cfg))
 
-    spans = [(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
-    if jobs > 1 and len(spans) > 1:
+    chunks = [
+        (cfg, mode, sampler, seed, start, min(start + _CHUNK, n))
+        for start in range(0, n, _CHUNK)
+    ]
+    if jobs > 1 and len(chunks) > 1:
         import multiprocessing
 
-        arglist = [(cfg, mode, sampler, seed, a, b) for a, b in spans]
-        with multiprocessing.Pool(processes=min(jobs, len(spans))) as pool:
-            partials = pool.map(_run_chunk_args, arglist)
+        with multiprocessing.Pool(processes=min(jobs, len(chunks))) as pool:
+            partials = pool.starmap(_run_chunk, chunks)
     else:
-        engine = _Engine(cfg, mode)
-        bound = sampler.bind(cfg)
-        ctx = engine.context(bound.fixed_roi) if bound.fixed_roi is not None else None
-        partials = [
-            _run_chunk(cfg, mode, sampler, seed, a, b, engine=engine, bound=bound, ctx=ctx)
-            for a, b in spans
-        ]
+        partials = [_run_chunk(*chunk) for chunk in chunks]
 
     used = 0
     skipped = failed = degenerate = 0

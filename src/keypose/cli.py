@@ -14,6 +14,7 @@ works in radians.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ from .codec import (
     encode_ccrf,
     encode_gaussian,
     CcrfTarget,
+    default_ccrf_radius,
 )
 from .geometry import (
     PlaneSize,
@@ -59,6 +61,7 @@ from .pipeline import (
     input_to_output,
     load_config,
     output_to_source,
+    parse_size,
     test_transform,
 )
 from .raster import (
@@ -74,14 +77,6 @@ from .raster import (
 
 class UsageError(Exception):
     """Inconsistent flags; reported on stderr with exit code 2."""
-
-
-def _parse_size(text: str) -> PlaneSize:
-    try:
-        w, h = text.lower().split("x")
-        return PlaneSize(int(w), int(h))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"expected WIDTHxHEIGHT pixels, got {text!r}") from exc
 
 
 def _parse_point(text: str) -> Point:
@@ -100,12 +95,7 @@ def _parse_roi(text: str) -> Roi:
         raise UsageError(f"expected CX,CY,W,H, got {text!r}") from exc
 
 
-_CODEC_FLAGS = {
-    "ccrf": Codec.CCRF,
-    "cf": Codec.CF,
-    "cf-biased": Codec.CF_BIASED_DECODE,
-    "argmax": Codec.ARGMAX_ONLY,
-}
+_CODEC_FLAGS = tuple(c.value.replace("_", "-") for c in Codec)
 
 _BORDER_FLAGS = {"zero": BorderPolicy.ZERO_FILL, "clamp": BorderPolicy.CLAMP_TO_EDGE}
 
@@ -170,6 +160,7 @@ def _write_image(path: str, grid: ImageGrid) -> None:
 
 def cmd_warp(args) -> int:
     src = _read_image(args.image)
+    dst_size = parse_size(args.dst_size) if args.dst_size else src.size
     if args.op == "flip":
         t = t_flip(src.size.width_units)
     elif args.op == "rotate":
@@ -182,9 +173,9 @@ def cmd_warp(args) -> int:
         )
         t = t_rotate(math.radians(args.angle), center)
     elif args.op == "resize":
-        dst = _parse_size(args.dst_size) if args.dst_size else src.size
         t = t_resize(
-            src.size.width_units, src.size.height_units, dst.width_units, dst.height_units
+            src.size.width_units, src.size.height_units,
+            dst_size.width_units, dst_size.height_units,
         )
     elif args.op == "crop":
         if args.roi is None:
@@ -192,7 +183,6 @@ def cmd_warp(args) -> int:
         t = t_crop(_parse_roi(args.roi))
     else:  # pragma: no cover
         raise UsageError(f"unknown op {args.op!r}")
-    dst_size = _parse_size(args.dst_size) if args.dst_size else src.size
     out = warp(src, t, dst_size, _BORDER_FLAGS[args.border])
     _write_image(args.out, out)
     print(json.dumps({"written": args.out, "size": [dst_size.width_px, dst_size.height_px]}))
@@ -205,11 +195,11 @@ def cmd_warp(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    dims = _parse_size(args.size)
+    dims = parse_size(args.size)
     k = _parse_point(args.keypoint)
-    codec = _CODEC_FLAGS[args.codec]
+    codec = Codec(args.codec.replace("-", "_"))
     if codec is Codec.CCRF:
-        radius = args.radius if args.radius is not None else 0.0625 * dims.width_px
+        radius = args.radius if args.radius is not None else default_ccrf_radius(dims)
         target = encode_ccrf(k, dims, radius)
         stacked = np.dstack(
             [target.c.data[:, :, 0], target.x_off.data[:, :, 0], target.y_off.data[:, :, 0]]
@@ -224,7 +214,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     grid = read_grid_text(args.heatmap)
-    codec = _CODEC_FLAGS[args.codec]
+    codec = Codec(args.codec.replace("-", "_"))
     if codec is Codec.CCRF:
         if grid.channels != 3:
             raise UsageError(
@@ -234,7 +224,7 @@ def cmd_decode(args) -> int:
             c=ImageGrid(grid.size, grid.data[:, :, 0]),
             x_off=ImageGrid(grid.size, grid.data[:, :, 1]),
             y_off=ImageGrid(grid.size, grid.data[:, :, 2]),
-            radius=args.radius if args.radius is not None else 0.0625 * grid.size.width_px,
+            radius=args.radius if args.radius is not None else default_ccrf_radius(grid.size),
         )
         result = decode_ccrf(target)
     else:
@@ -276,9 +266,9 @@ def _config_from_args(args) -> PipelineConfig:
     if args.ucst is not None:
         overrides["convention"] = Convention.UNIT_LENGTH if args.ucst else Convention.PIXEL_COUNT
     if args.input is not None:
-        overrides["input"] = _parse_size(args.input)
+        overrides["input"] = parse_size(args.input)
     if args.output is not None:
-        overrides["output"] = _parse_size(args.output)
+        overrides["output"] = parse_size(args.output)
     if args.ft is not None:
         overrides["flip_test"] = args.ft
     if args.snoop is not None or args.ec is not None:
@@ -291,7 +281,7 @@ def _config_from_args(args) -> PipelineConfig:
             comp = Compensation.SNOOP_PLUS_EC if ec else Compensation.SNOOP
         overrides["compensation"] = comp
     if args.codec is not None:
-        overrides["codec"] = _CODEC_FLAGS[args.codec]
+        overrides["codec"] = Codec(args.codec.replace("-", "_"))
         overrides["combine"] = None  # re-derive the codec's default combine
     if args.combine is not None:
         overrides["combine"] = Combine(args.combine.replace("-", "_"))
@@ -301,26 +291,10 @@ def _config_from_args(args) -> PipelineConfig:
         overrides["sigma"] = args.sigma
     if args.radius is not None:
         overrides["radius"] = args.radius
-    if not overrides:
-        return cfg
-    fields = {
-        "convention": cfg.convention,
-        "input": cfg.input,
-        "output": cfg.output,
-        "flip_test": cfg.flip_test,
-        "compensation": cfg.compensation,
-        "codec": cfg.codec,
-        "combine": cfg.combine,
-        "rno": cfg.rno,
-        "flip_pairs": cfg.flip_pairs,
-        "sigma": cfg.sigma,
-        "radius": cfg.radius,
-    }
     if "output" in overrides and args.radius is None and not args.config:
-        fields["radius"] = None  # re-derive from the new output width
-    fields.update(overrides)
+        overrides["radius"] = None  # re-derive from the new output width
     try:
-        return PipelineConfig(**fields)
+        return dataclasses.replace(cfg, **overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -351,7 +325,7 @@ def _print_stats(stats) -> None:
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     sampler = _sampler_from_args(args, cfg)
-    mode = OracleMode.ANALYTIC_SHIFT if args.mode == "analytic" else OracleMode.FULL_HEATMAP
+    mode = OracleMode(args.mode)
     stats = monte_carlo(
         cfg, mode, args.trials, args.seed, sampler, label=args.label, jobs=args.jobs
     )
@@ -578,7 +552,7 @@ def _bottomup_presets() -> list[tuple[str, PipelineConfig]]:
 
 def cmd_ablate(args) -> int:
     presets = _topdown_presets() if args.preset == "topdown" else _bottomup_presets()
-    mode = OracleMode.ANALYTIC_SHIFT if args.mode == "analytic" else OracleMode.FULL_HEATMAP
+    mode = OracleMode(args.mode)
     rows = []
     for row_id, cfg in presets:
         stats = monte_carlo(
@@ -653,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_encode)
 
     sp = sub.add_parser("decode", help="decode a heatmap file back to a keypoint")
-    sp.add_argument("--codec", choices=tuple(_CODEC_FLAGS), required=True)
+    sp.add_argument("--codec", choices=_CODEC_FLAGS, required=True)
     sp.add_argument("--heatmap", required=True, help="textual grid path")
     sp.add_argument("--radius", type=float, help="disc radius metadata for ccrf")
     sp.set_defaults(func=cmd_decode)
@@ -670,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also subtract the 1/(2s) residual")
     sp.add_argument("--rno", action=argparse.BooleanOptionalAction, default=None,
                     help="upsample the network output before decoding")
-    sp.add_argument("--codec", choices=tuple(_CODEC_FLAGS), default=None)
+    sp.add_argument("--codec", choices=_CODEC_FLAGS, default=None)
     sp.add_argument("--combine", choices=("average-coords", "average-heatmaps"), default=None)
     sp.add_argument("--input", help="input plane WIDTHxHEIGHT pixels")
     sp.add_argument("--output", help="output plane WIDTHxHEIGHT pixels")
@@ -703,10 +677,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, dataio.MissingImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .codec import default_ccrf_radius
 from .geometry import (
     PlaneSize,
     Point,
@@ -55,6 +56,7 @@ __all__ = [
     "input_to_output",
     "load_config",
     "output_to_source",
+    "parse_size",
     "rno_upsample",
     "save_config",
     "swap_flip_pairs",
@@ -132,7 +134,7 @@ class PipelineConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         combine = self.combine if self.combine is not None else _default_combine(self.codec)
         object.__setattr__(self, "combine", combine)
-        radius = self.radius if self.radius is not None else 0.0625 * self.output.width_px
+        radius = self.radius if self.radius is not None else default_ccrf_radius(self.output)
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         object.__setattr__(self, "radius", float(radius))
@@ -261,9 +263,13 @@ def config_to_text(cfg: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_size(text: str) -> PlaneSize:
-    w, _, h = text.partition("x")
-    return PlaneSize(int(w), int(h))
+def parse_size(text: str) -> PlaneSize:
+    """Parse ``WIDTHxHEIGHT`` pixel counts, as in ``input_px=192x256``."""
+    try:
+        w, h = text.lower().split("x")
+        return PlaneSize(int(w), int(h))
+    except ValueError as exc:
+        raise ValueError(f"expected WIDTHxHEIGHT pixels, got {text!r}") from exc
 
 
 def config_from_text(text: str) -> PipelineConfig:
@@ -277,44 +283,35 @@ def config_from_text(text: str) -> PipelineConfig:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         values[key.strip()] = value.strip()
 
-    known = {
-        "convention", "input_px", "output_px", "flip_test", "compensation",
-        "codec", "combine", "rno", "sigma", "radius", "flip_pairs",
+    def as_bool(text: str) -> bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true/false, got {text!r}")
+        return text.lower() == "true"
+
+    def as_pairs(text: str) -> tuple[tuple[int, int], ...]:
+        items = (item.split(":") for item in text.split(",")) if text else ()
+        return tuple((int(a), int(b)) for a, b in items)
+
+    # Keys left out take the PipelineConfig defaults.
+    parsers = {
+        "convention": Convention, "input_px": parse_size, "output_px": parse_size,
+        "flip_test": as_bool, "compensation": Compensation, "codec": Codec,
+        "combine": Combine, "rno": as_bool, "sigma": float, "radius": float,
+        "flip_pairs": as_pairs,
     }
-    unknown = set(values) - known
+    unknown = set(values) - set(parsers)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     missing = {"convention", "input_px", "output_px"} - set(values)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-
-    def as_bool(key: str, default: bool = False) -> bool:
-        if key not in values:
-            return default
-        v = values[key].lower()
-        if v not in ("true", "false"):
-            raise ValueError(f"config key {key}: expected true/false, got {values[key]!r}")
-        return v == "true"
-
-    pairs: tuple[tuple[int, int], ...] = ()
-    if values.get("flip_pairs"):
-        pairs = tuple(
-            (int(a), int(b))
-            for a, b in (item.split(":") for item in values["flip_pairs"].split(","))
-        )
-    return PipelineConfig(
-        convention=Convention(values["convention"]),
-        input=_parse_size(values["input_px"]),
-        output=_parse_size(values["output_px"]),
-        flip_test=as_bool("flip_test"),
-        compensation=Compensation(values.get("compensation", "none")),
-        codec=Codec(values.get("codec", "ccrf")),
-        combine=Combine(values["combine"]) if "combine" in values else None,
-        rno=as_bool("rno"),
-        flip_pairs=pairs,
-        sigma=float(values.get("sigma", 2.0)),
-        radius=float(values["radius"]) if "radius" in values else None,
-    )
+    fields = {}
+    for key, value in values.items():
+        try:
+            fields[key.removesuffix("_px")] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from exc
+    return PipelineConfig(**fields)
 
 
 def save_config(path, cfg: PipelineConfig) -> None:

@@ -214,9 +214,9 @@ def read_pgm(path) -> ImageGrid:
     tokens = _pgm_tokens(buf)
     try:
         _, magic = next(tokens)
-        pos_w, w_tok = next(tokens)
+        _, w_tok = next(tokens)
         _, h_tok = next(tokens)
-        _, maxval_tok = next(tokens)
+        pos_maxval, maxval_tok = next(tokens)
     except StopIteration:
         raise ValueError(f"{path}: truncated PGM header") from None
     if magic not in (b"P2", b"P5"):
@@ -227,7 +227,7 @@ def read_pgm(path) -> ImageGrid:
     if magic == b"P5":
         # Binary data starts after the single whitespace byte that ends the
         # maxval token.
-        data_start = buf.index(maxval_tok, pos_w) + len(maxval_tok) + 1
+        data_start = pos_maxval + len(maxval_tok) + 1
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
         count = w * h
         raw = buf[data_start : data_start + count * dtype.itemsize]

@@ -17,11 +17,36 @@ from keypose.biaslab import (
 )
 from keypose.codec import CcrfTarget, GaussianTarget
 from keypose.dataio import Instance
-from keypose.geometry import PlaneSize, Point, Roi
-from keypose.pipeline import Codec, Combine, Compensation, Convention, PipelineConfig
+from keypose.geometry import PlaneSize, Point, Roi, apply_point, t_flip
+from keypose.pipeline import (
+    Codec,
+    Combine,
+    Compensation,
+    Convention,
+    PipelineConfig,
+    flip_combine,
+    input_to_output,
+)
+from keypose.pipeline import test_transform as source_to_input
 
 IN_SIZE = PlaneSize(192, 256)
 OUT_SIZE = PlaneSize(48, 64)
+
+
+# Two crop boxes; the keypoint at (400, 90) lies outside its padded crop,
+# so the coco sampler also skips trials.
+COCO_INSTANCES = (
+    Instance(
+        image_size=PlaneSize(640, 480),
+        bbox=(100.0, 80.0, 120.0, 160.0),
+        keypoints=((Point(160.0, 160.0), 2), (Point(130.0, 200.0), 1), (Point(400.0, 90.0), 2)),
+    ),
+    Instance(
+        image_size=PlaneSize(640, 480),
+        bbox=(300.0, 40.0, 90.0, 200.0),
+        keypoints=((Point(330.5, 100.25), 2), (Point(371.0, 220.0), 2), (Point(0.0, 0.0), 0)),
+    ),
+)
 
 
 def make_cfg(convention=Convention.UNIT_LENGTH, **kwargs) -> PipelineConfig:
@@ -87,6 +112,32 @@ class TestRunTrial:
         assert rec.pred_source.y == pytest.approx(gt.y, abs=1e-9)
         assert rec.config == cfg
 
+    @pytest.mark.parametrize("convention", list(Convention))
+    @pytest.mark.parametrize("comp", list(Compensation))
+    @pytest.mark.parametrize(
+        "codec,mode",
+        [
+            (Codec.ARGMAX_ONLY, OracleMode.ANALYTIC_SHIFT),
+            (Codec.CCRF, OracleMode.ANALYTIC_SHIFT),
+            (Codec.CCRF, OracleMode.FULL_HEATMAP),
+        ],
+    )
+    def test_engine_matches_flip_combine(self, convention, comp, codec, mode):
+        # With decoders that add no quantization, the engine's flip ensemble
+        # must equal the point-level statement of the remedies.
+        cfg = make_cfg(convention=convention, flip_test=True, compensation=comp, codec=codec)
+        roi = default_roi(cfg)
+        i2o = input_to_output(cfg)
+        flip_in = t_flip(cfg.input.width_units)
+        for gt in (Point(roi.cx + 3.7, roi.cy - 5.1), Point(roi.cx - 20.25, roi.cy + 41.5)):
+            k_i = apply_point(source_to_input(roi, cfg), gt)
+            k_o = apply_point(i2o, k_i)
+            k_o_flip = apply_point(i2o, apply_point(flip_in, k_i))
+            expected = flip_combine(k_o, k_o_flip, cfg)
+            got = run_trial(gt, roi, cfg, mode).pred_output
+            assert got.x == pytest.approx(expected.x, abs=1e-12)
+            assert got.y == pytest.approx(expected.y, abs=1e-12)
+
     def test_gt_outside_roi_skips(self):
         cfg = make_cfg()
         roi = default_roi(cfg)
@@ -106,10 +157,35 @@ class TestDeterminism:
         b = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 5000, 9)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = make_cfg(flip_test=True, codec=Codec.CF)
-        one = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 9000, 11, jobs=1)
-        three = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 9000, 11, jobs=3)
+    @pytest.mark.parametrize(
+        "mode,cfg,sampler,n",
+        [
+            (OracleMode.ANALYTIC_SHIFT, make_cfg(flip_test=True, codec=Codec.CF), None, 9000),
+            (
+                OracleMode.FULL_HEATMAP,
+                PipelineConfig(
+                    convention=Convention.PIXEL_COUNT,
+                    input=PlaneSize(32, 32),
+                    output=PlaneSize(16, 16),
+                    flip_test=True,
+                    codec=Codec.CF,
+                    rno=True,
+                ),
+                None,
+                4500,  # two chunks
+            ),
+            (
+                OracleMode.ANALYTIC_SHIFT,
+                make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF),
+                CocoKeypointSampler(instances=COCO_INSTANCES),
+                9000,
+            ),
+        ],
+        ids=["analytic", "heatmap-rno", "coco"],
+    )
+    def test_worker_count_does_not_change_results(self, mode, cfg, sampler, n):
+        one = monte_carlo(cfg, mode, n, 11, sampler, jobs=1)
+        three = monte_carlo(cfg, mode, n, 11, sampler, jobs=3)
         assert one == three
 
     def test_different_seed_changes_draws(self):

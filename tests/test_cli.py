@@ -167,6 +167,22 @@ class TestSimulateCommand:
                       "--codec", "ccrf")
         assert out.returncode == 0
 
+    def test_coco_unknown_image_id_is_usage_error(self, tmp_path):
+        doc = {
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [
+                {"id": 7, "image_id": 2, "bbox": [100.0, 80.0, 120.0, 160.0],
+                 "keypoints": [160, 160, 2]}
+            ],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        out = run_cli("simulate", "--seed", "2", "-n", "20", "--coco", str(ann))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert "unknown image id 2" in out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestVerifyCommand:
     def test_verify_passes_and_prints_lines(self):

@@ -190,6 +190,15 @@ class TestFileFormats:
         write_pgm(path, grid, maxval=65535)
         assert np.array_equal(read_pgm(path).data, grid.data)
 
+    def test_pgm_raw_width_spelling_maxval(self, tmp_path):
+        # The width token "255" must not be mistaken for the maxval token
+        # when locating the binary pixel data.
+        rng = np.random.default_rng(8)
+        grid = ImageGrid.from_array(rng.integers(0, 256, size=(3, 255)).astype(float))
+        path = tmp_path / "wide.pgm"
+        write_pgm(path, grid, maxval=255)
+        assert np.array_equal(read_pgm(path).data, grid.data)
+
     def test_pgm_comments_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P2\n# a comment\n2 2\n255\n1 2\n3 4\n")
