@@ -647,7 +647,7 @@ def monte_carlo(
         for acc, value in zip(totals, (sax, sax2, say, say2, sasx)):
             acc.add(value)
     if used == 0:
-        raise RuntimeError("every trial was skipped or failed; nothing to aggregate")
+        raise ValueError("every trial was skipped or failed; nothing to aggregate")
 
     sax, sax2, say, say2, sasx = (acc.total for acc in totals)
     mean_x = sax / used

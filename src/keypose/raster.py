@@ -7,6 +7,12 @@ the inverse transform and read from the source by bilinear interpolation.
 Interpolation loss is irreversible, so pipelines should warp as few times as
 possible; this module never resamples implicitly.
 
+Axis-aligned transforms (resize, flip, crop, translation) use a separable
+gather: the bilinear taps are computed once per destination column and once
+per row, and the source is gathered by rows, then by columns.  Its results
+are bit-identical to the general inverse-mapping path, which rotations and
+shears take.
+
 The source plane is finite, so backtracked positions can land outside it.
 :class:`BorderPolicy` decides what such reads return; the rest of the
 library defaults to ``ZERO_FILL``.
@@ -82,41 +88,47 @@ class ImageGrid:
         return cls(PlaneSize(w, h), arr)
 
 
+# Positions are clipped to +-2**53 before the integer cast so that the cast
+# cannot overflow.  Every float64 of that magnitude is an integer and lies
+# far outside any grid, so the clip changes no clipped index and no weight.
+_Q_LIMIT = float(2**53)
+
+
+def _axis_taps(
+    q: np.ndarray, n: int, policy: BorderPolicy
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Bilinear taps along one axis of length ``n`` at float positions ``q``.
+
+    Returns ``((i0, w0), (i1, w1))``: the node below and the node above each
+    position, as indices clipped to ``0..n-1`` and weights ``1 - d`` and
+    ``d``.  Under ``ZERO_FILL`` a tap whose node lies outside ``0..n-1``
+    gets weight zero.
+    """
+    q = np.clip(q, -_Q_LIMIT, _Q_LIMIT)
+    f = np.floor(q)
+    w1 = q - f
+    w0 = 1.0 - w1
+    i0 = f.astype(np.int64)
+    i1 = i0 + 1
+    if policy is BorderPolicy.ZERO_FILL:
+        w0 = w0 * ((i0 >= 0) & (i0 < n))
+        w1 = w1 * ((i1 >= 0) & (i1 < n))
+    return (np.clip(i0, 0, n - 1), w0), (np.clip(i1, 0, n - 1), w1)
+
+
 def _bilinear_many(
     data: np.ndarray, xq: np.ndarray, yq: np.ndarray, policy: BorderPolicy
 ) -> np.ndarray:
     """Sample ``data`` (H, W, C) at float positions; returns (N, C)."""
     h, w = data.shape[:2]
-    x0f = np.floor(xq)
-    y0f = np.floor(yq)
-    dx = xq - x0f
-    dy = yq - y0f
-    x0 = x0f.astype(np.int64)
-    y0 = y0f.astype(np.int64)
-    x1 = x0 + 1
-    y1 = y0 + 1
-
-    w00 = (1.0 - dx) * (1.0 - dy)
-    w10 = dx * (1.0 - dy)
-    w01 = (1.0 - dx) * dy
-    w11 = dx * dy
-
-    def gather(xi: np.ndarray, yi: np.ndarray) -> np.ndarray:
-        xc = np.clip(xi, 0, w - 1)
-        yc = np.clip(yi, 0, h - 1)
-        vals = data[yc, xc, :]
-        if policy is BorderPolicy.ZERO_FILL:
-            inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            vals = vals * inside[:, None]
-        return vals
-
-    out = (
-        w00[:, None] * gather(x0, y0)
-        + w10[:, None] * gather(x1, y0)
-        + w01[:, None] * gather(x0, y1)
-        + w11[:, None] * gather(x1, y1)
+    (x0, wx0), (x1, wx1) = _axis_taps(xq, w, policy)
+    (y0, wy0), (y1, wy1) = _axis_taps(yq, h, policy)
+    return (
+        (wx0 * wy0)[:, None] * data[y0, x0, :]
+        + (wx1 * wy0)[:, None] * data[y0, x1, :]
+        + (wx0 * wy1)[:, None] * data[y1, x0, :]
+        + (wx1 * wy1)[:, None] * data[y1, x1, :]
     )
-    return out
 
 
 def bilinear_sample(
@@ -144,16 +156,54 @@ def warp(
     Every destination node ``p`` receives the source value at
     ``invert(t) . p``.  Raises :class:`~keypose.geometry.SingularTransformError`
     for non-invertible ``t``.
+
+    Axis-aligned transforms (resize, flip, crop, translation: both
+    off-diagonal terms of ``invert(t)`` are zero) take a separable gather
+    that computes the taps once per destination column and once per row.
+    Its result is bit-identical to the general inverse-mapping path, which
+    rotations and shears take.
     """
     inv = invert(t).m
     xs = np.arange(dst_size.width_px, dtype=np.float64)
     ys = np.arange(dst_size.height_px, dtype=np.float64)
-    gx, gy = np.meshgrid(xs, ys)
-    sx = inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]
-    sy = inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]
-    flat = _bilinear_many(src.data, sx.ravel(), sy.ravel(), policy)
-    out = flat.reshape(dst_size.height_px, dst_size.width_px, src.channels)
+    if inv[0, 1] == 0.0 and inv[1, 0] == 0.0:
+        sx = inv[0, 0] * xs + inv[0, 2]
+        sy = inv[1, 1] * ys + inv[1, 2]
+        out = _warp_separable(src.data, sx, sy, policy)
+    else:
+        gx, gy = np.meshgrid(xs, ys)
+        sx = inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]
+        sy = inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]
+        flat = _bilinear_many(src.data, sx.ravel(), sy.ravel(), policy)
+        out = flat.reshape(dst_size.height_px, dst_size.width_px, src.channels)
     return ImageGrid(dst_size, out)
+
+
+def _warp_separable(
+    data: np.ndarray, sx: np.ndarray, sy: np.ndarray, policy: BorderPolicy
+) -> np.ndarray:
+    """Sample ``data`` (H, W, C) at every ``(sx[j], sy[i])``; returns (H', W', C).
+
+    Each term weighs the same node by the same product of per-axis weights
+    as :func:`_bilinear_many`, and the terms are summed in its order, so the
+    result matches it bit for bit (the off-diagonal terms it would add are
+    exactly zero).
+    """
+    h, w = data.shape[:2]
+    (x0, wx0), (x1, wx1) = _axis_taps(sx, w, policy)
+    (y0, wy0), (y1, wy1) = _axis_taps(sy, h, policy)
+    row0 = data.take(y0, axis=0)
+    row1 = data.take(y1, axis=0)
+
+    def term(wy, rows, wx, xi):
+        return np.multiply.outer(wy, wx)[:, :, None] * rows.take(xi, axis=1)
+
+    return (
+        term(wy0, row0, wx0, x0)
+        + term(wy0, row0, wx1, x1)
+        + term(wy1, row1, wx0, x0)
+        + term(wy1, row1, wx1, x1)
+    )
 
 
 def flip_heatmap(grid: ImageGrid) -> ImageGrid:

@@ -184,6 +184,24 @@ class TestSimulateCommand:
         assert "Traceback" not in out.stderr
 
 
+    def test_coco_every_trial_skipped_is_usage_error(self, tmp_path):
+        # The only labeled keypoint lies far outside its padded crop box.
+        doc = {
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+                 "keypoints": [600, 10, 2]}
+            ],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        out = run_cli("simulate", "--seed", "1", "-n", "50", "--coco", str(ann))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert "every trial was skipped" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 class TestVerifyCommand:
     def test_verify_passes_and_prints_lines(self):
         out = run_cli("verify")

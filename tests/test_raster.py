@@ -3,19 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keypose.cli import _bottomup_presets
+from keypose.codec import encode_gaussian
 from keypose.geometry import (
     PlaneSize,
     Point,
     SingularTransformError,
     Transform2D,
+    apply_point,
     identity,
     invert,
     t_flip,
     t_resize,
 )
+from keypose.pipeline import input_to_output, rno_upsample
 from keypose.raster import (
     BorderPolicy,
     ImageGrid,
+    _bilinear_many,
     bilinear_sample,
     flip_heatmap,
     read_grid_text,
@@ -30,6 +35,26 @@ def linear_field(width_px: int, height_px: int, a: float, b: float, c: float) ->
     xs = np.arange(width_px, dtype=np.float64)
     ys = np.arange(height_px, dtype=np.float64)
     return ImageGrid.from_array(a + b * xs[None, :] + c * ys[:, None])
+
+
+def inverse_mapping_reference(
+    src: ImageGrid, t: Transform2D, dst_size: PlaneSize, policy: BorderPolicy
+) -> np.ndarray:
+    """The general warp: backtrack every destination node and sample it."""
+    inv = invert(t).m
+    gx, gy = np.meshgrid(
+        np.arange(dst_size.width_px, dtype=np.float64),
+        np.arange(dst_size.height_px, dtype=np.float64),
+    )
+    sx = inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]
+    sy = inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]
+    flat = _bilinear_many(src.data, sx.ravel(), sy.ravel(), policy)
+    return flat.reshape(dst_size.height_px, dst_size.width_px, src.channels)
+
+
+def assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestImageGrid:
@@ -86,6 +111,27 @@ class TestBilinearSample:
         support = grid.data[y0 : y0 + 2, x0 : x0 + 2, 0]
         v = bilinear_sample(grid, Point(x, y))[0]
         assert support.min() - 1e-12 <= v <= support.max() + 1e-12
+
+
+class TestFarPositions:
+    # On a 3x4 ramp, row 1 holds 4, 5, 6, 7: the left edge reads 4 and the
+    # right edge 7.  Positions at or beyond 2**63 once overflowed the integer
+    # cast and read the left edge whatever their sign.
+    @pytest.mark.parametrize("policy", list(BorderPolicy))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_far_positions_read_the_near_edge(self, sign, policy):
+        grid = ImageGrid.from_array(np.arange(12, dtype=float).reshape(3, 4))
+        clamp = policy is BorderPolicy.CLAMP_TO_EDGE
+        col = 3 if sign > 0 else 0
+        for x in (sign * 1e19, sign * 2.0**63, sign * 1e300):
+            v = bilinear_sample(grid, Point(x, 1.0), policy)[0]
+            assert v == (grid.data[1, col, 0] if clamp else 0.0)
+        # Axis-aligned, so warp takes the separable path: every destination
+        # node backtracks to x = sign * 1e19.
+        far = Transform2D([[1.0, 0.0, -sign * 1e19], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        out = warp(grid, far, grid.size, policy).data[:, :, 0]
+        expected = np.repeat(grid.data[:, col : col + 1, 0], 4, axis=1)
+        assert np.array_equal(out, expected if clamp else np.zeros_like(out))
 
 
 class TestWarp:
@@ -162,6 +208,61 @@ class TestWarp:
         t = Transform2D([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(SingularTransformError):
             warp(grid, t, grid.size)
+
+
+class TestSeparableWarp:
+    """Axis-aligned warps take a separable gather that must equal the
+    general inverse-mapping path bit for bit, signed zeros included."""
+
+    @given(
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=2, max_value=14),
+        st.integers(min_value=2, max_value=14),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([-1.0, 1.0]),
+        st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+                  st.floats(min_value=0.05, max_value=8.0)),
+        st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+                  st.floats(min_value=0.05, max_value=8.0)),
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.sampled_from(list(BorderPolicy)),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_general_path(
+        self, w, h, channels, dw, dh, sgx, sgy, kx, ky, tx, ty, policy, seed
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(-5.0, 5.0, size=(h, w, channels))
+        data[rng.random(data.shape) < 0.2] = 0.0
+        data[rng.random(data.shape) < 0.2] = -0.0
+        src = ImageGrid.from_array(data)
+        t = Transform2D([[sgx * kx, 0.0, tx], [0.0, sgy * ky, ty], [0.0, 0.0, 1.0]])
+        inv = invert(t).m
+        assert inv[0, 1] == 0.0 and inv[1, 0] == 0.0
+        dst = PlaneSize(dw, dh)
+        out = warp(src, t, dst, policy)
+        assert_bitwise_equal(out.data, inverse_mapping_reference(src, t, dst, policy))
+
+    @pytest.mark.parametrize(
+        "row", [row for row, cfg in _bottomup_presets() if cfg.rno]
+    )
+    def test_rno_rows_match_general_path(self, row):
+        cfg = dict(_bottomup_presets())[row]
+        out = cfg.output
+        k = Point(0.37 * out.width_units, 0.61 * out.height_units)
+        k_flip = apply_point(t_flip(out.width_units), k)
+        a = encode_gaussian(k, out, cfg.sigma).c.data
+        b = encode_gaussian(k_flip, out, cfg.sigma).c.data[:, ::-1]
+        avg = ImageGrid(out, 0.5 * (a + b))
+        up = rno_upsample(avg, cfg)
+        ref = inverse_mapping_reference(
+            avg, invert(input_to_output(cfg)), cfg.input, BorderPolicy.ZERO_FILL
+        )
+        assert_bitwise_equal(up.data, ref)
 
 
 class TestFlipHeatmap:
