@@ -25,7 +25,9 @@ represented:
 Trials are reproducible: each trial's randomness derives only from the run
 seed and the trial index (a splitmix-style generator), and aggregation uses
 compensated summation over fixed-size chunks, so results are identical for
-any worker count.
+any worker count.  A bound sampler lists its crop boxes and each draw names
+one of them; each crop box's transforms are built once per chunk, the first
+time a trial of that chunk draws it.
 """
 
 from __future__ import annotations
@@ -172,10 +174,10 @@ class UniformKeypointSampler:
 
 
 class _BoundUniform:
-    __slots__ = ("fixed_roi", "_o2s", "_mx", "_my", "_rx", "_ry")
+    __slots__ = ("rois", "_o2s", "_mx", "_my", "_rx", "_ry")
 
     def __init__(self, roi: Roi, cfg: PipelineConfig, margin: float) -> None:
-        self.fixed_roi = roi
+        self.rois = (roi,)
         self._o2s = _aff(output_to_source(roi, cfg))
         wo, ho = cfg.output.width_units, cfg.output.height_units
         self._mx = margin
@@ -183,11 +185,11 @@ class _BoundUniform:
         self._rx = wo - 2.0 * margin
         self._ry = ho - 2.0 * margin
 
-    def draw(self, rng: SplitMix64) -> tuple[Roi, float, float]:
+    def draw(self, rng: SplitMix64) -> tuple[int, float, float]:
         kx = self._mx + rng.uniform() * self._rx
         ky = self._my + rng.uniform() * self._ry
         gx, gy = _ap(self._o2s, kx, ky)
-        return self.fixed_roi, gx, gy
+        return 0, gx, gy
 
 
 @dataclass(frozen=True)
@@ -210,25 +212,25 @@ class CocoKeypointSampler:
         aspect = self.target_aspect
         if aspect is None:
             aspect = cfg.input.width_px / cfg.input.height_px
-        entries = []
-        for inst in self.instances:
-            roi = bbox_to_roi(inst.bbox, aspect, self.padding)
+        rois, entries = [], []
+        for i, inst in enumerate(self.instances):
+            rois.append(bbox_to_roi(inst.bbox, aspect, self.padding))
             for point, visibility in inst.keypoints:
                 if visibility > 0:
-                    entries.append((roi, point.x, point.y))
+                    entries.append((i, point.x, point.y))
         if not entries:
             raise ValueError("no visible keypoints to sample from")
-        return _BoundCoco(tuple(entries))
+        return _BoundCoco(tuple(rois), tuple(entries))
 
 
 class _BoundCoco:
-    __slots__ = ("fixed_roi", "_entries")
+    __slots__ = ("rois", "_entries")
 
-    def __init__(self, entries: tuple) -> None:
-        self.fixed_roi = None
+    def __init__(self, rois: tuple, entries: tuple) -> None:
+        self.rois = rois
         self._entries = entries
 
-    def draw(self, rng: SplitMix64) -> tuple[Roi, float, float]:
+    def draw(self, rng: SplitMix64) -> tuple[int, float, float]:
         idx = int(rng.uniform() * len(self._entries))
         return self._entries[idx]
 
@@ -292,7 +294,7 @@ def describe_config(cfg: PipelineConfig) -> str:
 # ---------------------------------------------------------------------------
 # Trial engine.  Affine transforms are carried as flat 6-tuples in the hot
 # path; the matrices come from the pipeline module and are built once per
-# crop box.
+# crop box and chunk.
 # ---------------------------------------------------------------------------
 
 
@@ -574,12 +576,16 @@ class _Partial:
 def _run_chunk(cfg, mode, sampler, seed, start, stop):
     engine = _Engine(cfg, mode)
     bound = sampler.bind(cfg)
-    fixed = engine.context(bound.fixed_roi) if bound.fixed_roi is not None else None
+    # Built on first draw: building every COCO crop box up front would
+    # delay the first trial and build boxes this chunk never draws.
+    contexts = [None] * len(bound.rois)
     part = _Partial()
     for i in range(start, stop):
         rng = substream(seed, i)
-        roi, gx, gy = bound.draw(rng)
-        ctx = fixed if fixed is not None else engine.context(roi)
+        idx, gx, gy = bound.draw(rng)
+        ctx = contexts[idx]
+        if ctx is None:
+            ctx = contexts[idx] = engine.context(bound.rois[idx])
         try:
             pox, poy, psx, _, kox, koy, deg = engine.run(ctx, gx, gy)
         except SkipTrial:
@@ -620,6 +626,8 @@ def monte_carlo(
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got jobs={jobs}")
     if sampler is None:
         sampler = UniformKeypointSampler(default_roi(cfg))
 

@@ -79,20 +79,15 @@ class UsageError(Exception):
     """Inconsistent flags; reported on stderr with exit code 2."""
 
 
-def _parse_point(text: str) -> Point:
+def _floats(text: str, names: str) -> list[float]:
+    """Parse comma-separated floats, one per comma-separated name in ``names``."""
+    values = text.split(",")
     try:
-        x, y = (float(v) for v in text.split(","))
-        return Point(x, y)
+        if len(values) != len(names.split(",")):
+            raise ValueError
+        return [float(v) for v in values]
     except ValueError as exc:
-        raise UsageError(f"expected X,Y, got {text!r}") from exc
-
-
-def _parse_roi(text: str) -> Roi:
-    try:
-        cx, cy, w, h = (float(v) for v in text.split(","))
-        return Roi(cx, cy, w, h)
-    except ValueError as exc:
-        raise UsageError(f"expected CX,CY,W,H, got {text!r}") from exc
+        raise UsageError(f"expected {names}, got {text!r}") from exc
 
 
 _CODEC_FLAGS = tuple(c.value.replace("_", "-") for c in Codec)
@@ -113,17 +108,15 @@ def cmd_transform(args) -> int:
     if args.op == "crop":
         if args.roi is None:
             raise UsageError("--op crop requires --roi")
-        t = t_crop(_parse_roi(args.roi))
+        t = t_crop(Roi(*_floats(args.roi, "CX,CY,W,H")))
     elif args.op == "resize":
         if args.src is None or args.dst is None:
             raise UsageError("--op resize requires --src and --dst extents")
-        sw, sh = (float(v) for v in args.src.split(","))
-        dw, dh = (float(v) for v in args.dst.split(","))
-        t = t_resize(sw, sh, dw, dh)
+        t = t_resize(*_floats(args.src, "W,H"), *_floats(args.dst, "W,H"))
     elif args.op == "rotate":
         if args.angle is None or args.center is None:
             raise UsageError("--op rotate requires --angle (degrees) and --center")
-        t = t_rotate(math.radians(args.angle), _parse_point(args.center))
+        t = t_rotate(math.radians(args.angle), Point(*_floats(args.center, "X,Y")))
     elif args.op == "flip":
         if args.width is None:
             raise UsageError("--op flip requires --width")
@@ -134,7 +127,7 @@ def cmd_transform(args) -> int:
         t = invert(t)
     payload = json.loads(_matrix_json(t))
     if args.point is not None:
-        p = apply_point(t, _parse_point(args.point))
+        p = apply_point(t, Point(*_floats(args.point, "X,Y")))
         payload["point"] = [p.x, p.y]
     print(json.dumps(payload))
     return 0
@@ -167,7 +160,7 @@ def cmd_warp(args) -> int:
         if args.angle is None:
             raise UsageError("--op rotate requires --angle (degrees)")
         center = (
-            _parse_point(args.center)
+            Point(*_floats(args.center, "X,Y"))
             if args.center is not None
             else Point(0.5 * src.size.width_units, 0.5 * src.size.height_units)
         )
@@ -180,7 +173,7 @@ def cmd_warp(args) -> int:
     elif args.op == "crop":
         if args.roi is None:
             raise UsageError("--op crop requires --roi")
-        t = t_crop(_parse_roi(args.roi))
+        t = t_crop(Roi(*_floats(args.roi, "CX,CY,W,H")))
     else:  # pragma: no cover
         raise UsageError(f"unknown op {args.op!r}")
     out = warp(src, t, dst_size, _BORDER_FLAGS[args.border])
@@ -196,7 +189,7 @@ def cmd_warp(args) -> int:
 
 def cmd_encode(args) -> int:
     dims = parse_size(args.size)
-    k = _parse_point(args.keypoint)
+    k = Point(*_floats(args.keypoint, "X,Y"))
     codec = Codec(args.codec.replace("-", "_"))
     if codec is Codec.CCRF:
         radius = args.radius if args.radius is not None else default_ccrf_radius(dims)
@@ -253,15 +246,15 @@ def cmd_decode(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _topdown(convention: Convention, **fields) -> PipelineConfig:
+    """A configuration on the 192x256 input and 48x64 output planes."""
+    return PipelineConfig(
+        convention=convention, input=PlaneSize(192, 256), output=PlaneSize(48, 64), **fields
+    )
+
+
 def _config_from_args(args) -> PipelineConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = PipelineConfig(
-            convention=Convention.UNIT_LENGTH,
-            input=PlaneSize(192, 256),
-            output=PlaneSize(48, 64),
-        )
+    cfg = load_config(args.config) if args.config else _topdown(Convention.UNIT_LENGTH)
     overrides: dict = {}
     if args.ucst is not None:
         overrides["convention"] = Convention.UNIT_LENGTH if args.ucst else Convention.PIXEL_COUNT
@@ -307,7 +300,7 @@ def _sampler_from_args(args, cfg: PipelineConfig):
             target_aspect=args.aspect,
             padding=args.padding,
         )
-    roi = _parse_roi(args.roi) if args.roi else default_roi(cfg)
+    roi = Roi(*_floats(args.roi, "CX,CY,W,H")) if args.roi else default_roi(cfg)
     return UniformKeypointSampler(roi, margin=args.margin)
 
 
@@ -346,25 +339,44 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    tail = f"  ({detail})" if detail and not ok else ""
-    print(f"{'PASS' if ok else 'FAIL'}  {name}{tail}")
-    return ok
+def _random_planes(rng, convention: Convention) -> PipelineConfig:
+    return PipelineConfig(
+        convention=convention,
+        input=PlaneSize(int(rng.integers(16, 512)), int(rng.integers(16, 512))),
+        output=PlaneSize(int(rng.integers(8, 128)), int(rng.integers(8, 128))),
+    )
 
 
-def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    results = []
+def _flip_chain(cfg: PipelineConfig, i2o):
+    """Flip the input plane, map it to the output plane and flip it back."""
+    return compose(t_flip(cfg.output.width_units), compose(i2o, t_flip(cfg.input.width_units)))
+
+
+def _max_codec_error(rng, round_trip, xs, ys) -> float:
+    """Largest coordinate error of ``round_trip`` over 2000 keypoints drawn
+    uniformly from the box ``xs`` by ``ys``."""
+    worst = 0.0
+    for _ in range(2000):
+        k = Point(float(rng.uniform(*xs)), float(rng.uniform(*ys)))
+        d = round_trip(k)
+        worst = max(worst, abs(d.k.x - k.x), abs(d.k.y - k.y))
+    return worst
+
+
+def _verify_checks(seed: int):
+    """Yield one ``(name, value, expected, tolerance, detail)`` row per check.
+
+    A check passes iff ``abs(value - expected) < tolerance``; ``detail``
+    formats ``value`` for the FAIL line.
+    """
+    rng = np.random.default_rng(seed)
+    unit, pixel = Convention.UNIT_LENGTH, Convention.PIXEL_COUNT
 
     # Round trip through source -> input -> output -> source.
     worst = 0.0
-    for convention in (Convention.UNIT_LENGTH, Convention.PIXEL_COUNT):
+    for convention in (unit, pixel):
         for _ in range(500):
-            cfg = PipelineConfig(
-                convention=convention,
-                input=PlaneSize(int(rng.integers(16, 512)), int(rng.integers(16, 512))),
-                output=PlaneSize(int(rng.integers(8, 128)), int(rng.integers(8, 128))),
-            )
+            cfg = _random_planes(rng, convention)
             roi = Roi(
                 cx=float(rng.uniform(-200, 800)),
                 cy=float(rng.uniform(-200, 800)),
@@ -377,126 +389,82 @@ def cmd_verify(args) -> int:
             p = Point(float(rng.uniform(-300, 900)), float(rng.uniform(-300, 900)))
             q = apply_point(chain, p)
             worst = max(worst, abs(q.x - p.x), abs(q.y - p.y))
-    results.append(_check("round trip to source is the identity", worst < 1e-9, f"max={worst:.2e}"))
+    yield "round trip to source is the identity", worst, 0.0, 1e-9, "max={:.2e}"
 
-    # Flipped and original predictions align under unit-length ratios.
+    # Flipped and original predictions align under unit-length ratios ...
     worst = 0.0
     for _ in range(1000):
-        cfg = PipelineConfig(
-            convention=Convention.UNIT_LENGTH,
-            input=PlaneSize(int(rng.integers(16, 512)), int(rng.integers(16, 512))),
-            output=PlaneSize(int(rng.integers(8, 128)), int(rng.integers(8, 128))),
-        )
+        cfg = _random_planes(rng, unit)
         i2o = input_to_output(cfg)
-        chain = compose(t_flip(cfg.output.width_units), compose(i2o, t_flip(cfg.input.width_units)))
         p = Point(float(rng.uniform(0, cfg.input.width_units)), 0.0)
-        worst = max(worst, abs(apply_point(chain, p).x - apply_point(i2o, p).x))
-    results.append(_check("flip ensemble aligns (unit-length ratios)", worst < 1e-9, f"max={worst:.2e}"))
+        worst = max(worst, abs(apply_point(_flip_chain(cfg, i2o), p).x - apply_point(i2o, p).x))
+    yield "flip ensemble aligns (unit-length ratios)", worst, 0.0, 1e-9, "max={:.2e}"
 
-    # Pixel-count ratios leave the known x offset.
+    # ... and pixel-count ratios leave the known x offset.
     worst = 0.0
     for _ in range(200):
         wop = int(rng.integers(8, 128))
         cfg = PipelineConfig(
-            convention=Convention.PIXEL_COUNT,
+            convention=pixel,
             input=PlaneSize(4 * wop, 4 * int(rng.integers(8, 128))),
             output=PlaneSize(wop, int(rng.integers(8, 128))),
         )
-        s = cfg.stride
         i2o = input_to_output(cfg)
-        chain = compose(t_flip(cfg.output.width_units), compose(i2o, t_flip(cfg.input.width_units)))
-        offset = compose(chain, invert(i2o)).m[0, 2]
-        worst = max(worst, abs(offset - (1.0 - s) / s))
-    results.append(
-        _check("pixel-count flip offset equals (1-s)/s", worst < 1e-9, f"max={worst:.2e}")
-    )
+        offset = compose(_flip_chain(cfg, i2o), invert(i2o)).m[0, 2]
+        worst = max(worst, abs(offset - (1.0 - cfg.stride) / cfg.stride))
+    yield "pixel-count flip offset equals (1-s)/s", worst, 0.0, 1e-9, "max={:.2e}"
 
     # Monte Carlo means for the remedies, at coordinate level.
-    base = dict(
-        convention=Convention.PIXEL_COUNT,
-        input=PlaneSize(192, 256),
-        output=PlaneSize(48, 64),
-        flip_test=True,
-        codec=Codec.ARGMAX_ONLY,
-    )
     for comp, expect in (
         (Compensation.NONE, 0.375),
         (Compensation.SNOOP, 0.125),
         (Compensation.SNOOP_PLUS_EC, 0.0),
     ):
-        cfg = PipelineConfig(compensation=comp, **base)
-        stats = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 20000, args.seed)
-        results.append(
-            _check(
-                f"flip remedy {comp.value}: mean |x error| = {expect}",
-                abs(stats.mean_abs_x - expect) < 1e-3,
-                f"got {stats.mean_abs_x:.6f}",
-            )
-        )
+        cfg = _topdown(pixel, flip_test=True, compensation=comp, codec=Codec.ARGMAX_ONLY)
+        mean = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 20000, seed).mean_abs_x
+        name = f"flip remedy {comp.value}: mean |x error| = {expect}"
+        yield name, mean, expect, 1e-3, "got {:.6f}"
 
     # Codec identities.
     dims = PlaneSize(48, 64)
-    worst = 0.0
-    for _ in range(2000):
-        k = Point(float(rng.uniform(0, 47)), float(rng.uniform(0, 63)))
-        d = decode_ccrf(encode_ccrf(k, dims, 3.0))
-        worst = max(worst, abs(d.k.x - k.x), abs(d.k.y - k.y))
-    results.append(_check("disc codec round trip is exact", worst < 1e-12, f"max={worst:.2e}"))
-
-    worst = 0.0
-    for _ in range(2000):
-        k = Point(float(rng.uniform(6, 41)), float(rng.uniform(6, 57)))
-        d = decode_dark(encode_gaussian(k, dims, 2.0).c)
-        worst = max(worst, abs(d.k.x - k.x), abs(d.k.y - k.y))
-    results.append(
-        _check("one-step Newton decode recovers exact peaks", worst < 1e-3, f"max={worst:.2e}")
+    worst = _max_codec_error(
+        rng, lambda k: decode_ccrf(encode_ccrf(k, dims, 3.0)), (0, 47), (0, 63)
     )
+    yield "disc codec round trip is exact", worst, 0.0, 1e-12, "max={:.2e}"
+    worst = _max_codec_error(
+        rng, lambda k: decode_dark(encode_gaussian(k, dims, 2.0).c), (6, 41), (6, 57)
+    )
+    yield "one-step Newton decode recovers exact peaks", worst, 0.0, 1e-3, "max={:.2e}"
 
     # Quarter-shift decoder statistics on rendered maps.
-    cfg = PipelineConfig(
-        convention=Convention.UNIT_LENGTH,
-        input=PlaneSize(192, 256),
-        output=PlaneSize(48, 64),
-        codec=Codec.CF_BIASED_DECODE,
-    )
-    stats = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 20000, args.seed)
-    results.append(
-        _check(
-            "quarter-shift decoder: mean |error| = 1/8",
-            abs(stats.mean_abs_x - 0.125) < 5e-3,
-            f"got {stats.mean_abs_x:.6f}",
-        )
-    )
-    results.append(
-        _check(
-            "quarter-shift decoder: var |error| = 1/192",
-            abs(stats.var_abs_x - 1.0 / 192.0) < 1.0 / 1920.0,
-            f"got {stats.var_abs_x:.6f}",
-        )
-    )
+    cfg = _topdown(unit, codec=Codec.CF_BIASED_DECODE)
+    stats = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 20000, seed)
+    name = "quarter-shift decoder:"
+    yield f"{name} mean |error| = 1/8", stats.mean_abs_x, 0.125, 5e-3, "got {:.6f}"
+    yield f"{name} var |error| = 1/192", stats.var_abs_x, 1.0 / 192.0, 1.0 / 1920.0, "got {:.6f}"
 
-    # Closed forms match their fixed constants.
-    table_ok = True
+    # Closed forms match their fixed constants (np.max keeps a NaN).
+    errors = []
     for comp, mean, var in (
         (Compensation.SNOOP, 5.0 / 32.0, 37.0 / 3072.0),
         (Compensation.NONE, 3.0 / 8.0, 1.0 / 48.0),
     ):
-        cfg = PipelineConfig(
-            convention=Convention.PIXEL_COUNT,
-            input=PlaneSize(192, 256),
-            output=PlaneSize(48, 64),
-            flip_test=True,
-            compensation=comp,
-            codec=Codec.CF_BIASED_DECODE,
-        )
+        cfg = _topdown(pixel, flip_test=True, compensation=comp, codec=Codec.CF_BIASED_DECODE)
         closed = analytic_errors(cfg)
-        table_ok &= abs(closed["mean_abs_x"] - mean) < 1e-12
-        table_ok &= abs(closed["var_abs_x"] - var) < 1e-12
-    results.append(_check("closed-form table matches its constants", table_ok))
+        errors += [abs(closed["mean_abs_x"] - mean), abs(closed["var_abs_x"] - var)]
+    yield "closed-form table matches its constants", float(np.max(errors)), 0.0, 1e-12, ""
 
-    ok = all(results)
-    print(f"{sum(results)}/{len(results)} checks passed")
-    return 0 if ok else 1
+
+def cmd_verify(args) -> int:
+    passed = total = 0
+    for name, value, expected, tolerance, detail in _verify_checks(args.seed):
+        ok = abs(value - expected) < tolerance
+        tail = f"  ({detail.format(value)})" if detail and not ok else ""
+        print(f"{'PASS' if ok else 'FAIL'}  {name}{tail}")
+        passed += ok
+        total += 1
+    print(f"{passed}/{total} checks passed")
+    return 0 if passed == total else 1
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +474,9 @@ def cmd_verify(args) -> int:
 
 def _topdown_presets() -> list[tuple[str, PipelineConfig]]:
     unit, pixel = Convention.UNIT_LENGTH, Convention.PIXEL_COUNT
-    i, o = PlaneSize(192, 256), PlaneSize(48, 64)
 
     def cfg(conv, ft=False, comp=Compensation.NONE, codec=Codec.CF_BIASED_DECODE):
-        return PipelineConfig(
-            convention=conv, input=i, output=o, flip_test=ft, compensation=comp, codec=codec
-        )
+        return _topdown(conv, flip_test=ft, compensation=comp, codec=codec)
 
     return [
         ("A", cfg(pixel)),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from keypose import biaslab
 from keypose.biaslab import (
     CocoKeypointSampler,
     ErrorStats,
@@ -429,6 +430,31 @@ class TestCocoSampler:
         stats = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 500, 67, sampler)
         assert stats.n_trials + stats.n_skipped == 500
         assert stats.mean_abs_x < 1e-9
+
+    def test_one_crop_box_per_instance(self):
+        bound = CocoKeypointSampler(instances=COCO_INSTANCES).bind(make_cfg())
+        assert len(bound.rois) == len(COCO_INSTANCES)
+        draws = {bound.draw(substream(5, i)) for i in range(200)}
+        assert {idx for idx, _, _ in draws} == {0, 1}
+        # Instance 1's invisible keypoint at (0, 0) is never drawn.
+        assert {(x, y) for idx, x, y in draws if idx == 1} == {(330.5, 100.25), (371.0, 220.0)}
+
+    @pytest.mark.parametrize("rno", [False, True])
+    def test_crop_box_context_built_once_per_chunk(self, monkeypatch, rno):
+        calls = []
+
+        def counting_test_transform(roi, cfg):
+            calls.append(roi)
+            return source_to_input(roi, cfg)
+
+        monkeypatch.setattr(biaslab, "test_transform", counting_test_transform)
+        cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF, rno=rno)
+        sampler = CocoKeypointSampler(instances=COCO_INSTANCES)
+        stats = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, sampler)  # two chunks
+        assert len(calls) == 4
+        assert set(calls) == set(sampler.bind(cfg).rois)
+        monkeypatch.undo()
+        assert stats == monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, sampler)
 
     def test_no_visible_keypoints_rejected(self):
         inst = Instance(

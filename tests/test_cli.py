@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from keypose import cli
+from keypose.geometry import Point
 from keypose.raster import ImageGrid, read_grid_text, write_grid_text, write_pgm
 
 
@@ -40,6 +44,16 @@ class TestTransformCommand:
         out = run_cli("transform", "--op", "crop")
         assert out.returncode == 2
         assert "roi" in out.stderr
+
+    def test_wrong_value_count_names_the_shape(self):
+        out = run_cli("transform", "--op", "resize", "--src", "1,2,3", "--dst", "4,5")
+        assert out.returncode == 2
+        assert out.stderr == "error: expected W,H, got '1,2,3'\n"
+
+    def test_point_error_surfaces(self):
+        out = run_cli("transform", "--op", "rotate", "--angle", "10", "--center", "nan,1")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: point coordinates must be finite")
 
     def test_unknown_flag_is_usage_error(self):
         out = run_cli("transform", "--op", "flip", "--width", "10", "--frobnicate")
@@ -118,6 +132,17 @@ class TestSimulateCommand:
     def test_ec_without_snoop_is_usage_error(self):
         out = run_cli("simulate", "--seed", "1", "-n", "100", "--ft", "--ec")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, jobs):
+        out = run_cli("simulate", "--seed", "1", "-n", "10", "--jobs", jobs)
+        assert out.returncode == 2
+        assert out.stderr == f"error: need at least one job, got jobs={jobs}\n"
+
+    def test_roi_error_surfaces(self):
+        out = run_cli("simulate", "--seed", "1", "-n", "10", "--roi", "1,1,0,0")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: roi extents must be positive")
 
     def test_biased_flip_run_reports_known_mean(self, tmp_path):
         report = tmp_path / "stats.csv"
@@ -209,6 +234,42 @@ class TestVerifyCommand:
         lines = [l for l in out.stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 10
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_default_seed_stdout_is_pinned(self):
+        out = run_cli("verify")
+        assert out.returncode == 0
+        assert out.stdout == "".join(f"PASS  {name}\n" for name in VERIFY_CHECKS) + (
+            "11/11 checks passed\n"
+        )
+
+    def test_failing_check_prints_detail_and_exits_1(self, monkeypatch, capsys):
+        real = cli.decode_ccrf
+
+        def off_by_a_micron(target):
+            d = real(target)
+            return dataclasses.replace(d, k=Point(d.k.x + 1e-6, d.k.y))
+
+        monkeypatch.setattr(cli, "decode_ccrf", off_by_a_micron)
+        assert cli.main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[6] == "FAIL  disc codec round trip is exact  (max=1.00e-06)"
+        assert [l[:6] for l in lines[:11]] == ["PASS  "] * 6 + ["FAIL  "] + ["PASS  "] * 4
+        assert lines[11] == "10/11 checks passed"
+
+
+VERIFY_CHECKS = (
+    "round trip to source is the identity",
+    "flip ensemble aligns (unit-length ratios)",
+    "pixel-count flip offset equals (1-s)/s",
+    "flip remedy none: mean |x error| = 0.375",
+    "flip remedy snoop: mean |x error| = 0.125",
+    "flip remedy snoop_plus_ec: mean |x error| = 0.0",
+    "disc codec round trip is exact",
+    "one-step Newton decode recovers exact peaks",
+    "quarter-shift decoder: mean |error| = 1/8",
+    "quarter-shift decoder: var |error| = 1/192",
+    "closed-form table matches its constants",
+)
 
 
 class TestAblateCommand:
