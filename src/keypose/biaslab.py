@@ -22,12 +22,14 @@ represented:
   encoder, averages/shifts/flips them as arrays and runs the real decoders,
   so it also captures what the coordinate-level approximation leaves out.
 
-Trials are reproducible: each trial's randomness derives only from the run
-seed and the trial index (a splitmix-style generator), and aggregation uses
-compensated summation over fixed-size chunks, so results are identical for
-any worker count.  A bound sampler lists its crop boxes and each draw names
-one of them; each crop box's transforms are built once per chunk, the first
-time a trial of that chunk draws it.
+Trials run in fixed-size chunks, each as one pass over numpy arrays; only
+the rendered-heatmap step loops over a chunk's trials.  Each trial's
+randomness derives only from the run seed and the trial index (a
+splitmix-style generator).  A bound sampler lists its crop boxes and each
+trial names one of them; a crop box's transforms are built once per chunk
+that draws it.  Each chunk's error sums are exact (``math.fsum``) and its
+variance partial is a two-pass sum of squared deviations; chunks merge in
+index order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -92,15 +94,18 @@ class SkipTrial(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic randomness: splitmix-style 64-bit generator.
+# Deterministic randomness: splitmix-style 64-bit generator.  The scalar
+# generator is the specification; ``_uniforms`` draws whole chunks with
+# wrapping uint64 arithmetic and equals it bit for bit.
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
+def _mix64(z):
+    """The splitmix finalizer, on a Python int or a uint64 array."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -131,6 +136,16 @@ class SplitMix64:
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent generator for one trial, derived only from (seed, index)."""
     return SplitMix64(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
+
+
+def _uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """The first ``k`` uniforms of ``substream(seed, i)`` for every trial
+    ``i`` in ``[start, stop)``, as a ``(stop - start, k)`` array."""
+    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    state = _mix64((seed & _MASK64) + index * _GOLDEN)
+    steps = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN
+    bits = _mix64(state[:, None] + steps) >> 11
+    return bits.astype(np.float64) * (1.0 / (1 << 53))
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +188,34 @@ class UniformKeypointSampler:
         return _BoundUniform(self.roi, cfg, margin)
 
 
-class _BoundUniform:
-    __slots__ = ("rois", "_o2s", "_mx", "_my", "_rx", "_ry")
+class _Bound:
+    """A sampler bound to a configuration.  ``sample`` maps a block of
+    uniforms, ``k`` per trial, to crop-box indices into ``rois`` and
+    source-plane ground truth; ``draw`` is the same code for one trial."""
+
+    __slots__ = ("rois",)
+    k = 1
+
+    def draw(self, rng: SplitMix64) -> tuple[int, float, float]:
+        idx, gx, gy = self.sample(np.array([[rng.uniform() for _ in range(self.k)]]))
+        return int(idx[0]), float(gx[0]), float(gy[0])
+
+
+class _BoundUniform(_Bound):
+    __slots__ = ("_o2s", "_margin", "_rx", "_ry")
+    k = 2
 
     def __init__(self, roi: Roi, cfg: PipelineConfig, margin: float) -> None:
         self.rois = (roi,)
         self._o2s = _aff(output_to_source(roi, cfg))
-        wo, ho = cfg.output.width_units, cfg.output.height_units
-        self._mx = margin
-        self._my = margin
-        self._rx = wo - 2.0 * margin
-        self._ry = ho - 2.0 * margin
+        self._margin = margin
+        self._rx = cfg.output.width_units - 2.0 * margin
+        self._ry = cfg.output.height_units - 2.0 * margin
 
-    def draw(self, rng: SplitMix64) -> tuple[int, float, float]:
-        kx = self._mx + rng.uniform() * self._rx
-        ky = self._my + rng.uniform() * self._ry
-        gx, gy = _ap(self._o2s, kx, ky)
-        return 0, gx, gy
+    def sample(self, u: np.ndarray):
+        kx = self._margin + u[:, 0] * self._rx
+        ky = self._margin + u[:, 1] * self._ry
+        return (np.zeros(len(u), dtype=np.intp), *_ap(self._o2s, kx, ky))
 
 
 @dataclass(frozen=True)
@@ -220,19 +246,19 @@ class CocoKeypointSampler:
                     entries.append((i, point.x, point.y))
         if not entries:
             raise ValueError("no visible keypoints to sample from")
-        return _BoundCoco(tuple(rois), tuple(entries))
+        return _BoundCoco(tuple(rois), *(np.array(column) for column in zip(*entries)))
 
 
-class _BoundCoco:
-    __slots__ = ("rois", "_entries")
+class _BoundCoco(_Bound):
+    __slots__ = ("_idx", "_x", "_y")
 
-    def __init__(self, rois: tuple, entries: tuple) -> None:
+    def __init__(self, rois: tuple, idx: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
         self.rois = rois
-        self._entries = entries
+        self._idx, self._x, self._y = idx, xs, ys
 
-    def draw(self, rng: SplitMix64) -> tuple[int, float, float]:
-        idx = int(rng.uniform() * len(self._entries))
-        return self._entries[idx]
+    def sample(self, u: np.ndarray):
+        pick = (u[:, 0] * len(self._x)).astype(np.intp)
+        return self._idx[pick], self._x[pick], self._y[pick]
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +294,26 @@ class ErrorStats:
         if self.var_abs_x < 0 or self.var_abs_y < 0:
             raise ValueError("variances cannot be negative")
 
+    # Standard errors of the means; derived, so reports and fields omit them.
+    @property
+    def sem_abs_x(self) -> float:
+        return math.sqrt(self.var_abs_x / self.n_trials)
+
+    @property
+    def sem_abs_y(self) -> float:
+        return math.sqrt(self.var_abs_y / self.n_trials)
+
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One simulated prediction with its ground truth and configuration."""
+    """One simulated prediction with its ground truth and configuration;
+    ``degenerate`` flags a decode that fell back to the peak node."""
 
     gt_source: Point
     pred_source: Point
     pred_output: Point
     config: PipelineConfig
+    degenerate: bool = False
 
 
 def describe_config(cfg: PipelineConfig) -> str:
@@ -292,36 +329,35 @@ def describe_config(cfg: PipelineConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trial engine.  Affine transforms are carried as flat 6-tuples in the hot
-# path; the matrices come from the pipeline module and are built once per
-# crop box and chunk.
+# Trial engine.  It runs a batch of trials element-wise on arrays; affine
+# transforms are carried as flat 6-tuples of coefficients, either floats
+# shared by the batch or one array entry per trial.
 # ---------------------------------------------------------------------------
 
-
-def _aff(t: Transform2D) -> tuple[float, float, float, float, float, float]:
-    m = t.m
-    return (
-        float(m[0, 0]), float(m[0, 1]), float(m[0, 2]),
-        float(m[1, 0]), float(m[1, 1]), float(m[1, 2]),
-    )
+_OK, _SKIPPED, _FAILED = 0, 1, 2
 
 
-def _ap(a, x: float, y: float) -> tuple[float, float]:
+def _aff(t: Transform2D) -> tuple[float, ...]:
+    return tuple(t.m[:2].ravel().tolist())
+
+
+def _ap(a, x, y):
     return a[0] * x + a[1] * y + a[2], a[3] * x + a[4] * y + a[5]
 
 
-def _quarter_law(v: float) -> float:
+def _quarter_law(v: np.ndarray) -> np.ndarray:
     """Coordinate recovered by the quarter-shift decoder from an exact
     single-peak map centered at ``v``."""
-    fl = math.floor(v)
-    return fl + 0.25 if v - fl < 0.5 else fl + 0.75
+    fl = np.floor(v)
+    return np.where(v - fl < 0.5, fl + 0.25, fl + 0.75)
 
 
 class _PeakMaps:
     """Coordinate-level oracle: a map is its single peak ``(x, y)`` in the
     output plane, so two maps average to the midpoint of their peaks.
     Decoding is exact except for the quarter-shift decoder, which applies
-    its quantization law; ``up`` maps output to input plane for rno."""
+    its quantization law; ``up`` maps output to input plane for rno.  Every
+    operation is element-wise, so a map may hold a whole batch of peaks."""
 
     __slots__ = ("wo", "up", "quarter")
 
@@ -331,7 +367,7 @@ class _PeakMaps:
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
 
     @staticmethod
-    def render(kx: float, ky: float):
+    def render(kx, ky):
         return kx, ky
 
     def flip_back(self, p):
@@ -345,7 +381,7 @@ class _PeakMaps:
     def average(a, b):
         return 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
 
-    def decode(self, p) -> tuple[float, float, bool]:
+    def decode(self, p):
         x, y = p
         if self.up is not None:
             x, y = _ap(self.up, x, y)
@@ -361,9 +397,9 @@ def _shift_right(arr: np.ndarray) -> np.ndarray:
 
 
 class _ArrayMaps:
-    """Rendered-heatmap oracle: a map is the configured encoder's array, or
-    the ``(c, x_off, y_off)`` arrays of the disc codec, decoded by the real
-    decoders."""
+    """Rendered-heatmap oracle: a map is a tuple of arrays, the configured
+    encoder's heatmap or the disc codec's ``(c, x_off, y_off)``, decoded by
+    the real decoders.  A map holds one trial."""
 
     __slots__ = ("cfg", "ccrf")
 
@@ -377,23 +413,19 @@ class _ArrayMaps:
             raise SkipTrial
         if self.ccrf:
             return _ccrf_arrays(out.width_px, out.height_px, kx, ky, self.cfg.radius)
-        return _gaussian_array(out.width_px, out.height_px, kx, ky, self.cfg.sigma)
+        return (_gaussian_array(out.width_px, out.height_px, kx, ky, self.cfg.sigma),)
 
     def flip_back(self, arrs):
-        if self.ccrf:
-            c, x_off, y_off = arrs
-            return c[:, ::-1], -x_off[:, ::-1], y_off[:, ::-1]
-        return arrs[:, ::-1]
+        back = tuple(a[:, ::-1] for a in arrs)
+        return (back[0], -back[1], back[2]) if self.ccrf else back
 
-    def shift(self, arrs):
-        if self.ccrf:
-            return tuple(_shift_right(a) for a in arrs)
-        return _shift_right(arrs)
+    @staticmethod
+    def shift(arrs):
+        return tuple(_shift_right(a) for a in arrs)
 
-    def average(self, a, b):
-        if self.ccrf:
-            return tuple(0.5 * (x + y) for x, y in zip(a, b))
-        return 0.5 * (a + b)
+    @staticmethod
+    def average(a, b):
+        return tuple(0.5 * (x + y) for x, y in zip(a, b))
 
     def decode(self, arrs) -> tuple[float, float, bool]:
         cfg = self.cfg
@@ -403,6 +435,7 @@ class _ArrayMaps:
                 raise NoDetectionError("classification map is identically zero")
             ix, iy = _argmax_xy(c)
             return ix + x_off[iy, ix], iy + y_off[iy, ix], False
+        (arrs,) = arrs
         if cfg.rno:
             arrs = rno_upsample(ImageGrid(cfg.output, arrs), cfg).data[:, :, 0]
         ix, iy = _argmax_xy(arrs)
@@ -416,11 +449,13 @@ class _ArrayMaps:
 
 
 class _Engine:
-    """The test pass of one configuration, trial by trial.
+    """The test pass of one configuration, for a batch of trials.
 
     The oracle mode only picks the map representation; the flow is the
     same for both.  Predictions are decoded in the decode plane: the input
     plane when the output is upsampled first (rno), else the output plane.
+    Everything runs element-wise on the batch except the rendered-heatmap
+    step (render, combine, decode), which runs trial by trial.
     """
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
@@ -431,27 +466,31 @@ class _Engine:
         self.h_i = cfg.input.height_units
         # Decode plane -> output plane; None when they coincide.
         self.dp2o = self.i2o if cfg.rno else None
-        if mode is OracleMode.ANALYTIC_SHIFT:
-            self.maps = _PeakMaps(cfg, _aff(invert(i2o_t)) if cfg.rno else None)
-        else:
-            self.maps = _ArrayMaps(cfg)
+        self.batched = mode is OracleMode.ANALYTIC_SHIFT
+        up = _aff(invert(i2o_t)) if cfg.rno and self.batched else None
+        self.maps = _PeakMaps(cfg, up) if self.batched else _ArrayMaps(cfg)
         # Decoded coordinates combine as peaks in the output plane: the
         # config rejects coordinate averaging together with rno.
         self.peaks = _PeakMaps(cfg)
         self.snoop = cfg.compensation is not Compensation.NONE
         self.average_coords = cfg.combine is Combine.AVERAGE_COORDS
-        # The 1/(2s) residual correction, in decode-plane units.
-        self.ec = None
-        if cfg.compensation is Compensation.SNOOP_PLUS_EC:
-            ec = 1.0 / (2.0 * cfg.stride)
-            self.ec = ec / self.i2o[0] if cfg.rno else ec
+        # The 1/(2s) residual correction of the flip ensemble, in
+        # decode-plane units.
+        self.ec = 0.0
+        if cfg.flip_test and cfg.compensation is Compensation.SNOOP_PLUS_EC:
+            self.ec = 1.0 / (2.0 * cfg.stride) / (self.i2o[0] if cfg.rno else 1.0)
 
-    def context(self, roi: Roi):
-        """The per-crop-box transforms: source -> input, decode plane -> source."""
-        s2i_t = test_transform(roi, self.cfg)
-        if self.cfg.rno:
-            return _aff(s2i_t), _aff(invert(s2i_t))
-        return _aff(s2i_t), _aff(output_to_source(roi, self.cfg))
+    def contexts(self, rois, roi_idx: np.ndarray) -> np.ndarray:
+        """Per-trial crop-box coefficients as a ``(12, n)`` array, or
+        ``(12, 1)`` for one crop box: source -> input, then decode plane ->
+        source.  The ``(R, 12)`` table behind it is filled only for the crop
+        boxes ``roi_idx`` names."""
+        table = np.empty((len(rois), 12))
+        for r in np.unique(roi_idx).tolist() if len(rois) > 1 else (0,):
+            s2i_t = test_transform(rois[r], self.cfg)
+            dp2s_t = invert(s2i_t) if self.cfg.rno else output_to_source(rois[r], self.cfg)
+            table[r] = _aff(s2i_t) + _aff(dp2s_t)
+        return table.T if len(rois) == 1 else table[roi_idx].T
 
     def _combine(self, ops, a, b):
         """Mirror ``b`` back, shift it one node in +x when compensating, and
@@ -461,32 +500,61 @@ class _Engine:
             back = ops.shift(back)
         return ops.average(a, back)
 
-    def run(self, ctx, gx: float, gy: float):
-        """Simulate one trial; returns (pox, poy, psx, psy, kox, koy, deg)."""
-        s2i, dp2s = ctx
-        kix, kiy = _ap(s2i, gx, gy)
-        if not (0.0 <= kix <= self.w_i and 0.0 <= kiy <= self.h_i):
-            raise SkipTrial
-        kox, koy = _ap(self.i2o, kix, kiy)
+    def _predict(self, ko, kof):
+        """Render, combine and decode; returns (x, y, degenerate)."""
         maps = self.maps
-        m = maps.render(kox, koy)
-        if not self.cfg.flip_test:
-            x, y, deg = maps.decode(m)
+        m = maps.render(*ko)
+        if kof is None:
+            return maps.decode(m)
+        m_flip = maps.render(*kof)
+        if self.average_coords:
+            x1, y1, deg1 = maps.decode(m)
+            x2, y2, deg2 = maps.decode(m_flip)
+            x, y = self._combine(self.peaks, (x1, y1), (x2, y2))
+            return x, y, deg1 | deg2
+        return maps.decode(self._combine(maps, m, m_flip))
+
+    def _predict_each(self, ko, kof):
+        """``_predict`` trial by trial; returns the status of every trial and
+        ``(x, y, degenerate)`` of the ``_OK`` ones."""
+        cols = [c.tolist() for c in (ko if kof is None else (*ko, *kof))]
+        status = np.full(len(cols[0]), _OK)
+        out = []
+        for i, k in enumerate(zip(*cols)):
+            try:
+                out.append(self._predict(k[:2], k[2:] or None))
+            except SkipTrial:
+                status[i] = _SKIPPED
+            except NoDetectionError:
+                status[i] = _FAILED
+        x, y, deg = np.array(out, dtype=float).reshape(-1, 3).T
+        return status, x, y, deg.astype(bool)
+
+    def run(self, ctx: np.ndarray, gx: np.ndarray, gy: np.ndarray):
+        """Simulate a batch of trials with crop-box coefficients ``ctx``.
+
+        Returns ``(status, ok, (pox, poy), (psx, psy), (kox, koy), deg)``:
+        ``status`` per trial, ``ok`` the indices of the ``_OK`` trials, and
+        their arrays in that order (``deg`` is ``False`` for peak maps).
+        """
+        kix, kiy = _ap(ctx[:6], gx, gy)
+        inside = (0.0 <= kix) & (kix <= self.w_i) & (0.0 <= kiy) & (kiy <= self.h_i)
+        status = np.where(inside, _OK, _SKIPPED)
+        ok = np.flatnonzero(inside)
+        kix, kiy = kix[ok], kiy[ok]
+        ko = _ap(self.i2o, kix, kiy)
+        kof = _ap(self.i2o, self.w_i - kix, kiy) if self.cfg.flip_test else None
+        if self.batched:
+            x, y, deg = self._predict(ko, kof)
         else:
-            kofx, kofy = _ap(self.i2o, self.w_i - kix, kiy)
-            m_flip = maps.render(kofx, kofy)
-            if self.average_coords:
-                x1, y1, deg1 = maps.decode(m)
-                x2, y2, deg2 = maps.decode(m_flip)
-                x, y = self._combine(self.peaks, (x1, y1), (x2, y2))
-                deg = deg1 or deg2
-            else:
-                x, y, deg = maps.decode(self._combine(maps, m, m_flip))
-            if self.ec is not None:
-                x -= self.ec
-        pox, poy = (x, y) if self.dp2o is None else _ap(self.dp2o, x, y)
-        psx, psy = _ap(dp2s, x, y)
-        return pox, poy, psx, psy, kox, koy, deg
+            status[ok], x, y, deg = self._predict_each(ko, kof)
+            keep = status[ok] == _OK
+            ok, ko = ok[keep], (ko[0][keep], ko[1][keep])
+        if self.ec:
+            x = x - self.ec
+        po = (x, y) if self.dp2o is None else _ap(self.dp2o, x, y)
+        ps = _ap(ctx[6:, ok] if ctx.shape[1] > 1 else ctx[6:], x, y)
+        return status, ok, po, ps, ko, deg
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +588,14 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
     and :class:`~keypose.codec.NoDetectionError` on decode failure.
     """
     engine = _Engine(cfg, mode)
-    ctx = engine.context(roi)
-    pox, poy, psx, psy, _, _, _ = engine.run(ctx, gt_source.x, gt_source.y)
-    return TrialRecord(
-        gt_source=gt_source,
-        pred_source=Point(psx, psy),
-        pred_output=Point(pox, poy),
-        config=cfg,
-    )
+    ctx = engine.contexts((roi,), np.zeros(1, dtype=np.intp))
+    status, _, po, ps, _, deg = engine.run(ctx, np.array([gt_source.x]), np.array([gt_source.y]))
+    if status[0] == _SKIPPED:
+        raise SkipTrial
+    if status[0] == _FAILED:
+        raise NoDetectionError("classification map is identically zero")
+    pred_source, pred_output = Point(ps[0][0], ps[1][0]), Point(po[0][0], po[1][0])
+    return TrialRecord(gt_source, pred_source, pred_output, cfg, bool(np.any(deg)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,74 +605,41 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
 _CHUNK = 4096
 
 
-class _Kahan:
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """``(n, sum, M2)`` of ``values``: an exact fsum, and the fsum of squared
+    deviations from the mean in a second pass."""
+    total = math.fsum(memoryview(values))
+    dev = values - total / max(len(values), 1)
+    return len(values), total, math.fsum(memoryview(dev * dev))
 
 
-class _Partial:
-    __slots__ = ("n", "ax", "ax2", "ay", "ay2", "asx", "skipped", "failed", "degenerate")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.ax = _Kahan()
-        self.ax2 = _Kahan()
-        self.ay = _Kahan()
-        self.ay2 = _Kahan()
-        self.asx = _Kahan()
-        self.skipped = 0
-        self.failed = 0
-        self.degenerate = 0
-
-    def sums(self):
-        return (
-            self.n,
-            self.ax.total, self.ax2.total, self.ay.total, self.ay2.total, self.asx.total,
-            self.skipped, self.failed, self.degenerate,
-        )
+def _merge_m2(parts) -> float:
+    """M2 of the union of ``(n, sum, M2)`` partials, merged in the given
+    order with the update of Chan, Golub and LeVeque (1979)."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for nb, total, m2b in parts:
+        if nb == 0:
+            continue
+        delta = total / nb - mean
+        merged = n + nb
+        m2 += m2b + delta * delta * (n * nb / merged)
+        mean += delta * (nb / merged)
+        n = merged
+    return m2
 
 
 def _run_chunk(cfg, mode, sampler, seed, start, stop):
+    """Trials ``[start, stop)`` as one batch; returns the chunk's counts and
+    ``(n, sum, M2)`` partials of the x and y errors and the source error sum."""
     engine = _Engine(cfg, mode)
     bound = sampler.bind(cfg)
-    # Built on first draw: building every COCO crop box up front would
-    # delay the first trial and build boxes this chunk never draws.
-    contexts = [None] * len(bound.rois)
-    part = _Partial()
-    for i in range(start, stop):
-        rng = substream(seed, i)
-        idx, gx, gy = bound.draw(rng)
-        ctx = contexts[idx]
-        if ctx is None:
-            ctx = contexts[idx] = engine.context(bound.rois[idx])
-        try:
-            pox, poy, psx, _, kox, koy, deg = engine.run(ctx, gx, gy)
-        except SkipTrial:
-            part.skipped += 1
-            continue
-        except NoDetectionError:
-            part.failed += 1
-            continue
-        ex = abs(pox - kox)
-        ey = abs(poy - koy)
-        part.n += 1
-        part.ax.add(ex)
-        part.ax2.add(ex * ex)
-        part.ay.add(ey)
-        part.ay2.add(ey * ey)
-        part.asx.add(abs(psx - gx))
-        if deg:
-            part.degenerate += 1
-    return part.sums()
+    roi_idx, gx, gy = bound.sample(_uniforms(seed, start, stop, bound.k))
+    status, ok, (pox, poy), (psx, _), (kox, koy), deg = engine.run(
+        engine.contexts(bound.rois, roi_idx), gx, gy
+    )
+    return (np.bincount(status, minlength=3).tolist(), int(np.count_nonzero(deg)),
+            _moments(np.abs(pox - kox)), _moments(np.abs(poy - koy)),
+            math.fsum(memoryview(np.abs(psx - gx[ok]))))
 
 
 def monte_carlo(
@@ -643,39 +678,24 @@ def monte_carlo(
     else:
         partials = [_run_chunk(*chunk) for chunk in chunks]
 
-    used = 0
-    skipped = failed = degenerate = 0
-    totals = [_Kahan() for _ in range(5)]
-    for part in partials:
-        pn, sax, sax2, say, say2, sasx, psk, pfl, pdg = part
-        used += pn
-        skipped += psk
-        failed += pfl
-        degenerate += pdg
-        for acc, value in zip(totals, (sax, sax2, say, say2, sasx)):
-            acc.add(value)
+    counts, degenerate, xs, ys, sources = zip(*partials)
+    used, skipped, failed = (sum(c) for c in zip(*counts))
     if used == 0:
         raise ValueError("every trial was skipped or failed; nothing to aggregate")
-
-    sax, sax2, say, say2, sasx = (acc.total for acc in totals)
-    mean_x = sax / used
-    mean_y = say / used
-    if used > 1:
-        var_x = max(0.0, (sax2 - used * mean_x * mean_x) / (used - 1))
-        var_y = max(0.0, (say2 - used * mean_y * mean_y) / (used - 1))
-    else:
-        var_x = var_y = 0.0
+    var_x, var_y = (
+        _merge_m2(parts) / (used - 1) if used > 1 else 0.0 for parts in (xs, ys)
+    )
     return ErrorStats(
         label=label if label is not None else describe_config(cfg),
         n_trials=used,
-        mean_abs_x=mean_x,
-        mean_abs_y=mean_y,
+        mean_abs_x=math.fsum(total for _, total, _ in xs) / used,
+        mean_abs_y=math.fsum(total for _, total, _ in ys) / used,
         var_abs_x=var_x,
         var_abs_y=var_y,
-        mean_abs_x_source=sasx / used,
+        mean_abs_x_source=math.fsum(sources) / used,
         n_skipped=skipped,
         n_decode_failed=failed,
-        n_degenerate=degenerate,
+        n_degenerate=sum(degenerate),
     )
 
 
@@ -727,8 +747,6 @@ def analytic_errors(cfg: PipelineConfig, roi: Roi | None = None) -> dict:
             shift = (1.0 - s) / (2.0 * s)
         elif cfg.compensation is Compensation.SNOOP:
             shift = 1.0 / (2.0 * s)
-        else:
-            shift = 0.0
 
     if cfg.codec is Codec.CF_BIASED_DECODE:
         if cfg.flip_test and cfg.combine is not Combine.AVERAGE_HEATMAPS:
@@ -739,10 +757,7 @@ def analytic_errors(cfg: PipelineConfig, roi: Roi | None = None) -> dict:
     else:
         mean, var = abs(shift), 0.0
 
-    out_w = (
-        cfg.output.width_units
-        if cfg.convention is Convention.UNIT_LENGTH
-        else float(cfg.output.width_px)
-    )
+    unit = cfg.convention is Convention.UNIT_LENGTH
+    out_w = cfg.output.width_units if unit else float(cfg.output.width_px)
     mean_source = mean * roi.w / out_w if roi is not None else None
     return {"mean_abs_x": mean, "var_abs_x": var, "mean_abs_x_source": mean_source}

@@ -95,10 +95,6 @@ _CODEC_FLAGS = tuple(c.value.replace("_", "-") for c in Codec)
 _BORDER_FLAGS = {"zero": BorderPolicy.ZERO_FILL, "clamp": BorderPolicy.CLAMP_TO_EDGE}
 
 
-def _matrix_json(t) -> str:
-    return json.dumps({"matrix": [[float(v) for v in row] for row in t.m]}, indent=None)
-
-
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------
@@ -125,7 +121,7 @@ def cmd_transform(args) -> int:
         raise UsageError(f"unknown op {args.op!r}")
     if args.invert:
         t = invert(t)
-    payload = json.loads(_matrix_json(t))
+    payload = {"matrix": t.m.tolist()}
     if args.point is not None:
         p = apply_point(t, Point(*_floats(args.point, "X,Y")))
         payload["point"] = [p.x, p.y]
@@ -194,9 +190,7 @@ def cmd_encode(args) -> int:
     if codec is Codec.CCRF:
         radius = args.radius if args.radius is not None else default_ccrf_radius(dims)
         target = encode_ccrf(k, dims, radius)
-        stacked = np.dstack(
-            [target.c.data[:, :, 0], target.x_off.data[:, :, 0], target.y_off.data[:, :, 0]]
-        )
+        stacked = np.dstack([g.data[:, :, 0] for g in (target.c, target.x_off, target.y_off)])
         write_grid_text(args.out, ImageGrid(dims, stacked))
     else:
         target = encode_gaussian(k, dims, args.sigma)
@@ -228,16 +222,8 @@ def cmd_decode(args) -> int:
             Codec.ARGMAX_ONLY: decode_argmax,
         }[codec]
         result = decoder(plane)
-    print(
-        json.dumps(
-            {
-                "x": result.k.x,
-                "y": result.k.y,
-                "argmax": list(result.argmax),
-                "degenerate": result.degenerate,
-            }
-        )
-    )
+    print(json.dumps({"x": result.k.x, "y": result.k.y, "argmax": list(result.argmax),
+                      "degenerate": result.degenerate}))
     return 0
 
 
@@ -265,14 +251,10 @@ def _config_from_args(args) -> PipelineConfig:
     if args.ft is not None:
         overrides["flip_test"] = args.ft
     if args.snoop is not None or args.ec is not None:
-        snoop = bool(args.snoop)
-        ec = bool(args.ec)
-        if ec and not snoop:
+        if args.ec and not args.snoop:
             raise UsageError("--ec only refines --snoop; pass both")
-        comp = Compensation.NONE
-        if snoop:
-            comp = Compensation.SNOOP_PLUS_EC if ec else Compensation.SNOOP
-        overrides["compensation"] = comp
+        comp = Compensation.SNOOP_PLUS_EC if args.ec else Compensation.SNOOP
+        overrides["compensation"] = comp if args.snoop else Compensation.NONE
     if args.codec is not None:
         overrides["codec"] = Codec(args.codec.replace("-", "_"))
         overrides["combine"] = None  # re-derive the codec's default combine
@@ -294,6 +276,9 @@ def _config_from_args(args) -> PipelineConfig:
 
 def _sampler_from_args(args, cfg: PipelineConfig):
     if args.coco:
+        if args.roi is not None or args.margin is not None:
+            raise UsageError("--roi and --margin do not apply to --coco, whose crop boxes "
+                             "come from the annotations")
         loaded = dataio.load_coco_keypoints(args.coco)
         return CocoKeypointSampler(
             instances=loaded.instances,

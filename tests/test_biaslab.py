@@ -1,3 +1,7 @@
+import dataclasses
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,8 +20,9 @@ from keypose.biaslab import (
     run_trial,
     substream,
 )
-from keypose.codec import CcrfTarget, GaussianTarget
-from keypose.dataio import Instance
+from keypose.cli import _bottomup_presets, _print_stats, _topdown_presets
+from keypose.codec import CcrfTarget, GaussianTarget, NoDetectionError
+from keypose.dataio import Instance, write_report
 from keypose.geometry import PlaneSize, Point, Roi, apply_point, t_flip
 from keypose.pipeline import (
     Codec,
@@ -27,6 +32,7 @@ from keypose.pipeline import (
     PipelineConfig,
     flip_combine,
     input_to_output,
+    output_to_source,
 )
 from keypose.pipeline import test_transform as source_to_input
 
@@ -82,6 +88,17 @@ class TestSplitMix:
         s1 = substream(42, 1).uniform()
         assert s0 != s1
         assert substream(42, 0).uniform() == s0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 + 5])
+    def test_batch_draw_equals_substreams(self, seed, k):
+        # The chunk engine draws with uint64 arrays; substream is the spec.
+        for start, stop in ((0, 5), (biaslab._CHUNK - 7, biaslab._CHUNK + 9)):
+            expected = [
+                [rng.uniform() for _ in range(k)]
+                for rng in (substream(seed, i) for i in range(start, stop))
+            ]
+            assert np.array_equal(biaslab._uniforms(seed, start, stop, k), np.array(expected))
 
 
 class TestIdealNetwork:
@@ -144,6 +161,15 @@ class TestRunTrial:
         roi = default_roi(cfg)
         with pytest.raises(SkipTrial):
             run_trial(Point(roi.cx + roi.w, roi.cy), roi, cfg, OracleMode.ANALYTIC_SHIFT)
+
+    @pytest.mark.parametrize("dx,dy", [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0)],
+                             ids=["left", "top", "bottom"])
+    @pytest.mark.parametrize("mode", list(OracleMode))
+    def test_gt_past_other_edges_skips(self, dx, dy, mode):
+        cfg = make_cfg()
+        roi = default_roi(cfg)
+        with pytest.raises(SkipTrial):
+            run_trial(Point(roi.cx + dx * roi.w, roi.cy + dy * roi.h), roi, cfg, mode)
 
 
 class TestDeterminism:
@@ -439,6 +465,16 @@ class TestCocoSampler:
         # Instance 1's invisible keypoint at (0, 0) is never drawn.
         assert {(x, y) for idx, x, y in draws if idx == 1} == {(330.5, 100.25), (371.0, 220.0)}
 
+    def test_draw_follows_the_sampling_law(self):
+        # One uniform per trial picks entry int(u * E) of the visible
+        # (instance, keypoint) pairs in annotation order.
+        entries = [(i, p.x, p.y) for i, inst in enumerate(COCO_INSTANCES)
+                   for p, visibility in inst.keypoints if visibility > 0]
+        bound = CocoKeypointSampler(instances=COCO_INSTANCES).bind(make_cfg())
+        for i in range(300):
+            u = substream(8, i).uniform()
+            assert bound.draw(substream(8, i)) == entries[int(u * len(entries))]
+
     @pytest.mark.parametrize("rno", [False, True])
     def test_crop_box_context_built_once_per_chunk(self, monkeypatch, rno):
         calls = []
@@ -467,7 +503,158 @@ class TestCocoSampler:
             CocoKeypointSampler(instances=(inst,)).bind(cfg)
 
 
+def test_uniform_sampler_follows_the_sampling_law():
+    # Two uniforms per trial place the keypoint on the output plane inset by
+    # the margin; it is then mapped to the source plane.
+    cfg = make_cfg(convention=Convention.PIXEL_COUNT)
+    roi = Roi(100.0, 90.0, 96.0, 128.0)
+    bound = UniformKeypointSampler(roi, margin=2.5).bind(cfg)
+    o2s = output_to_source(roi, cfg)
+    for i in range(300):
+        rng = substream(9, i)
+        kx = 2.5 + rng.uniform() * (cfg.output.width_units - 5.0)
+        ky = 2.5 + rng.uniform() * (cfg.output.height_units - 5.0)
+        gt = apply_point(o2s, Point(kx, ky))
+        assert bound.draw(substream(9, i)) == (0, gt.x, gt.y)
+
+
+def _scalar_monte_carlo(cfg, mode, n, seed, sampler):
+    """Specification of ``monte_carlo``: trial by trial through ``substream``,
+    ``draw`` and ``run_trial``, aggregated with fsum."""
+    bound = sampler.bind(cfg)
+    i2o = input_to_output(cfg)
+    ex, ey, esx = [], [], []
+    skipped = failed = degenerate = 0
+    for i in range(n):
+        idx, gx, gy = bound.draw(substream(seed, i))
+        roi, gt = bound.rois[idx], Point(gx, gy)
+        try:
+            rec = run_trial(gt, roi, cfg, mode)
+        except SkipTrial:
+            skipped += 1
+            continue
+        except NoDetectionError:
+            failed += 1
+            continue
+        k_o = apply_point(i2o, apply_point(source_to_input(roi, cfg), gt))
+        ex.append(abs(rec.pred_output.x - k_o.x))
+        ey.append(abs(rec.pred_output.y - k_o.y))
+        esx.append(abs(rec.pred_source.x - gx))
+        degenerate += rec.degenerate
+    used = len(ex)
+    return {
+        "counts": (used, skipped, failed, degenerate),
+        "means": (math.fsum(ex) / used, math.fsum(ey) / used, math.fsum(esx) / used),
+        "vars": (np.var(ex, ddof=1), np.var(ey, ddof=1)),
+    }
+
+
+def _preset_cases():
+    for preset, rows in (("topdown", _topdown_presets()), ("bottomup", _bottomup_presets())):
+        for row_id, cfg in rows:
+            yield pytest.param(cfg, OracleMode.ANALYTIC_SHIFT, 300, None,
+                               id=f"{preset}-{row_id}-analytic")
+            yield pytest.param(cfg, OracleMode.FULL_HEATMAP, 24 if preset == "topdown" else 6,
+                               None, id=f"{preset}-{row_id}-heatmap")
+    quarter = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True,
+                       compensation=Compensation.SNOOP, codec=Codec.CF_BIASED_DECODE)
+    yield pytest.param(quarter, OracleMode.ANALYTIC_SHIFT, biaslab._CHUNK + 300, None,
+                       id="two-chunks")
+    coco = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
+    sampler = CocoKeypointSampler(instances=COCO_INSTANCES)
+    yield pytest.param(coco, OracleMode.ANALYTIC_SHIFT, 400, sampler, id="coco-analytic")
+    yield pytest.param(coco, OracleMode.FULL_HEATMAP, 60, sampler, id="coco-heatmap")
+    tiny = make_cfg(codec=Codec.CCRF, radius=0.3)  # decode failures
+    yield pytest.param(tiny, OracleMode.FULL_HEATMAP, 60,
+                       UniformKeypointSampler(default_roi(tiny), margin=2.0), id="tiny-disc")
+    border = make_cfg(codec=Codec.CF, flip_test=True)  # peaks on the border: degenerate
+    yield pytest.param(border, OracleMode.FULL_HEATMAP, 60,
+                       UniformKeypointSampler(default_roi(border), margin=0.0), id="border")
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("cfg,mode,n,sampler", _preset_cases())
+    def test_matches_scalar_trials(self, cfg, mode, n, sampler):
+        sampler = sampler or UniformKeypointSampler(default_roi(cfg))
+        stats = monte_carlo(cfg, mode, n, 901, sampler)
+        spec = _scalar_monte_carlo(cfg, mode, n, 901, sampler)
+        assert (stats.n_trials, stats.n_skipped, stats.n_decode_failed,
+                stats.n_degenerate) == spec["counts"]
+        means = (stats.mean_abs_x, stats.mean_abs_y, stats.mean_abs_x_source)
+        assert means == pytest.approx(spec["means"], abs=1e-12)
+        assert (stats.var_abs_x, stats.var_abs_y) == pytest.approx(spec["vars"], abs=1e-12)
+
+    def test_differential_cases_reach_every_outcome(self):
+        # Guards the case list above: skips, failures and degenerate decodes
+        # all occur somewhere in it.
+        coco = monte_carlo(make_cfg(flip_test=True, codec=Codec.CF), OracleMode.ANALYTIC_SHIFT,
+                           400, 901, CocoKeypointSampler(instances=COCO_INSTANCES))
+        tiny = make_cfg(codec=Codec.CCRF, radius=0.3)
+        failed = monte_carlo(tiny, OracleMode.FULL_HEATMAP, 60, 901,
+                             UniformKeypointSampler(default_roi(tiny), margin=2.0))
+        border = make_cfg(codec=Codec.CF, flip_test=True)
+        degenerate = monte_carlo(border, OracleMode.FULL_HEATMAP, 60, 901,
+                                 UniformKeypointSampler(default_roi(border), margin=0.0))
+        assert coco.n_skipped > 0
+        assert failed.n_decode_failed > 0
+        assert degenerate.n_degenerate > 0
+
+
+class TestChunkMoments:
+    @staticmethod
+    def _exact_var(values) -> float:
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        return float(sum((v - mean) ** 2 for v in exact) / (len(exact) - 1))
+
+    def test_merge_is_exact_at_large_offsets(self):
+        # Errors of 1e8 with a spread of 1e-4: the sum-of-squares formula
+        # (sum x^2 - n mean^2) / (n - 1) loses every digit here.
+        values = 1e8 + np.random.default_rng(3).random(10_000) * 1e-4
+        parts = [
+            biaslab._moments(values[s:s + biaslab._CHUNK])
+            for s in range(0, len(values), biaslab._CHUNK)
+        ]
+        assert [p[0] for p in parts] == [4096, 4096, 1808]
+        exact = self._exact_var(values)
+        merged = biaslab._merge_m2(parts) / (len(values) - 1)
+        assert merged == pytest.approx(exact, rel=1e-9)
+        n, mean = len(values), math.fsum(values) / len(values)
+        naive = (math.fsum(values * values) - n * mean * mean) / (n - 1)
+        assert abs(naive - exact) >= 0.5 * exact  # it cancels to 0 or worse
+
+    def test_merge_skips_empty_chunks(self):
+        values = np.array([1e8, 1e8 + 2e-8, 1e8 + 4e-8, 1e8 + 6e-8])
+        parts = [biaslab._moments(values[:1]), biaslab._moments(values[:0]),
+                 biaslab._moments(values[1:])]
+        assert parts[1] == (0, 0.0, 0.0)
+        assert biaslab._merge_m2(parts) / 3 == pytest.approx(self._exact_var(values), rel=1e-9)
+
+    def test_constant_errors_have_zero_variance(self):
+        parts = [biaslab._moments(np.full(n, 0.375)) for n in (4096, 7)]
+        assert biaslab._merge_m2(parts) == 0.0
+
+
 class TestErrorStats:
+    def test_standard_errors_stay_out_of_reports(self, tmp_path, capsys):
+        stats = monte_carlo(make_cfg(codec=Codec.CF_BIASED_DECODE), OracleMode.ANALYTIC_SHIFT,
+                            3000, 5)
+
+        def emit(tag):
+            for fmt in ("csv", "json"):
+                write_report([stats], fmt, tmp_path / f"{tag}.{fmt}")
+            _print_stats(stats)
+            return [(tmp_path / f"{tag}.{fmt}").read_bytes() for fmt in ("csv", "json")]
+
+        before = emit("before")
+        printed_before = capsys.readouterr().out
+        assert stats.sem_abs_x == math.sqrt(stats.var_abs_x / stats.n_trials)
+        assert stats.sem_abs_y == math.sqrt(stats.var_abs_y / stats.n_trials)
+        assert stats.sem_abs_x == pytest.approx(math.sqrt(1.0 / 192.0 / 3000), rel=0.05)
+        assert emit("after") == before
+        assert capsys.readouterr().out == printed_before
+        assert not {"sem_abs_x", "sem_abs_y"} & {f.name for f in dataclasses.fields(stats)}
+
     def test_requires_positive_trials(self):
         with pytest.raises(ValueError):
             ErrorStats(

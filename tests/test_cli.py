@@ -226,6 +226,26 @@ class TestSimulateCommand:
         assert "every trial was skipped" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("flags", [("--roi", "170,160,120,160"), ("--margin", "5")],
+                             ids=["roi", "margin"])
+    def test_coco_refuses_uniform_sampler_flags(self, tmp_path, flags):
+        # The crop boxes come from the annotations, so --roi and --margin
+        # would be ignored; they are refused instead.
+        doc = {
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+                 "keypoints": [160, 160, 2]}
+            ],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        out = run_cli("simulate", "--seed", "1", "-n", "50", "--coco", str(ann), *flags)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert "--roi and --margin do not apply to --coco" in out.stderr
+        assert out.stdout == ""
+
 
 class TestVerifyCommand:
     def test_verify_passes_and_prints_lines(self):
