@@ -26,8 +26,9 @@ Trials run in fixed-size chunks, each as one pass over numpy arrays; only
 the rendered-heatmap step loops over a chunk's trials.  Each trial's
 randomness derives only from the run seed and the trial index (a
 splitmix-style generator).  A bound sampler lists its crop boxes and each
-trial names one of them; a crop box's transforms are built once per chunk
-that draws it.  Each chunk's error sums are exact (``math.fsum``) and its
+trial names one of them; a run builds every crop box's transforms once,
+before its first chunk.  Skipped and failed trials are status masks, not
+exceptions.  Each chunk's error sums are exact (``math.fsum``) and its
 variance partial is a two-pass sum of squared deviations; chunks merge in
 index order, so results are identical for any worker count.
 """
@@ -357,7 +358,8 @@ class _PeakMaps:
     output plane, so two maps average to the midpoint of their peaks.
     Decoding is exact except for the quarter-shift decoder, which applies
     its quantization law; ``up`` maps output to input plane for rno.  Every
-    operation is element-wise, so a map may hold a whole batch of peaks."""
+    operation is element-wise, so a map may hold a whole batch of peaks, and
+    no peak is ever skipped or fails to decode."""
 
     __slots__ = ("wo", "up", "quarter")
 
@@ -365,6 +367,10 @@ class _PeakMaps:
         self.wo = cfg.output.width_units
         self.up = up
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
+
+    @staticmethod
+    def covers(kx, ky):
+        return True
 
     @staticmethod
     def render(kx, ky):
@@ -386,8 +392,8 @@ class _PeakMaps:
         if self.up is not None:
             x, y = _ap(self.up, x, y)
         if self.quarter:
-            return _quarter_law(x), _quarter_law(y), False
-        return x, y, False
+            return _quarter_law(x), _quarter_law(y), False, False
+        return x, y, False, False
 
 
 def _shift_right(arr: np.ndarray) -> np.ndarray:
@@ -399,7 +405,8 @@ def _shift_right(arr: np.ndarray) -> np.ndarray:
 class _ArrayMaps:
     """Rendered-heatmap oracle: a map is a tuple of arrays, the configured
     encoder's heatmap or the disc codec's ``(c, x_off, y_off)``, decoded by
-    the real decoders.  A map holds one trial."""
+    the real decoders.  A map holds one trial, and only a keypoint on the
+    output plane is rendered."""
 
     __slots__ = ("cfg", "ccrf")
 
@@ -407,10 +414,12 @@ class _ArrayMaps:
         self.cfg = cfg
         self.ccrf = cfg.codec is Codec.CCRF
 
+    def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+        out = self.cfg.output
+        return (0.0 <= kx) & (kx <= out.width_units) & (0.0 <= ky) & (ky <= out.height_units)
+
     def render(self, kx: float, ky: float):
         out = self.cfg.output
-        if not (0.0 <= kx <= out.width_units and 0.0 <= ky <= out.height_units):
-            raise SkipTrial
         if self.ccrf:
             return _ccrf_arrays(out.width_px, out.height_px, kx, ky, self.cfg.radius)
         return (_gaussian_array(out.width_px, out.height_px, kx, ky, self.cfg.sigma),)
@@ -427,25 +436,24 @@ class _ArrayMaps:
     def average(a, b):
         return tuple(0.5 * (x + y) for x, y in zip(a, b))
 
-    def decode(self, arrs) -> tuple[float, float, bool]:
+    def decode(self, arrs) -> tuple[float, float, bool, bool]:
+        """``(x, y, degenerate, failed)``; a disc map with no response fails."""
         cfg = self.cfg
         if self.ccrf:
             c, x_off, y_off = arrs
-            if not np.any(c):
-                raise NoDetectionError("classification map is identically zero")
             ix, iy = _argmax_xy(c)
-            return ix + x_off[iy, ix], iy + y_off[iy, ix], False
+            return ix + x_off[iy, ix], iy + y_off[iy, ix], False, not np.any(c)
         (arrs,) = arrs
         if cfg.rno:
             arrs = rno_upsample(ImageGrid(cfg.output, arrs), cfg).data[:, :, 0]
         ix, iy = _argmax_xy(arrs)
         if cfg.codec is Codec.CF:
             dx, dy, deg = _dark_offset(arrs, ix, iy)
-            return ix + dx, iy + dy, deg
+            return ix + dx, iy + dy, deg, False
         if cfg.codec is Codec.CF_BIASED_DECODE:
             dx, dy = _quarter_offset(arrs, ix, iy)
-            return ix + dx, iy + dy, False
-        return float(ix), float(iy), False
+            return ix + dx, iy + dy, False, False
+        return float(ix), float(iy), False, False
 
 
 class _Engine:
@@ -480,17 +488,15 @@ class _Engine:
         if cfg.flip_test and cfg.compensation is Compensation.SNOOP_PLUS_EC:
             self.ec = 1.0 / (2.0 * cfg.stride) / (self.i2o[0] if cfg.rno else 1.0)
 
-    def contexts(self, rois, roi_idx: np.ndarray) -> np.ndarray:
-        """Per-trial crop-box coefficients as a ``(12, n)`` array, or
-        ``(12, 1)`` for one crop box: source -> input, then decode plane ->
-        source.  The ``(R, 12)`` table behind it is filled only for the crop
-        boxes ``roi_idx`` names."""
-        table = np.empty((len(rois), 12))
-        for r in np.unique(roi_idx).tolist() if len(rois) > 1 else (0,):
-            s2i_t = test_transform(rois[r], self.cfg)
-            dp2s_t = invert(s2i_t) if self.cfg.rno else output_to_source(rois[r], self.cfg)
-            table[r] = _aff(s2i_t) + _aff(dp2s_t)
-        return table.T if len(rois) == 1 else table[roi_idx].T
+    def contexts(self, rois) -> np.ndarray:
+        """Crop-box coefficients as a ``(12, R)`` array, one column per box:
+        source -> input, then decode plane -> source."""
+        table = np.empty((12, len(rois)))
+        for r, roi in enumerate(rois):
+            s2i_t = test_transform(roi, self.cfg)
+            dp2s_t = invert(s2i_t) if self.cfg.rno else output_to_source(roi, self.cfg)
+            table[:, r] = _aff(s2i_t) + _aff(dp2s_t)
+        return table
 
     def _combine(self, ops, a, b):
         """Mirror ``b`` back, shift it one node in +x when compensating, and
@@ -501,55 +507,48 @@ class _Engine:
         return ops.average(a, back)
 
     def _predict(self, ko, kof):
-        """Render, combine and decode; returns (x, y, degenerate)."""
+        """Render, combine and decode; returns (x, y, degenerate, failed)."""
         maps = self.maps
         m = maps.render(*ko)
         if kof is None:
             return maps.decode(m)
         m_flip = maps.render(*kof)
         if self.average_coords:
-            x1, y1, deg1 = maps.decode(m)
-            x2, y2, deg2 = maps.decode(m_flip)
+            x1, y1, deg1, failed1 = maps.decode(m)
+            x2, y2, deg2, failed2 = maps.decode(m_flip)
             x, y = self._combine(self.peaks, (x1, y1), (x2, y2))
-            return x, y, deg1 | deg2
+            return x, y, deg1 | deg2, failed1 | failed2
         return maps.decode(self._combine(maps, m, m_flip))
 
-    def _predict_each(self, ko, kof):
-        """``_predict`` trial by trial; returns the status of every trial and
-        ``(x, y, degenerate)`` of the ``_OK`` ones."""
-        cols = [c.tolist() for c in (ko if kof is None else (*ko, *kof))]
-        status = np.full(len(cols[0]), _OK)
-        out = []
-        for i, k in enumerate(zip(*cols)):
-            try:
-                out.append(self._predict(k[:2], k[2:] or None))
-            except SkipTrial:
-                status[i] = _SKIPPED
-            except NoDetectionError:
-                status[i] = _FAILED
-        x, y, deg = np.array(out, dtype=float).reshape(-1, 3).T
-        return status, x, y, deg.astype(bool)
-
     def run(self, ctx: np.ndarray, gx: np.ndarray, gy: np.ndarray):
-        """Simulate a batch of trials with crop-box coefficients ``ctx``.
+        """Simulate a batch of trials with crop-box coefficients ``ctx``,
+        one column per trial or one shared by all.
 
         Returns ``(status, ok, (pox, poy), (psx, psy), (kox, koy), deg)``:
         ``status`` per trial, ``ok`` the indices of the ``_OK`` trials, and
         their arrays in that order (``deg`` is ``False`` for peak maps).
         """
         kix, kiy = _ap(ctx[:6], gx, gy)
-        inside = (0.0 <= kix) & (kix <= self.w_i) & (0.0 <= kiy) & (kiy <= self.h_i)
-        status = np.where(inside, _OK, _SKIPPED)
-        ok = np.flatnonzero(inside)
-        kix, kiy = kix[ok], kiy[ok]
         ko = _ap(self.i2o, kix, kiy)
         kof = _ap(self.i2o, self.w_i - kix, kiy) if self.cfg.flip_test else None
+        live = (0.0 <= kix) & (kix <= self.w_i) & (0.0 <= kiy) & (kiy <= self.h_i)
+        live &= self.maps.covers(*ko) & (kof is None or self.maps.covers(*kof))
+        ok = np.flatnonzero(live)
+        ko = ko[0][ok], ko[1][ok]
+        kof = None if kof is None else (kof[0][ok], kof[1][ok])
         if self.batched:
-            x, y, deg = self._predict(ko, kof)
+            x, y, deg, failed = self._predict(ko, kof)
         else:
-            status[ok], x, y, deg = self._predict_each(ko, kof)
-            keep = status[ok] == _OK
-            ok, ko = ok[keep], (ko[0][keep], ko[1][keep])
+            cols = [c.tolist() for c in (ko if kof is None else (*ko, *kof))]
+            x, y, deg, failed = np.array(
+                [self._predict(k[:2], k[2:] or None) for k in zip(*cols)], dtype=float
+            ).reshape(-1, 4).T
+            deg, failed = deg.astype(bool), failed.astype(bool)
+        status = np.full(len(gx), _SKIPPED)
+        status[ok] = np.where(failed, _FAILED, _OK)
+        if np.any(failed):
+            keep = ~failed
+            ok, x, y, deg, ko = ok[keep], x[keep], y[keep], deg[keep], (ko[0][keep], ko[1][keep])
         if self.ec:
             x = x - self.ec
         po = (x, y) if self.dp2o is None else _ap(self.dp2o, x, y)
@@ -588,8 +587,9 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
     and :class:`~keypose.codec.NoDetectionError` on decode failure.
     """
     engine = _Engine(cfg, mode)
-    ctx = engine.contexts((roi,), np.zeros(1, dtype=np.intp))
-    status, _, po, ps, _, deg = engine.run(ctx, np.array([gt_source.x]), np.array([gt_source.y]))
+    status, _, po, ps, _, deg = engine.run(
+        engine.contexts((roi,)), np.array([gt_source.x]), np.array([gt_source.y])
+    )
     if status[0] == _SKIPPED:
         raise SkipTrial
     if status[0] == _FAILED:
@@ -628,14 +628,13 @@ def _merge_m2(parts) -> float:
     return m2
 
 
-def _run_chunk(cfg, mode, sampler, seed, start, stop):
+def _run_chunk(engine, bound, ctx, seed, start, stop):
     """Trials ``[start, stop)`` as one batch; returns the chunk's counts and
-    ``(n, sum, M2)`` partials of the x and y errors and the source error sum."""
-    engine = _Engine(cfg, mode)
-    bound = sampler.bind(cfg)
+    ``(n, sum, M2)`` partials of the x and y errors and the source error sum.
+    ``ctx`` is the run's crop-box table, one column per box of ``bound``."""
     roi_idx, gx, gy = bound.sample(_uniforms(seed, start, stop, bound.k))
     status, ok, (pox, poy), (psx, _), (kox, koy), deg = engine.run(
-        engine.contexts(bound.rois, roi_idx), gx, gy
+        ctx if ctx.shape[1] == 1 else ctx[:, roi_idx], gx, gy
     )
     return (np.bincount(status, minlength=3).tolist(), int(np.count_nonzero(deg)),
             _moments(np.abs(pox - kox)), _moments(np.abs(poy - koy)),
@@ -666,8 +665,11 @@ def monte_carlo(
     if sampler is None:
         sampler = UniformKeypointSampler(default_roi(cfg))
 
+    bound = sampler.bind(cfg)
+    engine = _Engine(cfg, mode)
+    ctx = engine.contexts(bound.rois)
     chunks = [
-        (cfg, mode, sampler, seed, start, min(start + _CHUNK, n))
+        (engine, bound, ctx, seed, start, min(start + _CHUNK, n))
         for start in range(0, n, _CHUNK)
     ]
     if jobs > 1 and len(chunks) > 1:

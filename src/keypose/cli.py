@@ -17,7 +17,9 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -58,8 +60,8 @@ from .pipeline import (
     Compensation,
     Convention,
     PipelineConfig,
+    config_from_text,
     input_to_output,
-    load_config,
     output_to_source,
     parse_size,
     test_transform,
@@ -240,7 +242,8 @@ def _topdown(convention: Convention, **fields) -> PipelineConfig:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else _topdown(Convention.UNIT_LENGTH)
+    text = Path(args.config).read_text(encoding="ascii") if args.config else ""
+    cfg = config_from_text(text) if args.config else _topdown(Convention.UNIT_LENGTH)
     overrides: dict = {}
     if args.ucst is not None:
         overrides["convention"] = Convention.UNIT_LENGTH if args.ucst else Convention.PIXEL_COUNT
@@ -266,7 +269,7 @@ def _config_from_args(args) -> PipelineConfig:
         overrides["sigma"] = args.sigma
     if args.radius is not None:
         overrides["radius"] = args.radius
-    if "output" in overrides and args.radius is None and not args.config:
+    elif "output" in overrides and not re.search(r"(?m)^\s*radius\s*=", text):
         overrides["radius"] = None  # re-derive from the new output width
     try:
         return dataclasses.replace(cfg, **overrides)

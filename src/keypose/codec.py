@@ -239,21 +239,12 @@ def _quarter_offset(c: np.ndarray, ix: int, iy: int) -> tuple[float, float]:
     """Fixed quarter-node nudge in the uphill direction per axis.
 
     The derivative sign comes from a central difference, one-sided at the
-    borders; a zero difference counts as positive.
+    borders (clamping the neighbor index; every plane is at least 2 nodes
+    wide); a zero difference counts as positive.
     """
     h, w = c.shape
-    if ix == 0:
-        diff_x = c[iy, 1] - c[iy, 0]
-    elif ix == w - 1:
-        diff_x = c[iy, ix] - c[iy, ix - 1]
-    else:
-        diff_x = c[iy, ix + 1] - c[iy, ix - 1]
-    if iy == 0:
-        diff_y = c[1, ix] - c[0, ix]
-    elif iy == h - 1:
-        diff_y = c[iy, ix] - c[iy - 1, ix]
-    else:
-        diff_y = c[iy + 1, ix] - c[iy - 1, ix]
+    diff_x = c[iy, min(ix + 1, w - 1)] - c[iy, max(ix - 1, 0)]
+    diff_y = c[min(iy + 1, h - 1), ix] - c[max(iy - 1, 0), ix]
     return (0.25 if diff_x >= 0.0 else -0.25), (0.25 if diff_y >= 0.0 else -0.25)
 
 

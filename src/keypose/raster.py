@@ -311,7 +311,10 @@ def read_grid_text(path) -> ImageGrid:
     parts = text.split()
     if len(parts) < 3:
         raise ValueError(f"{path}: missing grid header")
-    rows, cols, channels = int(parts[0]), int(parts[1]), int(parts[2])
+    try:
+        rows, cols, channels = (int(p) for p in parts[:3])
+    except ValueError:
+        raise ValueError(f"{path}: bad grid header {' '.join(parts[:3])!r}") from None
     vals = np.array([float(p) for p in parts[3:]], dtype=np.float64)
     if vals.size != rows * cols * channels:
         raise ValueError(

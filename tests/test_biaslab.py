@@ -23,7 +23,7 @@ from keypose.biaslab import (
 from keypose.cli import _bottomup_presets, _print_stats, _topdown_presets
 from keypose.codec import CcrfTarget, GaussianTarget, NoDetectionError
 from keypose.dataio import Instance, write_report
-from keypose.geometry import PlaneSize, Point, Roi, apply_point, t_flip
+from keypose.geometry import PlaneSize, Point, Roi, apply_point, invert, t_flip
 from keypose.pipeline import (
     Codec,
     Combine,
@@ -426,6 +426,35 @@ class TestFailureAccounting:
             assert stats.n_skipped == 0
             assert stats.n_decode_failed == 0
 
+    def test_flipped_branch_off_the_output_plane_skips_rendered_maps_only(self):
+        # Pixel-count 192x256 -> 48x64 maps input x to output x/4, so the
+        # flip of input x = 0 lands at output 191/4 = 47.75, past the
+        # plane's 47 units.  Peaks need no plane; rendered maps do.
+        cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
+        roi = default_roi(cfg)
+        i2o, s2i = input_to_output(cfg), source_to_input(roi, cfg)
+        assert apply_point(i2o, Point(cfg.input.width_units, 0.0)).x == 47.75
+        gt = apply_point(invert(s2i), Point(0.0, 100.0))
+        assert run_trial(gt, roi, cfg, OracleMode.ANALYTIC_SHIFT).pred_output.x == -0.375
+        with pytest.raises(SkipTrial):
+            run_trial(gt, roi, cfg, OracleMode.FULL_HEATMAP)
+
+        # Over the whole output plane, exactly the trials whose flipped
+        # branch leaves it are skipped, and none counts as a decode failure.
+        n, seed = 2000, 71
+        sampler = UniformKeypointSampler(roi, margin=0.0)
+        bound = sampler.bind(cfg)
+        off_plane = 0
+        for i in range(n):
+            _, gx, gy = bound.draw(substream(seed, i))
+            k_i = apply_point(s2i, Point(gx, gy))
+            off_plane += apply_point(i2o, Point(cfg.input.width_units - k_i.x, k_i.y)).x > 47.0
+        assert off_plane > 0
+        analytic = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, n, seed, sampler)
+        heatmap = monte_carlo(cfg, OracleMode.FULL_HEATMAP, n, seed, sampler)
+        assert (analytic.n_skipped, analytic.n_decode_failed) == (0, 0)
+        assert (heatmap.n_skipped, heatmap.n_decode_failed) == (off_plane, 0)
+
     def test_rno_degrades_dark_decode(self):
         # Bilinear upsampling bends the map's value distribution, so the
         # curvature-based refinement loses its exactness.
@@ -476,7 +505,7 @@ class TestCocoSampler:
             assert bound.draw(substream(8, i)) == entries[int(u * len(entries))]
 
     @pytest.mark.parametrize("rno", [False, True])
-    def test_crop_box_context_built_once_per_chunk(self, monkeypatch, rno):
+    def test_crop_box_context_built_once_per_run(self, monkeypatch, rno):
         calls = []
 
         def counting_test_transform(roi, cfg):
@@ -487,7 +516,7 @@ class TestCocoSampler:
         cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF, rno=rno)
         sampler = CocoKeypointSampler(instances=COCO_INSTANCES)
         stats = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, sampler)  # two chunks
-        assert len(calls) == 4
+        assert len(calls) == 2  # one per crop box, shared by both chunks
         assert set(calls) == set(sampler.bind(cfg).rois)
         monkeypatch.undo()
         assert stats == monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, sampler)

@@ -109,6 +109,17 @@ class TestCodecCommands:
         assert abs(payload["y"] - 31.82) < 1e-3
         assert payload["degenerate"] is False
 
+    @pytest.mark.parametrize("command", ["decode", "warp"])
+    def test_bad_grid_header_names_the_file(self, tmp_path, command):
+        path = tmp_path / "bad.grid"
+        path.write_text("2.5 2 1\n1 2 3 4 5\n")
+        argv = {"decode": ("decode", "--codec", "cf", "--heatmap", str(path)),
+                "warp": ("warp", "--image", str(path), "--out", str(tmp_path / "o.grid"),
+                         "--op", "flip")}[command]
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stderr.startswith(f"error: {path}: bad grid header")
+
     def test_decode_biased_quarter(self, tmp_path):
         path = tmp_path / "q.grid"
         run_cli("encode", "--codec", "cf", "--keypoint", "20.3,31.0",
@@ -165,6 +176,23 @@ class TestSimulateCommand:
         out = run_cli("simulate", "--seed", "3", "-n", "500", "--config", str(cfg_path))
         assert out.returncode == 0
         assert "mean|ex|=0.375" in out.stdout
+
+    def test_output_flag_rederives_a_radius_the_config_file_leaves_unset(self, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("convention=unit_length\ninput_px=192x256\noutput_px=48x64\n"
+                         "codec=ccrf\n")
+        pinned = tmp_path / "pinned.cfg"
+        pinned.write_text(plain.read_text() + "radius=3.0\n")
+
+        def radius(*argv):
+            args = cli.build_parser().parse_args(["simulate", "--seed", "1", *argv])
+            return cli._config_from_args(args).radius
+
+        assert radius("--codec", "ccrf", "--output", "96x128") == 6.0
+        assert radius("--config", str(plain), "--output", "96x128") == 6.0
+        assert radius("--config", str(plain)) == 3.0
+        assert radius("--config", str(pinned), "--output", "96x128") == 3.0
+        assert radius("--config", str(plain), "--output", "96x128", "--radius", "4") == 4.0
 
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,6 +9,7 @@ from keypose.codec import (
     CcrfTarget,
     NoDetectionError,
     OutOfBoundsError,
+    _quarter_offset,
     decode_argmax,
     decode_biased_quarter,
     decode_ccrf,
@@ -226,7 +227,39 @@ class TestDecodeDark:
             assert r.k.y - iy == pytest.approx(oy, abs=1e-9)
 
 
+def three_branch_quarter_offset(c, ix, iy):
+    """The quarter nudge with its border cases spelled out: a central
+    difference inside, a one-sided one on each border node."""
+    h, w = c.shape
+    if ix == 0:
+        diff_x = c[iy, 1] - c[iy, 0]
+    elif ix == w - 1:
+        diff_x = c[iy, ix] - c[iy, ix - 1]
+    else:
+        diff_x = c[iy, ix + 1] - c[iy, ix - 1]
+    if iy == 0:
+        diff_y = c[1, ix] - c[0, ix]
+    elif iy == h - 1:
+        diff_y = c[iy, ix] - c[iy - 1, ix]
+    else:
+        diff_y = c[iy + 1, ix] - c[iy - 1, ix]
+    return (0.25 if diff_x >= 0.0 else -0.25), (0.25 if diff_y >= 0.0 else -0.25)
+
+
 class TestDecodeBiasedQuarter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 9), st.data())
+    def test_offset_matches_the_three_branch_rule_at_every_node(self, w, h, data):
+        # Three integer levels make ties and zero differences common.
+        levels = data.draw(st.lists(st.integers(-1, 1), min_size=w * h, max_size=w * h))
+        c = np.array(levels, dtype=np.float64).reshape(h, w)
+        for iy in range(h):
+            for ix in range(w):
+                assert _quarter_offset(c, ix, iy) == three_branch_quarter_offset(c, ix, iy)
+        r = decode_biased_quarter(ImageGrid.from_array(c))
+        dx, dy = three_branch_quarter_offset(c, *r.argmax)
+        assert (r.k.x, r.k.y) == (r.argmax[0] + dx, r.argmax[1] + dy)
+
     def test_low_fraction_shifts_up_from_floor(self):
         r = decode_biased_quarter(encode_gaussian(Point(10.3, 20.0), DIMS, 2.0).c)
         assert r.k.x == 10.25

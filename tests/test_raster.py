@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,3 +322,10 @@ class TestFileFormats:
         path = tmp_path / "hdr.grid"
         write_grid_text(path, grid)
         assert path.read_text().splitlines()[0] == "2 5 1"
+
+    @pytest.mark.parametrize("header", ["2.5 2 1", "2 x 1", "2 2 1e3"])
+    def test_grid_text_bad_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.grid"
+        path.write_text(f"{header}\n1 2 3 4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad grid header")):
+            read_grid_text(path)
