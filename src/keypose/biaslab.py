@@ -180,6 +180,8 @@ class UniformKeypointSampler:
             margin = float(cfg.radius)
         else:
             margin = 3.0 * cfg.sigma
+        if not math.isfinite(margin):
+            raise ValueError(f"margin must be finite, got {margin}")
         wo, ho = cfg.output.width_units, cfg.output.height_units
         if 2.0 * margin >= min(wo, ho):
             raise ValueError(

@@ -14,10 +14,8 @@ works in radians.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -235,46 +233,36 @@ def cmd_decode(args) -> int:
 
 
 def _topdown(convention: Convention, **fields) -> PipelineConfig:
-    """A configuration on the 192x256 input and 48x64 output planes."""
-    return PipelineConfig(
-        convention=convention, input=PlaneSize(192, 256), output=PlaneSize(48, 64), **fields
-    )
+    """A configuration on the 192x256 input and 48x64 output planes, unless
+    ``fields`` name other planes."""
+    planes = {"input": PlaneSize(192, 256), "output": PlaneSize(48, 64)}
+    return PipelineConfig(convention=convention, **{**planes, **fields})
 
 
 def _config_from_args(args) -> PipelineConfig:
-    text = Path(args.config).read_text(encoding="ascii") if args.config else ""
-    cfg = config_from_text(text) if args.config else _topdown(Convention.UNIT_LENGTH)
-    overrides: dict = {}
-    if args.ucst is not None:
-        overrides["convention"] = Convention.UNIT_LENGTH if args.ucst else Convention.PIXEL_COUNT
-    if args.input is not None:
-        overrides["input"] = parse_size(args.input)
-    if args.output is not None:
-        overrides["output"] = parse_size(args.output)
-    if args.ft is not None:
-        overrides["flip_test"] = args.ft
+    """One config from the ``--config`` file's keys, or the unit-length
+    top-down planes, with every given flag in place of its field."""
+    flags = {
+        "convention": (args.ucst,
+                       lambda v: Convention.UNIT_LENGTH if v else Convention.PIXEL_COUNT),
+        "input": (args.input, parse_size),
+        "output": (args.output, parse_size),
+        "flip_test": (args.ft, bool),
+        "codec": (args.codec, lambda v: Codec(v.replace("-", "_"))),
+        "combine": (args.combine, lambda v: Combine(v.replace("-", "_"))),
+        "rno": (args.rno, bool),
+        "sigma": (args.sigma, float),
+        "radius": (args.radius, float),
+    }
+    fields = {name: parse(value) for name, (value, parse) in flags.items() if value is not None}
     if args.snoop is not None or args.ec is not None:
         if args.ec and not args.snoop:
             raise UsageError("--ec only refines --snoop; pass both")
         comp = Compensation.SNOOP_PLUS_EC if args.ec else Compensation.SNOOP
-        overrides["compensation"] = comp if args.snoop else Compensation.NONE
-    if args.codec is not None:
-        overrides["codec"] = Codec(args.codec.replace("-", "_"))
-        overrides["combine"] = None  # re-derive the codec's default combine
-    if args.combine is not None:
-        overrides["combine"] = Combine(args.combine.replace("-", "_"))
-    if args.rno is not None:
-        overrides["rno"] = args.rno
-    if args.sigma is not None:
-        overrides["sigma"] = args.sigma
-    if args.radius is not None:
-        overrides["radius"] = args.radius
-    elif "output" in overrides and not re.search(r"(?m)^\s*radius\s*=", text):
-        overrides["radius"] = None  # re-derive from the new output width
-    try:
-        return dataclasses.replace(cfg, **overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        fields["compensation"] = comp if args.snoop else Compensation.NONE
+    if args.config:
+        return config_from_text(Path(args.config).read_text(encoding="ascii"), **fields)
+    return _topdown(**{"convention": Convention.UNIT_LENGTH, **fields})
 
 
 def _sampler_from_args(args, cfg: PipelineConfig):

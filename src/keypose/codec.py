@@ -75,8 +75,8 @@ class CcrfTarget:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if not (self.c.size == self.x_off.size == self.y_off.size):
             raise ValueError("c, x_off and y_off must share one plane size")
 
@@ -95,8 +95,8 @@ class GaussianTarget:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ def encode_ccrf(k: Point, dims: PlaneSize, radius: float) -> CcrfTarget:
 
     Raises :class:`OutOfBoundsError` if ``k`` is outside the plane.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     _check_in_plane(k, dims)
     c, x_off, y_off = _ccrf_arrays(dims.width_px, dims.height_px, k.x, k.y, radius)
     return CcrfTarget(
@@ -157,8 +157,8 @@ def encode_ccrf(k: Point, dims: PlaneSize, radius: float) -> CcrfTarget:
 
 def encode_gaussian(k: Point, dims: PlaneSize, sigma: float = 2.0) -> GaussianTarget:
     """Encode ``k`` as an untruncated Gaussian classification map."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     _check_in_plane(k, dims)
     c = _gaussian_array(dims.width_px, dims.height_px, k.x, k.y, sigma)
     return GaussianTarget(c=ImageGrid(dims, c), sigma=float(sigma))

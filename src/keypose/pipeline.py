@@ -25,6 +25,7 @@ the residual as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,13 +131,13 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.compensation is not Compensation.NONE and not self.flip_test:
             raise ValueError("compensation is only meaningful with flip_test enabled")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         combine = self.combine if self.combine is not None else _default_combine(self.codec)
         object.__setattr__(self, "combine", combine)
         radius = self.radius if self.radius is not None else default_ccrf_radius(self.output)
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {radius}")
         object.__setattr__(self, "radius", float(radius))
         if self.rno and self.codec is Codec.CCRF:
             raise ValueError("rno cannot be used with the ccrf codec: its offset "
@@ -272,7 +273,10 @@ def parse_size(text: str) -> PlaneSize:
         raise ValueError(f"expected WIDTHxHEIGHT pixels, got {text!r}") from exc
 
 
-def config_from_text(text: str) -> PipelineConfig:
+def config_from_text(text: str, **overrides) -> PipelineConfig:
+    """Build a config from flat ``key=value`` text.  ``overrides`` are fields
+    that replace the text's before anything is built, so a ``combine`` or
+    ``radius`` that neither sets follows the final codec and output plane."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -311,7 +315,7 @@ def config_from_text(text: str) -> PipelineConfig:
             fields[key.removesuffix("_px")] = parsers[key](value)
         except ValueError as exc:
             raise ValueError(f"config key {key}: {exc}") from exc
-    return PipelineConfig(**fields)
+    return PipelineConfig(**{**fields, **overrides})
 
 
 def save_config(path, cfg: PipelineConfig) -> None:

@@ -20,6 +20,7 @@ library defaults to ``ZERO_FILL``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -257,38 +258,47 @@ def _pgm_tokens(buf: bytes):
             i = j
 
 
+@contextmanager
+def _named(path):
+    """Prefix every ``ValueError`` raised while parsing ``path`` with it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_pgm(path) -> ImageGrid:
     """Read a P2 or P5 PGM file into a single-channel float grid."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _named(path):
         buf = fh.read()
-    tokens = _pgm_tokens(buf)
-    try:
-        _, magic = next(tokens)
-        _, w_tok = next(tokens)
-        _, h_tok = next(tokens)
-        pos_maxval, maxval_tok = next(tokens)
-    except StopIteration:
-        raise ValueError(f"{path}: truncated PGM header") from None
-    if magic not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a PGM file (magic {magic!r})")
-    w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    if maxval <= 0 or maxval > 65535:
-        raise ValueError(f"{path}: bad maxval {maxval}")
-    if magic == b"P5":
-        # Binary data starts after the single whitespace byte that ends the
-        # maxval token.
-        data_start = pos_maxval + len(maxval_tok) + 1
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-        count = w * h
-        raw = buf[data_start : data_start + count * dtype.itemsize]
-        if len(raw) < count * dtype.itemsize:
-            raise ValueError(f"{path}: truncated PGM pixel data")
-        vals = np.frombuffer(raw, dtype=dtype, count=count).astype(np.float64)
-    else:
-        vals = np.array([float(int(tok)) for _, tok in tokens], dtype=np.float64)
-        if vals.size != w * h:
-            raise ValueError(f"{path}: expected {w * h} samples, got {vals.size}")
-    return ImageGrid(PlaneSize(w, h), vals.reshape(h, w))
+        tokens = _pgm_tokens(buf)
+        try:
+            _, magic = next(tokens)
+            _, w_tok = next(tokens)
+            _, h_tok = next(tokens)
+            pos_maxval, maxval_tok = next(tokens)
+        except StopIteration:
+            raise ValueError("truncated PGM header") from None
+        if magic not in (b"P2", b"P5"):
+            raise ValueError(f"not a PGM file (magic {magic!r})")
+        w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+        if maxval <= 0 or maxval > 65535:
+            raise ValueError(f"bad maxval {maxval}")
+        if magic == b"P5":
+            # Binary data starts after the single whitespace byte that ends
+            # the maxval token.
+            data_start = pos_maxval + len(maxval_tok) + 1
+            dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+            count = w * h
+            raw = buf[data_start : data_start + count * dtype.itemsize]
+            if len(raw) < count * dtype.itemsize:
+                raise ValueError("truncated PGM pixel data")
+            vals = np.frombuffer(raw, dtype=dtype, count=count).astype(np.float64)
+        else:
+            vals = np.array([float(int(tok)) for _, tok in tokens], dtype=np.float64)
+            if vals.size != w * h:
+                raise ValueError(f"expected {w * h} samples, got {vals.size}")
+        return ImageGrid(PlaneSize(w, h), vals.reshape(h, w))
 
 
 def write_grid_text(path, grid: ImageGrid) -> None:
@@ -306,18 +316,15 @@ def write_grid_text(path, grid: ImageGrid) -> None:
 
 def read_grid_text(path) -> ImageGrid:
     """Read a grid written by :func:`write_grid_text`."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    parts = text.split()
-    if len(parts) < 3:
-        raise ValueError(f"{path}: missing grid header")
-    try:
-        rows, cols, channels = (int(p) for p in parts[:3])
-    except ValueError:
-        raise ValueError(f"{path}: bad grid header {' '.join(parts[:3])!r}") from None
-    vals = np.array([float(p) for p in parts[3:]], dtype=np.float64)
-    if vals.size != rows * cols * channels:
-        raise ValueError(
-            f"{path}: expected {rows * cols * channels} values, got {vals.size}"
-        )
-    return ImageGrid(PlaneSize(cols, rows), vals.reshape(rows, cols, channels))
+    with open(path, "r", encoding="ascii") as fh, _named(path):
+        parts = fh.read().split()
+        if len(parts) < 3:
+            raise ValueError("missing grid header")
+        try:
+            rows, cols, channels = (int(p) for p in parts[:3])
+        except ValueError:
+            raise ValueError(f"bad grid header {' '.join(parts[:3])!r}") from None
+        vals = np.array([float(p) for p in parts[3:]], dtype=np.float64)
+        if vals.size != rows * cols * channels:
+            raise ValueError(f"expected {rows * cols * channels} values, got {vals.size}")
+        return ImageGrid(PlaneSize(cols, rows), vals.reshape(rows, cols, channels))

@@ -21,7 +21,18 @@ from keypose.biaslab import (
     substream,
 )
 from keypose.cli import _bottomup_presets, _print_stats, _topdown_presets
-from keypose.codec import CcrfTarget, GaussianTarget, NoDetectionError
+from keypose.codec import (
+    CcrfTarget,
+    GaussianTarget,
+    NoDetectionError,
+    OutOfBoundsError,
+    decode_argmax,
+    decode_biased_quarter,
+    decode_ccrf,
+    decode_dark,
+    encode_ccrf,
+    encode_gaussian,
+)
 from keypose.dataio import Instance, write_report
 from keypose.geometry import PlaneSize, Point, Roi, apply_point, invert, t_flip
 from keypose.pipeline import (
@@ -33,8 +44,10 @@ from keypose.pipeline import (
     flip_combine,
     input_to_output,
     output_to_source,
+    rno_upsample,
 )
 from keypose.pipeline import test_transform as source_to_input
+from keypose.raster import ImageGrid, flip_heatmap
 
 IN_SIZE = PlaneSize(192, 256)
 OUT_SIZE = PlaneSize(48, 64)
@@ -547,6 +560,13 @@ def test_uniform_sampler_follows_the_sampling_law():
         assert bound.draw(substream(9, i)) == (0, gt.x, gt.y)
 
 
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf")])
+def test_uniform_sampler_refuses_a_non_finite_margin(margin):
+    cfg = make_cfg()
+    with pytest.raises(ValueError, match=f"margin must be finite, got {margin}"):
+        UniformKeypointSampler(default_roi(cfg), margin=margin).bind(cfg)
+
+
 def _scalar_monte_carlo(cfg, mode, n, seed, sampler):
     """Specification of ``monte_carlo``: trial by trial through ``substream``,
     ``draw`` and ``run_trial``, aggregated with fsum."""
@@ -627,6 +647,105 @@ class TestBatchEngine:
         assert coco.n_skipped > 0
         assert failed.n_decode_failed > 0
         assert degenerate.n_degenerate > 0
+
+
+def _shift_one_node(grid: ImageGrid) -> ImageGrid:
+    """Move every column one node in +x; column 0 becomes zero."""
+    data = np.zeros_like(grid.data)
+    data[:, 1:] = grid.data[:, :-1]
+    return ImageGrid(grid.size, data)
+
+
+def _chain_2d(k_i: Point, cfg: PipelineConfig) -> tuple[Point, bool]:
+    """Output-plane prediction and degenerate flag of one test pass, built
+    from the public 2-D codec functions alone.
+
+    Raises :class:`OutOfBoundsError` when a branch's keypoint leaves the
+    output plane and :class:`NoDetectionError` when a disc map is empty.
+    """
+    i2o = input_to_output(cfg)
+    ccrf = cfg.codec is Codec.CCRF
+    keypoints = [apply_point(i2o, k_i)]
+    if cfg.flip_test:
+        keypoints.append(apply_point(i2o, Point(cfg.input.width_units - k_i.x, k_i.y)))
+    if ccrf:
+        targets = (encode_ccrf(k, cfg.output, cfg.radius) for k in keypoints)
+        maps = [(t.c, t.x_off, t.y_off) for t in targets]
+    else:
+        maps = [(encode_gaussian(k, cfg.output, cfg.sigma).c,) for k in keypoints]
+
+    def decode(grids):
+        if ccrf:
+            return decode_ccrf(CcrfTarget(*grids, radius=cfg.radius))
+        decoder = {Codec.CF: decode_dark, Codec.CF_BIASED_DECODE: decode_biased_quarter,
+                   Codec.ARGMAX_ONLY: decode_argmax}[cfg.codec]
+        return decoder(rno_upsample(grids[0], cfg) if cfg.rno else grids[0])
+
+    if not cfg.flip_test:
+        result = decode(maps[0])
+        k, degenerate = result.k, result.degenerate
+    elif cfg.combine is Combine.AVERAGE_COORDS:
+        a, b = decode(maps[0]), decode(maps[1])
+        k, degenerate = flip_combine(a.k, b.k, cfg), a.degenerate or b.degenerate
+    else:
+        back = [flip_heatmap(g) for g in maps[1]]
+        if ccrf:
+            back[1] = ImageGrid(cfg.output, -back[1].data)
+        if cfg.compensation is not Compensation.NONE:
+            back = [_shift_one_node(g) for g in back]
+        averaged = [ImageGrid(g.size, 0.5 * (g.data + h.data)) for g, h in zip(maps[0], back)]
+        result = decode(averaged)
+        k, degenerate = result.k, result.degenerate
+        if cfg.compensation is Compensation.SNOOP_PLUS_EC:
+            # 1/(2s) output units, in the units of the decode plane.
+            scale = i2o.m[0, 0] if cfg.rno else 1.0
+            k = Point(k.x - 1.0 / (2.0 * cfg.stride) / scale, k.y)
+    return (apply_point(i2o, k) if cfg.rno else k), degenerate
+
+
+def _oracle_cases():
+    for preset, rows in (("topdown", _topdown_presets()), ("bottomup", _bottomup_presets())):
+        for row_id, cfg in rows:
+            yield pytest.param(cfg, None, set(), id=f"{preset}-{row_id}")
+    snoop = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CCRF,
+                     compensation=Compensation.SNOOP, combine=Combine.AVERAGE_HEATMAPS)
+    yield pytest.param(snoop, None, set(), id="ccrf-average-heatmaps-snoop")
+    yield pytest.param(make_cfg(codec=Codec.CCRF, radius=0.3), 2.0, {"failed"}, id="tiny-disc")
+    border = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
+    yield pytest.param(border, 0.0, {"skipped", "degenerate"}, id="margin-0")
+
+
+@pytest.mark.parametrize("cfg,margin,reaches", _oracle_cases())
+def test_rendered_oracle_equals_the_public_2d_chain(cfg, margin, reaches):
+    # The batch engine's heatmap step (private array helpers) against the
+    # reference chain: encode, mirror, shift, average, upsample, decode,
+    # correct.  Equality is exact, skips included.
+    roi = default_roi(cfg)
+    bound = UniformKeypointSampler(roi, margin).bind(cfg)
+    s2i = source_to_input(roi, cfg)
+    seen = set()
+    for i in range(40):
+        _, gx, gy = bound.draw(substream(911, i))
+        gt = Point(gx, gy)
+        try:
+            rec = run_trial(gt, roi, cfg, OracleMode.FULL_HEATMAP)
+            got = (rec.pred_output, rec.degenerate)
+        except SkipTrial:
+            got = "skipped"
+        except NoDetectionError:
+            got = "failed"
+        try:
+            expected = _chain_2d(apply_point(s2i, gt), cfg)
+        except OutOfBoundsError:
+            expected = "skipped"
+        except NoDetectionError:
+            expected = "failed"
+        assert got == expected, (i, gt)
+        if isinstance(got, str):
+            seen.add(got)
+        elif got[1]:
+            seen.add("degenerate")
+    assert reaches <= seen
 
 
 class TestChunkMoments:

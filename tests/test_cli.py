@@ -120,6 +120,27 @@ class TestCodecCommands:
         assert out.returncode == 2
         assert out.stderr.startswith(f"error: {path}: bad grid header")
 
+    @pytest.mark.parametrize("name,body,message", [
+        ("value.grid", "2 2 1\n1 2 x 4\n", "could not convert string to float: 'x'"),
+        ("nan.grid", "2 2 1\n1 2 nan 4\n", "grid values must be finite"),
+        ("tiny.grid", "2 1 1\n1 2\n", "plane must be at least 2x2 pixels, got 1x2"),
+        ("width.pgm", "P2\nabc 2\n255\n1 2 3 4\n",
+         "invalid literal for int() with base 10: b'abc'"),
+        ("sample.pgm", "P2\n2 2\n255\n1 2 x 4\n", "invalid literal for int() with base 10: b'x'"),
+        ("tiny.pgm", "P2\n1 2\n255\n1 2\n", "plane must be at least 2x2 pixels, got 1x2"),
+    ], ids=["grid-value", "grid-nan", "grid-size", "pgm-width", "pgm-sample", "pgm-size"])
+    def test_parse_errors_name_the_file(self, tmp_path, name, body, message):
+        path = tmp_path / name
+        path.write_text(body)
+        commands = [("warp", "--image", str(path), "--out", str(tmp_path / "o.grid"),
+                     "--op", "flip")]
+        if name.endswith(".grid"):
+            commands.append(("decode", "--codec", "cf", "--heatmap", str(path)))
+        for argv in commands:
+            out = run_cli(*argv)
+            assert out.returncode == 2
+            assert out.stderr == f"error: {path}: {message}\n"
+
     def test_decode_biased_quarter(self, tmp_path):
         path = tmp_path / "q.grid"
         run_cli("encode", "--codec", "cf", "--keypoint", "20.3,31.0",
@@ -193,6 +214,66 @@ class TestSimulateCommand:
         assert radius("--config", str(plain)) == 3.0
         assert radius("--config", str(pinned), "--output", "96x128") == 3.0
         assert radius("--config", str(plain), "--output", "96x128", "--radius", "4") == 4.0
+
+    def test_config_file_combine_survives_the_codec_flag(self, tmp_path):
+        # Naming the file's own codec again must not reset the file's
+        # combine to the codec default (coordinate averaging: 0.375).
+        path = tmp_path / "f.cfg"
+        path.write_text("convention=pixel_count\ninput_px=192x256\noutput_px=48x64\n"
+                        "flip_test=true\ncodec=ccrf\ncombine=average_heatmaps\nradius=0.8\n")
+        argv = ("simulate", "--seed", "3", "-n", "4000", "--mode", "heatmap",
+                "--config", str(path))
+        plain, flagged = run_cli(*argv), run_cli(*argv, "--codec", "ccrf")
+        assert "mean|ex|=0.488643" in plain.stdout
+        assert flagged.returncode == 0
+        assert flagged.stdout == plain.stdout
+
+    def test_config_file_needs_to_be_valid_only_with_the_flags(self, tmp_path):
+        path = tmp_path / "rno.cfg"
+        path.write_text("convention=unit_length\ninput_px=192x256\noutput_px=48x64\n"
+                        "codec=ccrf\nrno=true\n")
+        argv = ("simulate", "--seed", "1", "-n", "200", "--config", str(path))
+        assert "rno cannot be used with the ccrf codec" in run_cli(*argv).stderr
+        out = run_cli(*argv, "--codec", "cf")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("unit_length+cf+rno+s4 ")
+
+    @pytest.mark.parametrize("config", [False, True], ids=["flags", "file"])
+    def test_one_config_is_built(self, tmp_path, monkeypatch, config):
+        path = tmp_path / "p.cfg"
+        path.write_text("convention=pixel_count\ninput_px=192x256\noutput_px=48x64\n")
+        built = []
+        check = cli.PipelineConfig.__post_init__
+
+        def counted(cfg):
+            built.append(cfg)
+            check(cfg)
+
+        monkeypatch.setattr(cli.PipelineConfig, "__post_init__", counted)
+        argv = ["simulate", "--seed", "1", "--ft", "--codec", "cf", "--output", "96x128"]
+        args = cli.build_parser().parse_args(argv + (["--config", str(path)] if config else []))
+        assert [cli._config_from_args(args)] == built
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--sigma", "nan", "--codec", "cf"), "sigma must be finite and positive, got nan"),
+        (("--sigma", "nan", "--codec", "cf", "--mode", "heatmap"),
+         "sigma must be finite and positive, got nan"),
+        (("--radius", "nan", "--mode", "heatmap"), "radius must be finite and positive, got nan"),
+        (("--margin", "nan"), "margin must be finite, got nan"),
+        (("--sigma", "inf", "--codec", "cf"), "sigma must be finite and positive, got inf"),
+    ], ids=["sigma-analytic", "sigma-heatmap", "radius", "margin", "sigma-inf"])
+    def test_non_finite_values_are_usage_errors(self, flags, message):
+        out = run_cli("simulate", "--seed", "1", "-n", "200", *flags)
+        assert out.returncode == 2
+        assert out.stderr == f"error: {message}\n"
+
+    def test_config_file_with_nan_sigma_is_refused(self, tmp_path):
+        path = tmp_path / "nan.cfg"
+        path.write_text("convention=unit_length\ninput_px=192x256\noutput_px=48x64\n"
+                        "codec=cf\nsigma=nan\n")
+        out = run_cli("simulate", "--seed", "1", "-n", "200", "--config", str(path))
+        assert out.returncode == 2
+        assert out.stderr == "error: sigma must be finite and positive, got nan\n"
 
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

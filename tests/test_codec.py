@@ -93,6 +93,11 @@ class TestEncodeCcrf:
         with pytest.raises(OutOfBoundsError):
             encode_ccrf(Point(10.0, -0.1), DIMS, 3.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_non_positive_radius_rejected(self, value):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            encode_ccrf(Point(5.0, 5.0), DIMS, value)
+
 
 class TestDecodeCcrf:
     def test_single_positive_node_with_offsets(self):
@@ -157,6 +162,11 @@ class TestEncodeGaussian:
     def test_out_of_plane_rejected(self):
         with pytest.raises(OutOfBoundsError):
             encode_gaussian(Point(-1.0, 5.0), DIMS, 2.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_non_positive_sigma_rejected(self, value):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            encode_gaussian(Point(5.0, 5.0), DIMS, value)
 
 
 class TestDecodeArgmax:

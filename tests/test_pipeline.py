@@ -102,6 +102,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_text("convention=unit_length\ninput_px=8x8\noutput_px=4x4\nbogus=1\n")
 
+    @pytest.mark.parametrize("field", ["sigma", "radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_widths_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            make_cfg(**{field: value})
+
+    def test_config_text_with_nan_sigma_rejected(self):
+        text = "convention=unit_length\ninput_px=8x8\noutput_px=4x4\ncodec=cf\nsigma=nan\n"
+        with pytest.raises(ValueError, match="sigma must be finite and positive, got nan"):
+            config_from_text(text)
+
+    def test_overrides_apply_before_the_config_is_built(self):
+        text = "convention=unit_length\ninput_px=192x256\noutput_px=48x64\ncodec=ccrf\n"
+        # Valid only together with the override: rno refuses the disc codec.
+        with pytest.raises(ValueError, match="rno cannot be used with the ccrf codec"):
+            config_from_text(text + "rno=true\n")
+        cfg = config_from_text(text + "rno=true\n", codec=Codec.CF)
+        assert (cfg.codec, cfg.rno) == (Codec.CF, True)
+        # Fields neither sets follow the final codec and output plane ...
+        cfg = config_from_text(text, codec=Codec.CF, output=PlaneSize(96, 128))
+        assert (cfg.combine, cfg.radius) == (Combine.AVERAGE_HEATMAPS, 6.0)
+        # ... and fields the text sets survive overrides of others.
+        pinned = text + "combine=average_heatmaps\nradius=0.8\n"
+        cfg = config_from_text(pinned, codec=Codec.CCRF, output=PlaneSize(96, 128))
+        assert (cfg.combine, cfg.radius) == (Combine.AVERAGE_HEATMAPS, 0.8)
+        # Overrides replace the text's own values.
+        assert config_from_text(pinned, radius=2.0).radius == 2.0
+
 
 class TestTrainTransform:
     def test_full_plane_roi_same_size_is_identity(self):
