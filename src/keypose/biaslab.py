@@ -18,12 +18,15 @@ represented:
   (the averaged map's peak sits at the midpoint of the two branch peaks),
   decoding is exact for the unbiased codecs, and the quarter-shift decoder
   applies its closed-form quantization law.
-* ``FULL_HEATMAP`` mode renders real heatmaps through the configured
-  encoder, averages/shifts/flips them as arrays and runs the real decoders,
-  so it also captures what the coordinate-level approximation leaves out.
+* ``FULL_HEATMAP`` mode decodes the configured encoder's real heatmaps,
+  flipped, shifted and averaged, with the real decoders' rules, so it also
+  captures what the coordinate-level approximation leaves out.  A map is
+  kept as its branch keypoints; only the node values a decoder reads are
+  computed, each equal to the 2-D map's bit for bit (over 20 times faster
+  than rendering whole maps on the top-down presets; ``BENCH_11.json``).
 
-Trials run in fixed-size chunks, each as one pass over numpy arrays; only
-the rendered-heatmap step loops over a chunk's trials.  Each trial's
+Trials run in fixed-size chunks, each as one pass over numpy arrays; the
+rendered-heatmap step takes a chunk's live trials in blocks.  Each trial's
 randomness derives only from the run seed and the trial index (a
 splitmix-style generator).  A bound sampler lists its crop boxes and each
 trial names one of them; a run builds every crop box's transforms once,
@@ -41,16 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .codec import (
-    NoDetectionError,
-    _argmax_xy,
-    _ccrf_arrays,
-    _dark_offset,
-    _gaussian_array,
-    _quarter_offset,
-    encode_ccrf,
-    encode_gaussian,
-)
+from .codec import _HESSIAN_EPS, NoDetectionError, encode_ccrf, encode_gaussian
 from .geometry import Point, Roi, Transform2D, apply_point, invert
 from .pipeline import (
     Codec,
@@ -60,10 +54,14 @@ from .pipeline import (
     PipelineConfig,
     input_to_output,
     output_to_source,
-    rno_upsample,
     test_transform,
 )
-from .raster import ImageGrid
+from .raster import BorderPolicy, _axis_taps
+
+# Unused here; kept importable because perfbench/tracer.py wraps these names.
+from .codec import _argmax_xy, _ccrf_arrays, _dark_offset, _gaussian_array  # noqa: F401
+from .codec import _quarter_offset  # noqa: F401
+from .pipeline import rno_upsample  # noqa: F401
 
 __all__ = [
     "CocoKeypointSampler",
@@ -398,64 +396,150 @@ class _PeakMaps:
         return x, y, False, False
 
 
-def _shift_right(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    out[:, 1:] = arr[:, :-1]
-    return out
+_BLOCK = 256  # live trials per block of rendered maps
 
 
-class _ArrayMaps:
-    """Rendered-heatmap oracle: a map is a tuple of arrays, the configured
-    encoder's heatmap or the disc codec's ``(c, x_off, y_off)``, decoded by
-    the real decoders.  A map holds one trial, and only a keypoint on the
-    output plane is rendered."""
+def _newton_offsets(window: np.ndarray):
+    """``codec._dark_offset`` on stacked 3x3 windows ``(B, 3, 3)`` around
+    peak nodes: one log-space Newton step, ``(dx, dy, degenerate)`` arrays,
+    with its formulas and degenerate rules; the caller flags border peaks."""
+    degenerate = np.any(window <= 0.0, axis=(1, 2))
+    log_w = np.log(np.where(degenerate[:, None, None], 1.0, window))
+    gx = (log_w[:, 1, 2] - log_w[:, 1, 0]) / 2.0
+    gy = (log_w[:, 2, 1] - log_w[:, 0, 1]) / 2.0
+    hxx = log_w[:, 1, 2] - 2.0 * log_w[:, 1, 1] + log_w[:, 1, 0]
+    hyy = log_w[:, 2, 1] - 2.0 * log_w[:, 1, 1] + log_w[:, 0, 1]
+    hxy = (log_w[:, 2, 2] - log_w[:, 2, 0] - log_w[:, 0, 2] + log_w[:, 0, 0]) / 4.0
+    det = hxx * hyy - hxy * hxy
+    degenerate |= (np.abs(det) < _HESSIAN_EPS) | (hxx >= 0.0) | (det <= 0.0)
+    det = np.where(degenerate, 1.0, det)
+    dx = np.where(degenerate, 0.0, -(hyy * gx - hxy * gy) / det)
+    dy = np.where(degenerate, 0.0, -(hxx * gy - hxy * gx) / det)
+    return dx, dy, degenerate
 
-    __slots__ = ("cfg", "ccrf")
+
+class _AxisMaps:
+    """Rendered-heatmap oracle for a block of trials.  A map is a tuple of
+    branch terms ``(m, n, mirrored, shift)``: the encoder's map of keypoints
+    ``(m, n)``, one per trial, optionally mirrored back and moved ``shift``
+    nodes in +x (zeros move in); two terms average.  Node values are
+    computed where a decoder reads them, with the encoder's formulas and
+    ``rno_upsample``'s taps, so they equal the 2-D map's bit for bit."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
         self.ccrf = cfg.codec is Codec.CCRF
+        self.w, self.h = cfg.output.width_px, cfg.output.height_px
+        self.k = 2.0 * cfg.sigma * cfg.sigma
+        self.plane = cfg.input if cfg.rno else cfg.output  # the decode plane
+        self.axes = None
+        if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
+            inv = invert(invert(input_to_output(cfg))).m
+            self.axes = ((inv[0, 0], inv[0, 2], self.w), (inv[1, 1], inv[1, 2], self.h))
 
     def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         out = self.cfg.output
         return (0.0 <= kx) & (kx <= out.width_units) & (0.0 <= ky) & (ky <= out.height_units)
 
-    def render(self, kx: float, ky: float):
-        out = self.cfg.output
-        if self.ccrf:
-            return _ccrf_arrays(out.width_px, out.height_px, kx, ky, self.cfg.radius)
-        return (_gaussian_array(out.width_px, out.height_px, kx, ky, self.cfg.sigma),)
-
-    def flip_back(self, arrs):
-        back = tuple(a[:, ::-1] for a in arrs)
-        return (back[0], -back[1], back[2]) if self.ccrf else back
+    @staticmethod
+    def render(kx, ky):
+        return ((kx, ky, False, 0),)
 
     @staticmethod
-    def shift(arrs):
-        return tuple(_shift_right(a) for a in arrs)
+    def flip_back(terms):
+        return tuple((m, n, not mirrored, shift) for m, n, mirrored, shift in terms)
+
+    @staticmethod
+    def shift(terms):
+        return tuple((m, n, mirrored, shift + 1) for m, n, mirrored, shift in terms)
 
     @staticmethod
     def average(a, b):
-        return tuple(0.5 * (x + y) for x, y in zip(a, b))
+        return a + b
 
-    def decode(self, arrs) -> tuple[float, float, bool, bool]:
-        """``(x, y, degenerate, failed)``; a disc map with no response fails."""
-        cfg = self.cfg
+    def _at(self, terms, x, y):
+        """The map's channels at output-plane columns ``x`` (B, k) and rows
+        ``y`` (B, l), as ``(B, l, k)`` arrays."""
+        values = []
+        for m, n, mirrored, shift in terms:
+            # The branch's own columns, at infinity where zeros moved in.
+            xs = x - shift
+            own = self.w - 1 - xs if mirrored else xs
+            n = n[:, None]
+            d2 = (np.where(xs >= 0, (own - m[:, None]) ** 2, np.inf)[:, None, :]
+                  + ((y - n) ** 2)[:, :, None])
+            if not self.ccrf:
+                values.append((np.exp(-d2 / self.k),))
+                continue
+            c = (d2 < self.cfg.radius * self.cfg.radius).astype(np.float64)
+            x_off = (m[:, None] - own)[:, None, :] * c
+            values.append((c, -x_off if mirrored else x_off, (n - y)[:, :, None] * c))
+        return values[0] if len(values) == 1 else tuple(
+            0.5 * (a + b) for a, b in zip(*values))
+
+    def _values(self, terms, x, y):
+        """The first channel in the decode plane at columns ``x`` and rows
+        ``y``; under rno, read through the taps in ``rno_upsample``'s order."""
+        if self.axes is None:
+            return self._at(terms, x, y)[0]
+        ((x0, wx0), (x1, wx1)), ((y0, wy0), (y1, wy1)) = (
+            _axis_taps(scale * q + offset, n, BorderPolicy.ZERO_FILL)
+            for q, (scale, offset, n) in zip((x, y), self.axes))
+
+        def term(wy, yi, wx, xi):
+            return (wy[:, :, None] * wx[:, None, :]) * self._at(terms, xi, yi)[0]
+
+        return (term(wy0, y0, wx0, x0) + term(wy0, y0, wx1, x1)
+                + term(wy1, y1, wx0, x0) + term(wy1, y1, wx1, x1))
+
+    def _box(self, lo, hi, axis):
+        """Decode-plane nodes ``(B, k)`` from the output node at or below
+        ``lo`` to the one at or above ``hi`` (under rno, from the input node
+        at or below the first to the one at or above the last); clipped, so
+        repeats come last."""
+        n = (self.plane.width_px, self.plane.height_px)[axis]
+        lo, hi = np.floor(lo), np.ceil(hi)
+        if self.axes is not None:
+            scale, offset, _ = self.axes[axis]
+            lo, hi = np.floor((lo - offset) / scale), np.ceil((hi - offset) / scale)
+        lo, hi = (np.clip(v, 0, n - 1).astype(np.intp) for v in (lo, hi))
+        return np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), n - 1)
+
+    def decode(self, terms):
+        """``(x, y, degenerate, failed)`` arrays; a disc map with no
+        response fails.  The peak is the first maximum in row-major order
+        in a box: a disc map is zero outside its discs, and a Gaussian map
+        rises toward its keypoints along each axis (both branches share
+        their rows), so its peak lies between the nodes at or beyond them."""
+        reach = self.cfg.radius if self.ccrf else 0.0
+        xs = [(self.w - 1 - m if mirrored else m) + shift for m, _, mirrored, shift in terms]
+        ys = [t[1] for t in terms]
+        x, y = (self._box(np.minimum.reduce(c) - reach, np.maximum.reduce(c) + reach, axis)
+                for axis, c in enumerate((xs, ys)))
+        v = self._values(terms, x, y)
+        top = v.max(axis=(1, 2))
+        w, h = self.plane.width_px, self.plane.height_px
+        order = np.where(v == top[:, None, None], y[:, :, None] * w + x[:, None, :], h * w)
+        # An all-zero map peaks at its first node.
+        iy, ix = np.divmod(np.where(top > 0.0, order.min(axis=(1, 2)), 0), w)
+        none = np.zeros(len(ix), dtype=bool)
         if self.ccrf:
-            c, x_off, y_off = arrs
-            ix, iy = _argmax_xy(c)
-            return ix + x_off[iy, ix], iy + y_off[iy, ix], False, not np.any(c)
-        (arrs,) = arrs
-        if cfg.rno:
-            arrs = rno_upsample(ImageGrid(cfg.output, arrs), cfg).data[:, :, 0]
-        ix, iy = _argmax_xy(arrs)
-        if cfg.codec is Codec.CF:
-            dx, dy, deg = _dark_offset(arrs, ix, iy)
-            return ix + dx, iy + dy, deg, False
-        if cfg.codec is Codec.CF_BIASED_DECODE:
-            dx, dy = _quarter_offset(arrs, ix, iy)
-            return ix + dx, iy + dy, False, False
-        return float(ix), float(iy), False, False
+            _, x_off, y_off = self._at(terms, ix[:, None], iy[:, None])
+            return ix + x_off[:, 0, 0], iy + y_off[:, 0, 0], none, top == 0.0
+        if self.cfg.codec is Codec.ARGMAX_ONLY:
+            return ix.astype(np.float64), iy.astype(np.float64), none, none
+        # The 3x3 window around the peak, neighbours clamped at the borders.
+        window = self._values(terms, np.clip(ix[:, None] + (-1, 0, 1), 0, w - 1),
+                              np.clip(iy[:, None] + (-1, 0, 1), 0, h - 1))
+        if self.cfg.codec is Codec.CF_BIASED_DECODE:
+            # As _quarter_offset: a zero central difference counts as uphill.
+            dx = np.where(window[:, 1, 2] - window[:, 1, 0] >= 0.0, 0.25, -0.25)
+            dy = np.where(window[:, 2, 1] - window[:, 0, 1] >= 0.0, 0.25, -0.25)
+            return ix + dx, iy + dy, none, none
+        dx, dy, degenerate = _newton_offsets(window)
+        border = (ix < 1) | (ix > w - 2) | (iy < 1) | (iy > h - 2)
+        return (ix + np.where(border, 0.0, dx), iy + np.where(border, 0.0, dy),
+                degenerate | border, none)
 
 
 class _Engine:
@@ -464,8 +548,8 @@ class _Engine:
     The oracle mode only picks the map representation; the flow is the
     same for both.  Predictions are decoded in the decode plane: the input
     plane when the output is upsampled first (rno), else the output plane.
-    Everything runs element-wise on the batch except the rendered-heatmap
-    step (render, combine, decode), which runs trial by trial.
+    Everything runs element-wise on the batch; rendered maps take the live
+    trials in blocks of ``_BLOCK``, which bounds the node values they hold.
     """
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
@@ -478,7 +562,7 @@ class _Engine:
         self.dp2o = self.i2o if cfg.rno else None
         self.batched = mode is OracleMode.ANALYTIC_SHIFT
         up = _aff(invert(i2o_t)) if cfg.rno and self.batched else None
-        self.maps = _PeakMaps(cfg, up) if self.batched else _ArrayMaps(cfg)
+        self.maps = _PeakMaps(cfg, up) if self.batched else _AxisMaps(cfg)
         # Decoded coordinates combine as peaks in the output plane: the
         # config rejects coordinate averaging together with rno.
         self.peaks = _PeakMaps(cfg)
@@ -541,11 +625,11 @@ class _Engine:
         if self.batched:
             x, y, deg, failed = self._predict(ko, kof)
         else:
-            cols = [c.tolist() for c in (ko if kof is None else (*ko, *kof))]
-            x, y, deg, failed = np.array(
-                [self._predict(k[:2], k[2:] or None) for k in zip(*cols)], dtype=float
-            ).reshape(-1, 4).T
-            deg, failed = deg.astype(bool), failed.astype(bool)
+            # Always at least one block, so that an empty chunk keeps its shapes.
+            k = np.array(ko if kof is None else (*ko, *kof))
+            blocks = [self._predict(b[:2], None if kof is None else b[2:])
+                      for b in np.split(k, range(_BLOCK, len(ok), _BLOCK), axis=1)]
+            x, y, deg, failed = (np.concatenate(part) for part in zip(*blocks))
         status = np.full(len(gx), _SKIPPED)
         status[ok] = np.where(failed, _FAILED, _OK)
         if np.any(failed):
@@ -732,25 +816,37 @@ def _quarter_stats(shift: float) -> tuple[float, float]:
     return mean, var
 
 
-def analytic_errors(cfg: PipelineConfig, roi: Roi | None = None) -> dict:
-    """Closed-form expected |x error| for configurations with known analysis.
+def analytic_errors(
+    cfg: PipelineConfig, roi: Roi | None = None, mode: OracleMode = OracleMode.ANALYTIC_SHIFT
+) -> dict:
+    """Closed-form expected |x error| for configurations with known analysis,
+    under the oracle ``mode``.
 
     Returns a dict with ``mean_abs_x``, ``var_abs_x`` and
     ``mean_abs_x_source``; entries are ``None`` when the configuration falls
     outside the analyzed cases (and the source entry also when no ``roi``
-    supplies a crop width).
+    supplies a crop width).  Rendered disc maps that are averaged decode to
+    the midpoint of the two branch keypoints, ``d`` apart, only when the
+    discs share a node wherever they fall: ``r^2 > (0.5 + d/2)^2 + 0.25``.
     """
     na = {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
     if cfg.rno:
         return dict(na)
 
-    shift = 0.0
+    # ``half`` is half the x distance between the averaged branches.
+    shift = half = 0.0
     if cfg.flip_test and cfg.convention is Convention.PIXEL_COUNT:
         s = cfg.stride
         if cfg.compensation is Compensation.NONE:
-            shift = (1.0 - s) / (2.0 * s)
-        elif cfg.compensation is Compensation.SNOOP:
-            shift = 1.0 / (2.0 * s)
+            shift = half = (1.0 - s) / (2.0 * s)
+        else:
+            half = 1.0 / (2.0 * s)
+            if cfg.compensation is Compensation.SNOOP:
+                shift = half
+    if (mode is OracleMode.FULL_HEATMAP and cfg.codec is Codec.CCRF and cfg.flip_test
+            and cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
+            and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25):
+        return dict(na)
 
     if cfg.codec is Codec.CF_BIASED_DECODE:
         if cfg.flip_test and cfg.combine is not Combine.AVERAGE_HEATMAPS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .geometry import PlaneSize, Point, Roi
@@ -134,8 +135,9 @@ def bbox_to_roi(
     x, y, w, h = (float(v) for v in bbox)
     if w <= 0 or h <= 0:
         raise ValueError(f"bbox extents must be positive, got w={w}, h={h}")
-    if target_aspect <= 0 or padding <= 0:
-        raise ValueError("target_aspect and padding must be positive")
+    for name, value in (("target_aspect", target_aspect), ("padding", padding)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     cx, cy = x + 0.5 * w, y + 0.5 * h
     if w / h < target_aspect:
         w = h * target_aspect

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from keypose import biaslab
 from keypose.biaslab import (
@@ -407,6 +409,26 @@ class TestAnalyticErrorTable:
         assert none["mean_abs_x"] == pytest.approx(3.0 / 8.0)
         assert none["var_abs_x"] == pytest.approx(1.0 / 48.0)
 
+    @pytest.mark.parametrize("radius,exact",
+                             [(0.8, False), (0.99, False), (1.02, True), (3.0, True)])
+    def test_averaged_disc_maps_have_a_closed_form_only_where_the_discs_share_a_node(
+        self, radius, exact
+    ):
+        # The branches are 0.75 apart, so the discs share a node wherever they
+        # fall iff r^2 > 0.875^2 + 0.25, i.e. r > 1.0078; elsewhere a map
+        # can peak in one disc only, away from the midpoint.
+        cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CCRF,
+                       combine=Combine.AVERAGE_HEATMAPS, radius=radius)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 3).mean_abs_x
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        assert analytic_errors(cfg)["mean_abs_x"] == pytest.approx(0.375)
+        if exact:
+            assert closed == pytest.approx(0.375)
+            assert rendered == pytest.approx(0.375, abs=1e-12)
+        else:
+            assert closed is None
+            assert rendered > 0.375 + 1e-4
+
     def test_unanalyzed_configurations_marked_unavailable(self):
         rno = analytic_errors(make_cfg(codec=Codec.CF, rno=True))
         assert rno["mean_abs_x"] is None
@@ -746,6 +768,128 @@ def test_rendered_oracle_equals_the_public_2d_chain(cfg, margin, reaches):
         elif got[1]:
             seen.add("degenerate")
     assert reaches <= seen
+
+
+def _engine_outcomes(cfg, bound, gx, gy):
+    """Per trial of one engine pass: "skipped", "failed" or the output-plane
+    prediction with its degenerate flag."""
+    engine = biaslab._Engine(cfg, OracleMode.FULL_HEATMAP)
+    status, ok, (pox, poy), _, _, deg = engine.run(engine.contexts(bound.rois), gx, gy)
+    outcomes = ["skipped" if s == biaslab._SKIPPED else "failed" for s in status]
+    for j, i in enumerate(ok):
+        outcomes[i] = (Point(pox[j], poy[j]), bool(deg[j]))
+    return outcomes
+
+
+def _chain_outcomes(cfg, roi, gx, gy):
+    s2i = source_to_input(roi, cfg)
+    outcomes = []
+    for x, y in zip(gx, gy):
+        k_i = apply_point(s2i, Point(x, y))
+        try:
+            ideal_network(k_i, cfg, OracleMode.ANALYTIC_SHIFT)  # skips off the input plane
+            outcomes.append(_chain_2d(k_i, cfg))
+        except (SkipTrial, OutOfBoundsError):
+            outcomes.append("skipped")
+        except NoDetectionError:
+            outcomes.append("failed")
+    return outcomes
+
+
+@st.composite
+def _oracle_configs(draw):
+    codec = draw(st.sampled_from(Codec))
+    flip = draw(st.booleans())
+    rno = codec is not Codec.CCRF and draw(st.booleans())
+    size = st.builds(PlaneSize, st.integers(2, 96), st.integers(2, 96))
+    return PipelineConfig(
+        convention=draw(st.sampled_from(Convention)),
+        input=draw(size),
+        output=draw(size),
+        flip_test=flip,
+        compensation=draw(st.sampled_from(Compensation)) if flip else Compensation.NONE,
+        codec=codec,
+        combine=Combine.AVERAGE_HEATMAPS if rno and flip else draw(st.sampled_from(Combine)),
+        rno=rno,
+        sigma=draw(st.floats(0.05, 6.0)),
+        radius=draw(st.floats(0.3, 5.0)),
+    )
+
+
+@given(cfg=_oracle_configs(), margin=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.49)),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_rendered_oracle_equals_the_public_2d_chain_on_drawn_configs(cfg, margin, seed):
+    # A float margin is a share of the largest one the output plane allows.
+    if margin:
+        margin *= min(cfg.output.width_units, cfg.output.height_units)
+    roi = default_roi(cfg)
+    try:
+        bound = UniformKeypointSampler(roi, margin).bind(cfg)
+    except ValueError:  # the default margin leaves no interior
+        assume(False)
+    _, gx, gy = bound.sample(biaslab._uniforms(seed, 0, 24, bound.k))
+    assert _engine_outcomes(cfg, bound, gx, gy) == _chain_outcomes(cfg, roi, gx, gy)
+
+
+_RNO_CF = PipelineConfig(convention=Convention.PIXEL_COUNT, input=PlaneSize(40, 36),
+                         output=PlaneSize(20, 18), flip_test=True,
+                         compensation=Compensation.SNOOP, codec=Codec.CF, rno=True)
+
+
+@pytest.mark.parametrize("n", [0, 1, biaslab._BLOCK + 1, 2 * biaslab._BLOCK + 37],
+                         ids=["no-live-trial", "one-trial", "block-of-one", "three-blocks"])
+def test_rendered_oracle_blocks(n):
+    # Every trial of a chunk goes through its block, whatever the block
+    # count; a chunk whose trials all leave the planes has an empty block.
+    roi = default_roi(_RNO_CF)
+    bound = UniformKeypointSampler(roi, 1.0).bind(_RNO_CF)
+    _, gx, gy = bound.sample(biaslab._uniforms(5, 0, n or 3, bound.k))
+    if n == 0:
+        gx = gx + 10.0 * roi.w
+    outcomes = _engine_outcomes(_RNO_CF, bound, gx, gy)
+    assert outcomes == _chain_outcomes(_RNO_CF, roi, gx, gy)
+    assert (outcomes.count("skipped") == len(gx)) == (n == 0)
+
+
+@pytest.mark.parametrize("codec", [Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY])
+def test_near_tied_upsampled_peak_is_resolved_on_exact_values(codec):
+    # With a tiny sigma, the snoop shift puts the flipped-back spike one node
+    # from the original, so two nodes of the averaged map, and the input
+    # columns upsampled between them, tie up to rounding.  For this trial
+    # an argmax of the map's column profile gives input column 111, the
+    # 2-D map's first maximum is in column 112.
+    cfg = PipelineConfig(convention=Convention.UNIT_LENGTH, input=PlaneSize(140, 114),
+                         output=PlaneSize(70, 60), flip_test=True,
+                         compensation=Compensation.SNOOP, codec=codec, rno=True,
+                         sigma=0.0526700197076838)
+    roi = default_roi(cfg)
+    bound = UniformKeypointSampler(roi, 0.0).bind(cfg)
+    _, gx, gy = bound.sample(biaslab._uniforms(31, 175, 176, bound.k))
+    assert _engine_outcomes(cfg, bound, gx, gy) == _chain_outcomes(cfg, roi, gx, gy)
+
+
+@pytest.mark.parametrize("codec", [Codec.ARGMAX_ONLY, Codec.CF_BIASED_DECODE])
+@pytest.mark.parametrize("flipped", [False, True], ids=["one-map", "mirrored-pair"])
+def test_ties_go_to_the_first_node_in_row_major_order(codec, flipped):
+    # A keypoint on a cell centre is equally far from four nodes; so is the
+    # average of maps at x = 10.25 and, mirrored back, 10.75.
+    cfg = make_cfg(codec=codec)
+    maps = biaslab._AxisMaps(cfg)
+    decoder = decode_argmax if codec is Codec.ARGMAX_ONLY else decode_biased_quarter
+    if flipped:
+        mirrored_x = cfg.output.width_units - 10.75
+        terms = maps.average(maps.render(np.array([10.25]), np.array([20.5])),
+                             maps.flip_back(maps.render(np.array([mirrored_x]), np.array([20.5]))))
+        a, b = (encode_gaussian(Point(x, 20.5), OUT_SIZE, cfg.sigma).c
+                for x in (10.25, mirrored_x))
+        reference = decoder(ImageGrid(OUT_SIZE, 0.5 * (a.data + flip_heatmap(b).data)))
+    else:
+        terms = maps.render(np.array([10.5]), np.array([20.5]))
+        reference = decoder(encode_gaussian(Point(10.5, 20.5), OUT_SIZE, cfg.sigma).c)
+    x, y, _, _ = maps.decode(terms)
+    assert reference.argmax == (10, 20)
+    assert (x[0], y[0]) == (reference.k.x, reference.k.y)
 
 
 class TestChunkMoments:

@@ -188,6 +188,42 @@ class TestSimulateCommand:
         row = body[1].split(",")
         assert abs(float(row[2]) - 0.375) < 1e-9
 
+    @pytest.mark.parametrize("radius,mode,closed", [
+        ("0.8", "heatmap", False), ("1.02", "heatmap", True), ("0.8", "analytic", True),
+    ])
+    def test_closed_form_is_printed_only_where_it_holds_for_the_mode(
+        self, tmp_path, capsys, radius, mode, closed
+    ):
+        # Averaged disc maps 0.75 apart meet the coordinate closed form only
+        # when the discs always share a node (r > 1.0078); the coordinate
+        # oracle always does.
+        path = tmp_path / "F.cfg"
+        path.write_text("convention=pixel_count\ninput_px=192x256\noutput_px=48x64\n"
+                        f"flip_test=true\ncodec=ccrf\ncombine=average_heatmaps\nradius={radius}\n")
+        argv = ["simulate", "--config", str(path), "--seed", "3", "-n", "4000", "--mode", mode]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if radius == "0.8" and mode == "heatmap":
+            assert "mean|ex|=0.488643" in lines[0]
+        assert lines[1:] == (["closed-form: mean|ex|=0.375000 var|ex|=0.000000"] if closed else [])
+
+    @pytest.mark.parametrize("flag", ["--aspect", "--padding"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_crop_fixing_is_a_usage_error_naming_it(
+        self, tmp_path, capsys, flag, value
+    ):
+        doc = {"images": [{"id": 1, "width": 640, "height": 480}],
+               "annotations": [{"id": 1, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+                                "keypoints": [160, 160, 2]}]}
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        argv = ["simulate", "--seed", "1", "-n", "20", "--coco", str(ann), flag, value]
+        assert cli.main(argv) == 2
+        field = {"--aspect": "target_aspect", "--padding": "padding"}[flag]
+        shown = {"nan": "nan", "inf": "inf", "0": "0.0"}[value]
+        message = f"error: {field} must be finite and positive, got {shown}\n"
+        assert capsys.readouterr().err == message
+
     def test_config_file_input(self, tmp_path):
         cfg_path = tmp_path / "p.cfg"
         cfg_path.write_text(
@@ -412,6 +448,16 @@ class TestAblateCommand:
         labels = [r.split(",")[0] for r in rows[1:]]
         assert labels[0].startswith("A:")
         assert labels[-1].startswith("I:")
+
+    @pytest.mark.parametrize("preset", ["topdown", "bottomup"])
+    def test_heatmap_report_is_the_same_for_any_worker_count(self, tmp_path, capsys, preset):
+        # Two chunks per row, so two workers split every row.
+        reports = []
+        for jobs in ("1", "2"):
+            reports.append(tmp_path / f"jobs{jobs}.csv")
+            assert cli.main(["ablate", "--preset", preset, "--mode", "heatmap", "--seed", "6",
+                             "-n", "4200", "--jobs", jobs, "--report", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_bottomup_grid_rows(self, tmp_path):
         report = tmp_path / "grid.csv"
