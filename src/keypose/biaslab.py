@@ -56,7 +56,7 @@ from .pipeline import (
     output_to_source,
     test_transform,
 )
-from .raster import BorderPolicy, _axis_taps
+from .raster import BorderPolicy, _bilinear
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .codec import _argmax_xy, _ccrf_arrays, _dark_offset, _gaussian_array  # noqa: F401
@@ -423,8 +423,9 @@ class _AxisMaps:
     branch terms ``(m, n, mirrored, shift)``: the encoder's map of keypoints
     ``(m, n)``, one per trial, optionally mirrored back and moved ``shift``
     nodes in +x (zeros move in); two terms average.  Node values are
-    computed where a decoder reads them, with the encoder's formulas and
-    ``rno_upsample``'s taps, so they equal the 2-D map's bit for bit."""
+    computed where a decoder reads them, with the encoder's formulas; under
+    rno they are read through ``raster._bilinear``, the tap sum that
+    ``rno_upsample``'s warp uses, so they equal the 2-D map's bit for bit."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
@@ -435,7 +436,7 @@ class _AxisMaps:
         self.axes = None
         if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
             inv = invert(invert(input_to_output(cfg))).m
-            self.axes = ((inv[0, 0], inv[0, 2], self.w), (inv[1, 1], inv[1, 2], self.h))
+            self.axes = ((inv[0, 0], inv[0, 2]), (inv[1, 1], inv[1, 2]))
 
     def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         out = self.cfg.output
@@ -482,15 +483,10 @@ class _AxisMaps:
         ``y``; under rno, read through the taps in ``rno_upsample``'s order."""
         if self.axes is None:
             return self._at(terms, x, y)[0]
-        ((x0, wx0), (x1, wx1)), ((y0, wy0), (y1, wy1)) = (
-            _axis_taps(scale * q + offset, n, BorderPolicy.ZERO_FILL)
-            for q, (scale, offset, n) in zip((x, y), self.axes))
-
-        def term(wy, yi, wx, xi):
-            return (wy[:, :, None] * wx[:, None, :]) * self._at(terms, xi, yi)[0]
-
-        return (term(wy0, y0, wx0, x0) + term(wy0, y0, wx1, x1)
-                + term(wy1, y1, wx0, x0) + term(wy1, y1, wx1, x1))
+        (sx, ox), (sy, oy) = self.axes
+        return _bilinear(lambda yi, xi: self._at(terms, xi[:, 0], yi[:, :, 0])[0],
+                         sx * x[:, None, :] + ox, sy * y[:, :, None] + oy,
+                         self.w, self.h, BorderPolicy.ZERO_FILL)
 
     def _box(self, lo, hi, axis):
         """Decode-plane nodes ``(B, k)`` from the output node at or below
@@ -500,7 +496,7 @@ class _AxisMaps:
         n = (self.plane.width_px, self.plane.height_px)[axis]
         lo, hi = np.floor(lo), np.ceil(hi)
         if self.axes is not None:
-            scale, offset, _ = self.axes[axis]
+            scale, offset = self.axes[axis]
             lo, hi = np.floor((lo - offset) / scale), np.ceil((hi - offset) / scale)
         lo, hi = (np.clip(v, 0, n - 1).astype(np.intp) for v in (lo, hi))
         return np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), n - 1)

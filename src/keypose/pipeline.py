@@ -267,10 +267,10 @@ def config_to_text(cfg: PipelineConfig) -> str:
 def parse_size(text: str) -> PlaneSize:
     """Parse ``WIDTHxHEIGHT`` pixel counts, as in ``input_px=192x256``."""
     try:
-        w, h = text.lower().split("x")
-        return PlaneSize(int(w), int(h))
+        w, h = (int(v) for v in text.lower().split("x"))
     except ValueError as exc:
         raise ValueError(f"expected WIDTHxHEIGHT pixels, got {text!r}") from exc
+    return PlaneSize(w, h)
 
 
 def config_from_text(text: str, **overrides) -> PipelineConfig:

@@ -7,12 +7,6 @@ the inverse transform and read from the source by bilinear interpolation.
 Interpolation loss is irreversible, so pipelines should warp as few times as
 possible; this module never resamples implicitly.
 
-Axis-aligned transforms (resize, flip, crop, translation) use a separable
-gather: the bilinear taps are computed once per destination column and once
-per row, and the source is gathered by rows, then by columns.  Its results
-are bit-identical to the general inverse-mapping path, which rotations and
-shears take.
-
 The source plane is finite, so backtracked positions can land outside it.
 :class:`BorderPolicy` decides what such reads return; the rest of the
 library defaults to ``ZERO_FILL``.
@@ -117,19 +111,30 @@ def _axis_taps(
     return (np.clip(i0, 0, n - 1), w0), (np.clip(i1, 0, n - 1), w1)
 
 
-def _bilinear_many(
-    data: np.ndarray, xq: np.ndarray, yq: np.ndarray, policy: BorderPolicy
-) -> np.ndarray:
-    """Sample ``data`` (H, W, C) at float positions; returns (N, C)."""
-    h, w = data.shape[:2]
+def _bilinear(read, xq, yq, w: int, h: int, policy: BorderPolicy):
+    """The bilinear tap sum at float positions ``xq``, ``yq`` (broadcast
+    against each other) on a ``w`` x ``h`` node grid; ``read(yi, xi)``
+    returns the node values at index arrays shaped like the positions.
+    It owns the tap weights and the order of the four terms, so that all
+    of its callers agree bit for bit."""
     (x0, wx0), (x1, wx1) = _axis_taps(xq, w, policy)
     (y0, wy0), (y1, wy1) = _axis_taps(yq, h, policy)
     return (
-        (wx0 * wy0)[:, None] * data[y0, x0, :]
-        + (wx1 * wy0)[:, None] * data[y0, x1, :]
-        + (wx0 * wy1)[:, None] * data[y1, x0, :]
-        + (wx1 * wy1)[:, None] * data[y1, x1, :]
+        (wx0 * wy0) * read(y0, x0)
+        + (wx1 * wy0) * read(y0, x1)
+        + (wx0 * wy1) * read(y1, x0)
+        + (wx1 * wy1) * read(y1, x1)
     )
+
+
+def _bilinear_many(
+    data: np.ndarray, xq: np.ndarray, yq: np.ndarray, policy: BorderPolicy
+) -> np.ndarray:
+    """Sample ``data`` (H, W, C) at float positions, (N,) -> (N, C), (H', W') -> (H', W', C)."""
+    h, w = data.shape[:2]
+    planes = np.moveaxis(data, 2, 0)
+    out = _bilinear(lambda yi, xi: planes[:, yi, xi], xq, yq, w, h, policy)
+    return np.moveaxis(out, 0, -1)
 
 
 def bilinear_sample(
@@ -157,54 +162,13 @@ def warp(
     Every destination node ``p`` receives the source value at
     ``invert(t) . p``.  Raises :class:`~keypose.geometry.SingularTransformError`
     for non-invertible ``t``.
-
-    Axis-aligned transforms (resize, flip, crop, translation: both
-    off-diagonal terms of ``invert(t)`` are zero) take a separable gather
-    that computes the taps once per destination column and once per row.
-    Its result is bit-identical to the general inverse-mapping path, which
-    rotations and shears take.
     """
     inv = invert(t).m
     xs = np.arange(dst_size.width_px, dtype=np.float64)
-    ys = np.arange(dst_size.height_px, dtype=np.float64)
-    if inv[0, 1] == 0.0 and inv[1, 0] == 0.0:
-        sx = inv[0, 0] * xs + inv[0, 2]
-        sy = inv[1, 1] * ys + inv[1, 2]
-        out = _warp_separable(src.data, sx, sy, policy)
-    else:
-        gx, gy = np.meshgrid(xs, ys)
-        sx = inv[0, 0] * gx + inv[0, 1] * gy + inv[0, 2]
-        sy = inv[1, 0] * gx + inv[1, 1] * gy + inv[1, 2]
-        flat = _bilinear_many(src.data, sx.ravel(), sy.ravel(), policy)
-        out = flat.reshape(dst_size.height_px, dst_size.width_px, src.channels)
-    return ImageGrid(dst_size, out)
-
-
-def _warp_separable(
-    data: np.ndarray, sx: np.ndarray, sy: np.ndarray, policy: BorderPolicy
-) -> np.ndarray:
-    """Sample ``data`` (H, W, C) at every ``(sx[j], sy[i])``; returns (H', W', C).
-
-    Each term weighs the same node by the same product of per-axis weights
-    as :func:`_bilinear_many`, and the terms are summed in its order, so the
-    result matches it bit for bit (the off-diagonal terms it would add are
-    exactly zero).
-    """
-    h, w = data.shape[:2]
-    (x0, wx0), (x1, wx1) = _axis_taps(sx, w, policy)
-    (y0, wy0), (y1, wy1) = _axis_taps(sy, h, policy)
-    row0 = data.take(y0, axis=0)
-    row1 = data.take(y1, axis=0)
-
-    def term(wy, rows, wx, xi):
-        return np.multiply.outer(wy, wx)[:, :, None] * rows.take(xi, axis=1)
-
-    return (
-        term(wy0, row0, wx0, x0)
-        + term(wy0, row0, wx1, x1)
-        + term(wy1, row1, wx0, x0)
-        + term(wy1, row1, wx1, x1)
-    )
+    ys = np.arange(dst_size.height_px, dtype=np.float64)[:, None]
+    sx = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
+    sy = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
+    return ImageGrid(dst_size, _bilinear_many(src.data, sx, sy, policy))
 
 
 def flip_heatmap(grid: ImageGrid) -> ImageGrid:

@@ -151,6 +151,29 @@ class TestCodecCommands:
         assert payload["x"] == 20.25
 
 
+@pytest.mark.parametrize("entry", ["warp", "simulate", "encode", "config"])
+@pytest.mark.parametrize("size,message", [
+    ("1x5", "plane must be at least 2x2 pixels, got 1x5"),
+    ("4x5x", "expected WIDTHxHEIGHT pixels, got '4x5x'"),
+], ids=["too-small", "malformed"])
+def test_plane_size_errors_give_the_real_reason(tmp_path, capsys, entry, size, message):
+    grid = tmp_path / "g.grid"
+    write_grid_text(grid, ImageGrid.from_array(np.zeros((3, 4))))
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"convention=pixel_count\ninput_px={size}\noutput_px=48x64\n")
+    argv = {
+        "warp": ["warp", "--image", str(grid), "--out", str(tmp_path / "o.grid"),
+                 "--op", "flip", "--dst-size", size],
+        "simulate": ["simulate", "--seed", "1", "-n", "10", "--input", size],
+        "encode": ["encode", "--codec", "cf", "--keypoint", "1,1", "--size", size,
+                   "--out", str(tmp_path / "e.grid")],
+        "config": ["simulate", "--seed", "1", "-n", "10", "--config", str(cfg)],
+    }[entry]
+    prefix = "config key input_px: " if entry == "config" else ""
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+
 class TestSimulateCommand:
     def test_seed_is_required(self):
         out = run_cli("simulate", "-n", "100")
@@ -336,6 +359,18 @@ class TestSimulateCommand:
         out = run_cli("simulate", "--seed", "2", "-n", "200", "--coco", str(ann),
                       "--codec", "ccrf")
         assert out.returncode == 0
+
+    def test_coco_run_prints_the_closed_form(self, tmp_path, capsys):
+        doc = {"images": [{"id": 1, "width": 640, "height": 480}],
+               "annotations": [{"id": 1, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+                                "keypoints": [160, 160, 2, 130, 200, 1]}]}
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        argv = ["simulate", "--seed", "2", "-n", "200", "--coco", str(ann),
+                "--no-ucst", "--ft", "--codec", "cf"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["closed-form: mean|ex|=0.375000 var|ex|=0.000000"]
 
     def test_coco_unknown_image_id_is_usage_error(self, tmp_path):
         doc = {

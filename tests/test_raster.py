@@ -128,8 +128,8 @@ class TestFarPositions:
         for x in (sign * 1e19, sign * 2.0**63, sign * 1e300):
             v = bilinear_sample(grid, Point(x, 1.0), policy)[0]
             assert v == (grid.data[1, col, 0] if clamp else 0.0)
-        # Axis-aligned, so warp takes the separable path: every destination
-        # node backtracks to x = sign * 1e19.
+        # An axis-aligned warp: every destination node backtracks to
+        # x = sign * 1e19.
         far = Transform2D([[1.0, 0.0, -sign * 1e19], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         out = warp(grid, far, grid.size, policy).data[:, :, 0]
         expected = np.repeat(grid.data[:, col : col + 1, 0], 4, axis=1)
@@ -213,8 +213,8 @@ class TestWarp:
 
 
 class TestSeparableWarp:
-    """Axis-aligned warps take a separable gather that must equal the
-    general inverse-mapping path bit for bit, signed zeros included."""
+    """Axis-aligned warps must equal the inverse-mapping reference bit for
+    bit, signed zeros included."""
 
     @given(
         st.integers(min_value=2, max_value=9),
