@@ -29,9 +29,9 @@ Trials run in fixed-size chunks, each as one pass over numpy arrays; the
 rendered-heatmap step takes a chunk's live trials in blocks.  Each trial's
 randomness derives only from the run seed and the trial index (a
 splitmix-style generator).  A bound sampler lists its crop boxes and each
-trial names one of them; a run builds every crop box's transforms once,
-before its first chunk.  Skipped and failed trials are status masks, not
-exceptions.  Each chunk's error sums are exact (``math.fsum``) and its
+trial names one of them; a run computes their coefficients in one array
+pass before its first chunk.  Skipped and failed trials are status masks,
+not exceptions.  Each chunk's error sums are exact (``math.fsum``) and its
 variance partial is a two-pass sum of squared deviations; chunks merge in
 index order, so results are identical for any worker count.
 """
@@ -45,23 +45,24 @@ from enum import Enum
 import numpy as np
 
 from .codec import _HESSIAN_EPS, NoDetectionError, encode_ccrf, encode_gaussian
-from .geometry import Point, Roi, Transform2D, apply_point, invert
+from .dataio import crop_boxes
+from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, apply_point, invert
 from .pipeline import (
     Codec,
     Combine,
     Compensation,
     Convention,
     PipelineConfig,
+    _extents,
     input_to_output,
     output_to_source,
-    test_transform,
 )
 from .raster import BorderPolicy, _bilinear
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .codec import _argmax_xy, _ccrf_arrays, _dark_offset, _gaussian_array  # noqa: F401
 from .codec import _quarter_offset  # noqa: F401
-from .pipeline import rno_upsample  # noqa: F401
+from .pipeline import rno_upsample, test_transform  # noqa: F401
 
 __all__ = [
     "CocoKeypointSampler",
@@ -191,11 +192,12 @@ class UniformKeypointSampler:
 
 class _Bound:
     """A sampler bound to a configuration.  ``sample`` maps a block of
-    uniforms, ``k`` per trial, to crop-box indices into ``rois`` and
-    source-plane ground truth; ``draw`` is the same code for one trial."""
+    uniforms, ``k`` per trial, to columns of its ``(4, R)`` crop ``boxes``
+    and source-plane ground truth; ``draw`` is the same code for one trial."""
 
-    __slots__ = ("rois",)
+    __slots__ = ("boxes",)
     k = 1
+    rois = property(lambda self: tuple(Roi(*c) for c in self.boxes.T.tolist()))
 
     def draw(self, rng: SplitMix64) -> tuple[int, float, float]:
         idx, gx, gy = self.sample(np.array([[rng.uniform() for _ in range(self.k)]]))
@@ -207,7 +209,7 @@ class _BoundUniform(_Bound):
     k = 2
 
     def __init__(self, roi: Roi, cfg: PipelineConfig, margin: float) -> None:
-        self.rois = (roi,)
+        self.boxes = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
         self._o2s = _aff(output_to_source(roi, cfg))
         self._margin = margin
         self._rx = cfg.output.width_units - 2.0 * margin
@@ -234,27 +236,27 @@ class CocoKeypointSampler:
     padding: float = 1.25
 
     def bind(self, cfg: PipelineConfig) -> "_BoundCoco":
-        from .dataio import bbox_to_roi
-
         aspect = self.target_aspect
         if aspect is None:
             aspect = cfg.input.width_px / cfg.input.height_px
-        rois, entries = [], []
+        idx, xs, ys = [], [], []
         for i, inst in enumerate(self.instances):
-            rois.append(bbox_to_roi(inst.bbox, aspect, self.padding))
             for point, visibility in inst.keypoints:
                 if visibility > 0:
-                    entries.append((i, point.x, point.y))
-        if not entries:
+                    idx.append(i)
+                    xs.append(point.x)
+                    ys.append(point.y)
+        if not idx:
             raise ValueError("no visible keypoints to sample from")
-        return _BoundCoco(tuple(rois), *(np.array(column) for column in zip(*entries)))
+        boxes = crop_boxes([inst.bbox for inst in self.instances], aspect, self.padding)
+        return _BoundCoco(np.array(boxes), np.array(idx), np.array(xs), np.array(ys))
 
 
 class _BoundCoco(_Bound):
     __slots__ = ("_idx", "_x", "_y")
 
-    def __init__(self, rois: tuple, idx: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
-        self.rois = rois
+    def __init__(self, boxes: np.ndarray, idx: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+        self.boxes = boxes
         self._idx, self._x, self._y = idx, xs, ys
 
     def sample(self, u: np.ndarray):
@@ -338,7 +340,7 @@ def describe_config(cfg: PipelineConfig) -> str:
 _OK, _SKIPPED, _FAILED = 0, 1, 2
 
 
-def _aff(t: Transform2D) -> tuple[float, ...]:
+def _aff(t) -> tuple[float, ...]:
     return tuple(t.m[:2].ravel().tolist())
 
 
@@ -570,14 +572,35 @@ class _Engine:
         if cfg.flip_test and cfg.compensation is Compensation.SNOOP_PLUS_EC:
             self.ec = 1.0 / (2.0 * cfg.stride) / (self.i2o[0] if cfg.rno else 1.0)
 
-    def contexts(self, rois) -> np.ndarray:
-        """Crop-box coefficients as a ``(12, R)`` array, one column per box:
-        source -> input, then decode plane -> source."""
-        table = np.empty((12, len(rois)))
-        for r, roi in enumerate(rois):
-            s2i_t = test_transform(roi, self.cfg)
-            dp2s_t = invert(s2i_t) if self.cfg.rno else output_to_source(roi, self.cfg)
-            table[:, r] = _aff(s2i_t) + _aff(dp2s_t)
+    def contexts(self, boxes: np.ndarray) -> np.ndarray:
+        """Crop-box coefficients as a ``(12, R)`` array, one column per
+        ``(cx, cy, w, h)`` column of ``boxes``: source -> input, then decode
+        plane -> source; bit-equal to ``test_transform``, then ``invert``
+        (rno) or ``output_to_source``, with their IEEE operations and checks."""
+        cx, cy, w, h = boxes
+        if not np.all(np.isfinite(boxes)):
+            raise ValueError("roi fields must be finite")
+        if np.any(bad := (w <= 0) | (h <= 0)):
+            raise ValueError(f"roi extents must be positive, got w={w[bad][0]}, h={h[bad][0]}")
+        in_w, in_h = _extents(self.cfg.input, self.cfg.convention)
+        with np.errstate(all="ignore"):
+            # compose(t_resize, t_crop); + 0.0 is what its exact zero terms add
+            a, b, d, e = in_w / w, 0.0 * w, 0.0 * w, in_h / h
+            c, f = a * (-cx + 0.5 * w) + 0.0, e * (-cy + 0.5 * h) + 0.0
+            det = a * e - b * d
+            if self.cfg.rno:  # geometry.invert
+                ia, ib, ic, ie = e / det, -b / det, -d / det, a / det
+                back = (ia, ib, -(ia * c + ib * f), ic, ie, -(ic * c + ie * f))
+            else:  # output_to_source: compose(translate back, t_resize)
+                out_w, out_h = _extents(self.cfg.output, self.cfg.convention)
+                back = (w / out_w, b, cx - 0.5 * w + 0.0, d, h / out_h, cy - 0.5 * h + 0.0)
+            table = np.array((a, b, c, d, e, f, *back))
+        finite = np.isfinite(table)
+        if np.all(finite[:6]) and self.cfg.rno:  # as invert, after the forward entries
+            if np.any(bad := ~np.isfinite(det) | (np.abs(det) < _SINGULAR_EPS)):
+                raise SingularTransformError(f"transform is singular (det={det[bad][0]})")
+        if not np.all(finite):
+            raise ValueError("transform entries must be finite")
         return table
 
     def _combine(self, ops, a, b):
@@ -669,9 +692,9 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
     and :class:`~keypose.codec.NoDetectionError` on decode failure.
     """
     engine = _Engine(cfg, mode)
-    status, _, po, ps, _, deg = engine.run(
-        engine.contexts((roi,)), np.array([gt_source.x]), np.array([gt_source.y])
-    )
+    box = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
+    status, _, po, ps, _, deg = engine.run(engine.contexts(box), np.array([gt_source.x]),
+                                           np.array([gt_source.y]))
     if status[0] == _SKIPPED:
         raise SkipTrial
     if status[0] == _FAILED:
@@ -749,7 +772,7 @@ def monte_carlo(
 
     bound = sampler.bind(cfg)
     engine = _Engine(cfg, mode)
-    ctx = engine.contexts(bound.rois)
+    ctx = engine.contexts(bound.boxes)
     chunks = [
         (engine, bound, ctx, seed, start, min(start + _CHUNK, n))
         for start in range(0, n, _CHUNK)

@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import PlaneSize, Point, Roi
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "LoadResult",
     "MissingImageError",
     "bbox_to_roi",
+    "crop_boxes",
     "load_coco_keypoints",
     "write_report",
 ]
@@ -108,42 +111,46 @@ def load_coco_keypoints(path) -> LoadResult:
             raise AnnotationFormatError(
                 f"annotation {ann_id}: {n_joints} joints, expected {joint_count}"
             )
-        kps = tuple(
-            (Point(float(flat[3 * i]), float(flat[3 * i + 1])), int(flat[3 * i + 2]))
-            for i in range(n_joints)
-        )
-        if not any(v > 0 for _, v in kps):
-            skipped += 1
-            continue
-        if "bbox" not in ann or len(ann["bbox"]) != 4:
-            raise AnnotationFormatError(f"annotation {ann_id} carries no 4-element bbox")
-        x, y, w, h = (float(v) for v in ann["bbox"])
-        if w <= 0 or h <= 0:
-            raise AnnotationFormatError(
-                f"annotation {ann_id}: bbox extents must be positive, got w={w}, h={h}"
-            )
+        try:
+            kps = tuple((Point(float(flat[i]), float(flat[i + 1])), int(flat[i + 2]))
+                        for i in range(0, 3 * n_joints, 3))
+            if not any(v > 0 for _, v in kps):
+                skipped += 1
+                continue
+            if "bbox" not in ann or len(ann["bbox"]) != 4:
+                raise ValueError("carries no 4-element bbox")
+            x, y, w, h = (float(v) for v in ann["bbox"])
+            if not all(map(math.isfinite, (x, y, w, h))):
+                raise ValueError(f"bbox must be finite, got {[x, y, w, h]}")
+            if w <= 0 or h <= 0:
+                raise ValueError(f"bbox extents must be positive, got w={w}, h={h}")
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise AnnotationFormatError(f"annotation {ann_id}: {exc}") from exc
         instances.append(Instance(image_size=sizes[image_id], bbox=(x, y, w, h), keypoints=kps))
     return LoadResult(instances=tuple(instances), skipped=skipped)
 
 
-def bbox_to_roi(
-    bbox: tuple[float, float, float, float], target_aspect: float, padding: float = 1.25
-) -> Roi:
-    """Fix a top-left box to a crop region with the requested width/height
-    ratio: the center stays put, the relatively shorter side grows to match
-    ``target_aspect``, then both sides scale by ``padding``."""
-    x, y, w, h = (float(v) for v in bbox)
-    if w <= 0 or h <= 0:
-        raise ValueError(f"bbox extents must be positive, got w={w}, h={h}")
+def crop_boxes(bboxes, target_aspect: float, padding: float = 1.25):
+    """Fix top-left boxes ``(N, 4)`` to ``(cx, cy, w, h)`` crop arrays with the
+    requested width/height ratio: each center stays put, the relatively
+    shorter side grows to match ``target_aspect``, then both sides scale by
+    ``padding``.  Overflowing fields are left for the :class:`Roi` checks."""
+    x, y, w, h = np.array(bboxes, dtype=np.float64).reshape(-1, 4).T
+    if np.any(bad := (w <= 0) | (h <= 0)):
+        raise ValueError(f"bbox extents must be positive, got w={w[bad][0]}, h={h[bad][0]}")
     for name, value in (("target_aspect", target_aspect), ("padding", padding)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    cx, cy = x + 0.5 * w, y + 0.5 * h
-    if w / h < target_aspect:
-        w = h * target_aspect
-    else:
-        h = w / target_aspect
-    return Roi(cx=cx, cy=cy, w=w * padding, h=h * padding)
+    with np.errstate(over="ignore", invalid="ignore"):
+        narrow = w / h < target_aspect
+        return (x + 0.5 * w, y + 0.5 * h,
+                np.where(narrow, h * target_aspect, w) * padding,
+                np.where(narrow, h, w / target_aspect) * padding)
+
+
+def bbox_to_roi(bbox, target_aspect: float, padding: float = 1.25) -> Roi:
+    """:func:`crop_boxes` for one top-left ``(x, y, w, h)`` box, as a :class:`Roi`."""
+    return Roi(*(float(v[0]) for v in crop_boxes([bbox], target_aspect, padding)))
 
 
 def _format_value(value):

@@ -36,7 +36,15 @@ from keypose.codec import (
     encode_gaussian,
 )
 from keypose.dataio import Instance, write_report
-from keypose.geometry import PlaneSize, Point, Roi, apply_point, invert, t_flip
+from keypose.geometry import (
+    PlaneSize,
+    Point,
+    Roi,
+    SingularTransformError,
+    apply_point,
+    invert,
+    t_flip,
+)
 from keypose.pipeline import (
     Codec,
     Combine,
@@ -541,18 +549,24 @@ class TestCocoSampler:
 
     @pytest.mark.parametrize("rno", [False, True])
     def test_crop_box_context_built_once_per_run(self, monkeypatch, rno):
+        # The crop-box table is one array pass per run, shared by both
+        # chunks; no box goes through a Roi or the pipeline transform chain.
         calls = []
 
-        def counting_test_transform(roi, cfg):
-            calls.append(roi)
-            return source_to_input(roi, cfg)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(biaslab, "test_transform", counting_test_transform)
+        monkeypatch.setattr(biaslab._Engine, "contexts",
+                            counting("contexts", biaslab._Engine.contexts))
+        for name in ("test_transform", "output_to_source", "Roi"):
+            monkeypatch.setattr(biaslab, name, counting(name, getattr(biaslab, name)))
         cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF, rno=rno)
         sampler = CocoKeypointSampler(instances=COCO_INSTANCES)
         stats = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, sampler)  # two chunks
-        assert len(calls) == 2  # one per crop box, shared by both chunks
-        assert set(calls) == set(sampler.bind(cfg).rois)
+        assert calls == ["contexts"]
         monkeypatch.undo()
         assert stats == monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, sampler)
 
@@ -671,6 +685,79 @@ class TestBatchEngine:
         assert degenerate.n_degenerate > 0
 
 
+def _chain_table(cfg, boxes):
+    """The crop-box table through the scalar chain: a Roi for every box,
+    then each box's ``test_transform`` and ``invert`` (rno) or
+    ``output_to_source``."""
+    rois = [Roi(*column) for column in boxes.T.tolist()]
+    columns = []
+    for roi in rois:
+        s2i = source_to_input(roi, cfg)
+        dp2s = invert(s2i) if cfg.rno else output_to_source(roi, cfg)
+        columns.append(np.concatenate((s2i.m[:2].ravel(), dp2s.m[:2].ravel())))
+    return np.array(columns).T
+
+
+@st.composite
+def _crop_box_arrays(draw):
+    """``(4, R)`` boxes; some centers put a crop corner exactly at 0, or are
+    -0, so that signed zeros occur in the table."""
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        w, h = (draw(st.floats(1e-3, 1e4)) for _ in range(2))
+        cx, cy = (draw(st.one_of(st.floats(-1e4, 1e4), st.just(0.5 * extent), st.just(-0.0)))
+                  for extent in (w, h))
+        columns.append((cx, cy, w, h))
+    return np.array(columns).T
+
+
+class TestCropBoxTable:
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=_crop_box_arrays(), convention=st.sampled_from(Convention), rno=st.booleans())
+    def test_equals_the_scalar_chain_bit_for_bit(self, boxes, convention, rno):
+        cfg = make_cfg(convention=convention, codec=Codec.CF, rno=rno)
+        got = biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
+        want = _chain_table(cfg, boxes)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("rno", [False, True])
+    @pytest.mark.parametrize("columns", [
+        [(100.0, 100.0, 1e200, 1e200)],  # singular under rno (det=0.0)
+        [(100.0, 100.0, 1e9, 1e9)],  # singular under rno (tiny det)
+        [(50.0, 50.0, 10.0, 10.0), (math.nan, 0.0, 10.0, 10.0)],
+        [(math.inf, 0.0, 10.0, 10.0)],
+        [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 0.0, 10.0)],
+        [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 1e-320, 10.0)],  # scale overflows
+        [(-1.7e308, 0.0, 1.7e308, 10.0)],  # translation overflows
+        [(0.0, 0.0, 1e-320, 10.0), (math.nan, 0.0, 10.0, 10.0)],  # roi checks come first
+        [(0.0, 0.0, 1e-320, 10.0), (0.0, 0.0, 1e200, 1e200)],
+        [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 1e9, 1e9), (0.0, 0.0, 1e200, 1e200)],
+        [(0.0, 0.0, 0.0, 10.0), (0.0, 0.0, -1.0, 10.0)],
+    ])
+    def test_rejects_a_box_as_the_scalar_chain_does(self, rno, columns):
+        # Each check runs in the chain's order and names the first box that
+        # fails it, so a box that fails alone gets the chain's error.
+        cfg = make_cfg(codec=Codec.CF, rno=rno)
+        boxes = np.array(columns).T
+        try:
+            want = _chain_table(cfg, boxes)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            got = biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
+            assert np.array_equal(got, want)
+
+    def test_singular_box_message_under_rno(self):
+        cfg = make_cfg(codec=Codec.CF, rno=True)
+        boxes = np.array([[100.0], [100.0], [1e200], [1e200]])
+        with pytest.raises(SingularTransformError, match=r"^transform is singular \(det=0\.0\)$"):
+            biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
+
+
 def _shift_one_node(grid: ImageGrid) -> ImageGrid:
     """Move every column one node in +x; column 0 becomes zero."""
     data = np.zeros_like(grid.data)
@@ -774,7 +861,7 @@ def _engine_outcomes(cfg, bound, gx, gy):
     """Per trial of one engine pass: "skipped", "failed" or the output-plane
     prediction with its degenerate flag."""
     engine = biaslab._Engine(cfg, OracleMode.FULL_HEATMAP)
-    status, ok, (pox, poy), _, _, deg = engine.run(engine.contexts(bound.rois), gx, gy)
+    status, ok, (pox, poy), _, _, deg = engine.run(engine.contexts(bound.boxes), gx, gy)
     outcomes = ["skipped" if s == biaslab._SKIPPED else "failed" for s in status]
     for j, i in enumerate(ok):
         outcomes[i] = (Point(pox[j], poy[j]), bool(deg[j]))

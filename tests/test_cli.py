@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -405,6 +406,39 @@ class TestSimulateCommand:
         assert out.stderr.startswith("error: ")
         assert "every trial was skipped" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("field,value,shown", [
+        ("keypoints", [160, 160, math.inf], "cannot convert float infinity to integer"),
+        ("keypoints", [160, 160, None], "int() argument must be"),
+        ("keypoints", [None, 160, 2], "float() argument must be"),
+        ("bbox", [math.nan, 80.0, 120.0, 160.0], "bbox must be finite, got [nan, 80.0"),
+    ], ids=["inf-visibility", "null-visibility", "null-coordinate", "nan-bbox"])
+    def test_coco_bad_annotation_value_is_usage_error_naming_it(
+        self, tmp_path, capsys, field, value, shown
+    ):
+        ann = {"id": 7, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+               "keypoints": [160, 160, 2]}
+        ann[field] = value
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"images": [{"id": 1, "width": 640, "height": 480}],
+                                    "annotations": [ann]}))
+        assert cli.main(["simulate", "--seed", "1", "-n", "20", "--coco", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: annotation 7: {shown}")
+        assert err.count("\n") == 1
+
+    def test_coco_singular_crop_box_under_rno_is_usage_error(self, tmp_path, capsys):
+        # The decode plane -> source map inverts source -> input, whose
+        # determinant underflows for a 1e200 box.
+        doc = {"images": [{"id": 1, "width": 640, "height": 480}],
+               "annotations": [{"id": 1, "image_id": 1, "bbox": [0.0, 0.0, 1e200, 1e200],
+                                "keypoints": [160, 160, 2]}]}
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--seed", "1", "-n", "20", "--coco", str(path), "--rno",
+                "--codec", "cf"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: transform is singular (det=0.0)\n"
 
     @pytest.mark.parametrize("flags", [("--roi", "170,160,120,160"), ("--margin", "5")],
                              ids=["roi", "margin"])

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from keypose.dataio import (
     AnnotationFormatError,
     MissingImageError,
     bbox_to_roi,
+    crop_boxes,
     load_coco_keypoints,
     write_report,
 )
@@ -107,6 +109,16 @@ class TestLoadCoco:
         with pytest.raises(AnnotationFormatError):
             load_coco_keypoints(path)
 
+    @pytest.mark.parametrize("field,index,value", [
+        ("keypoints", 0, math.inf), ("keypoints", 1, math.nan), ("bbox", 2, math.inf)])
+    def test_non_finite_coordinates_name_the_annotation(self, tmp_path, field, index, value):
+        doc = coco_doc()
+        doc["annotations"][1][field][index] = value
+        path = tmp_path / "nf.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AnnotationFormatError, match=r"^annotation 11: .* must be finite"):
+            load_coco_keypoints(path)
+
     def test_missing_bbox_rejected(self, tmp_path):
         doc = coco_doc()
         del doc["annotations"][0]["bbox"]
@@ -153,6 +165,27 @@ class TestBboxToRoi:
         roi = bbox_to_roi((x, y, w, h), target_aspect=aspect, padding=1.25)
         assert roi.w > 0
         assert roi.h > 0
+
+
+class TestCropBoxes:
+    @given(
+        st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+                           st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)), min_size=1, max_size=8),
+        st.floats(0.1, 10.0),
+        st.floats(0.5, 3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_bbox_to_roi_box_by_box(self, bboxes, aspect, padding):
+        columns = crop_boxes(bboxes, aspect, padding)
+        for j, bbox in enumerate(bboxes):
+            roi = bbox_to_roi(bbox, aspect, padding)
+            for field, column in zip((roi.cx, roi.cy, roi.w, roi.h), columns):
+                assert column[j] == field
+                assert math.copysign(1.0, column[j]) == math.copysign(1.0, field)
+
+    def test_names_the_first_box_with_a_non_positive_extent(self):
+        with pytest.raises(ValueError, match=r"^bbox extents must be positive, got w=0.0, h=5.0$"):
+            crop_boxes([(0.0, 0.0, 3.0, 4.0), (0.0, 0.0, 0.0, 5.0), (0.0, 0.0, -1.0, 1.0)], 1.0)
 
 
 class TestWriteReport:
