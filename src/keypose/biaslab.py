@@ -399,6 +399,7 @@ class _PeakMaps:
 
 
 _BLOCK = 256  # live trials per block of rendered maps
+_CF_MIN_SIGMA = math.sqrt(4.5 / (2.0 * 1022 * math.log(2.0)))  # see analytic_errors
 
 
 def _newton_offsets(window: np.ndarray):
@@ -472,6 +473,7 @@ class _AxisMaps:
             d2 = (np.where(xs >= 0, (own - m[:, None]) ** 2, np.inf)[:, None, :]
                   + ((y - n) ** 2)[:, :, None])
             if not self.ccrf:
+                # A tiny sigma overflows this to -inf (exp: exact 0); _Engine.run allows it.
                 values.append((np.exp(-d2 / self.k),))
                 continue
             c = (d2 < self.cfg.radius * self.cfg.radius).astype(np.float64)
@@ -646,8 +648,9 @@ class _Engine:
         else:
             # Always at least one block, so that an empty chunk keeps its shapes.
             k = np.array(ko if kof is None else (*ko, *kof))
-            blocks = [self._predict(b[:2], None if kof is None else b[2:])
-                      for b in np.split(k, range(_BLOCK, len(ok), _BLOCK), axis=1)]
+            with np.errstate(over="ignore"):  # a tiny sigma's exponents, in _AxisMaps._at
+                blocks = [self._predict(b[:2], None if kof is None else b[2:])
+                          for b in np.split(k, range(_BLOCK, len(ok), _BLOCK), axis=1)]
             x, y, deg, failed = (np.concatenate(part) for part in zip(*blocks))
         status = np.full(len(gx), _SKIPPED)
         status[ok] = np.where(failed, _FAILED, _OK)
@@ -847,6 +850,9 @@ def analytic_errors(
     supplies a crop width).  Rendered disc maps that are averaged decode to
     the midpoint of the two branch keypoints, ``d`` apart, only when the
     discs share a node wherever they fall: ``r^2 > (0.5 + d/2)^2 + 0.25``.
+    Rendered Gaussian maps decode to their keypoints only when no two maps
+    apart are averaged and the 3x3 window, whose corner can be ``d^2 = 4.5``
+    out, holds normal floats: ``sigma >= sqrt(4.5 / (2 * 1022 ln 2))``.
     """
     na = {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
     if cfg.rno:
@@ -862,9 +868,10 @@ def analytic_errors(
             half = 1.0 / (2.0 * s)
             if cfg.compensation is Compensation.SNOOP:
                 shift = half
-    if (mode is OracleMode.FULL_HEATMAP and cfg.codec is Codec.CCRF and cfg.flip_test
-            and cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
-            and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25):
+    apart = cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
+    if mode is OracleMode.FULL_HEATMAP and (
+            cfg.codec is Codec.CCRF and apart and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25
+            or cfg.codec is Codec.CF and (apart or cfg.sigma < _CF_MIN_SIGMA)):
         return dict(na)
 
     if cfg.codec is Codec.CF_BIASED_DECODE:

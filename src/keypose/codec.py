@@ -95,8 +95,7 @@ class GaussianTarget:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        _check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,13 @@ class DecodeResult:
     k: Point
     argmax: tuple[int, int]
     degenerate: bool = False
+
+
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if 2.0 * sigma * sigma == 0.0:
+        raise ValueError(f"sigma is too small: 2*sigma^2 underflows to 0, got {sigma}")
 
 
 def _check_in_plane(k: Point, dims: PlaneSize) -> None:
@@ -135,7 +141,8 @@ def _gaussian_array(width_px: int, height_px: int, m: float, n: float, sigma: fl
     xs = np.arange(width_px, dtype=np.float64)
     ys = np.arange(height_px, dtype=np.float64)
     d2 = (xs - m) ** 2 + ((ys - n) ** 2)[:, None]
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # an exponent of -inf gives the exact 0
+        return np.exp(-d2 / (2.0 * sigma * sigma))
 
 
 def encode_ccrf(k: Point, dims: PlaneSize, radius: float) -> CcrfTarget:
@@ -157,8 +164,7 @@ def encode_ccrf(k: Point, dims: PlaneSize, radius: float) -> CcrfTarget:
 
 def encode_gaussian(k: Point, dims: PlaneSize, sigma: float = 2.0) -> GaussianTarget:
     """Encode ``k`` as an untruncated Gaussian classification map."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    _check_sigma(sigma)
     _check_in_plane(k, dims)
     c = _gaussian_array(dims.width_px, dims.height_px, k.x, k.y, sigma)
     return GaussianTarget(c=ImageGrid(dims, c), sigma=float(sigma))

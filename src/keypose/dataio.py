@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,75 +59,72 @@ class LoadResult:
     skipped: int
 
 
-def load_coco_keypoints(path) -> LoadResult:
-    """Load keypoint instances, joining annotations to image dimensions.
-
-    Annotations without a single labeled keypoint are dropped and counted in
-    ``skipped``.  Malformed JSON raises :class:`AnnotationFormatError` with
-    the byte offset; an annotation naming an unknown image id raises
-    :class:`MissingImageError`.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+@contextmanager
+def _record(kind: str, pos: int, record):
+    """Read one ``kind`` record, yielding its name: ``kind`` and its ``id``,
+    or ``#pos``, its place in the array, when it has none.  Any conversion
+    error becomes an :class:`AnnotationFormatError` that names the record."""
+    if not isinstance(record, dict):
+        got = type(record).__name__
+        raise AnnotationFormatError(f"{kind} #{pos}: expected an object, got {got}")
+    name = f"{kind} {record['id']}" if "id" in record else f"{kind} #{pos}"
     try:
-        doc = json.loads(text)
+        yield name
+    except KeyError as exc:
+        raise AnnotationFormatError(f"{name}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AnnotationFormatError(f"{name}: {exc}") from exc
+
+
+def load_coco_keypoints(path) -> LoadResult:
+    """Load keypoint instances, joining annotations to image dimensions;
+    annotations without a labeled keypoint are dropped and counted in
+    ``skipped``.  Bad input raises :class:`AnnotationFormatError` (for an
+    unknown image id, :class:`MissingImageError`) that names the JSON byte
+    offset or the record."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise AnnotationFormatError(
-            f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
-        raise AnnotationFormatError(f"{path}: expected 'images' and 'annotations' arrays")
+        msg = f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
+        raise AnnotationFormatError(msg) from exc
+    if not isinstance(doc, dict):
+        raise AnnotationFormatError(f"{path}: expected an object with 'images' and 'annotations'")
+    for key in ("images", "annotations"):
+        if not isinstance(doc.get(key), list):
+            got = type(doc[key]).__name__ if key in doc else "nothing"
+            raise AnnotationFormatError(f"{key}: expected an array of records, got {got}")
 
     sizes: dict[int, PlaneSize] = {}
-    for img in doc["images"]:
-        try:
+    for pos, img in enumerate(doc["images"]):
+        with _record("image", pos, img):
             sizes[img["id"]] = PlaneSize(int(img["width"]), int(img["height"]))
-        except (KeyError, TypeError) as exc:
-            raise AnnotationFormatError(f"image record missing field: {exc}") from exc
 
-    joint_count: int | None = None
-    instances: list[Instance] = []
-    skipped = 0
-    for ann in doc["annotations"]:
-        ann_id = ann.get("id", "<missing id>")
-        try:
-            image_id = ann["image_id"]
-        except KeyError as exc:
-            raise AnnotationFormatError(
-                f"annotation {ann_id} is missing 'image_id'"
-            ) from exc
-        if image_id not in sizes:
-            raise MissingImageError(
-                f"annotation {ann_id} references unknown image id {image_id}"
-            )
-        flat = ann.get("keypoints", [])
-        if len(flat) % 3 != 0:
-            raise AnnotationFormatError(
-                f"annotation {ann_id}: keypoint list length {len(flat)} is not a multiple of 3"
-            )
-        n_joints = len(flat) // 3
-        if joint_count is None:
+    joint_count, instances, skipped = None, [], 0
+    for pos, ann in enumerate(doc["annotations"]):
+        with _record("annotation", pos, ann) as name:
+            if (size := sizes.get(ann["image_id"])) is None:
+                raise MissingImageError(f"{name} references unknown image id {ann['image_id']}")
+            flat = ann.get("keypoints", [])
+            if len(flat) % 3 != 0:
+                raise ValueError(f"keypoint list length {len(flat)} is not a multiple of 3")
+            n_joints = len(flat) // 3
+            if joint_count not in (None, n_joints):
+                raise ValueError(f"{n_joints} joints, expected {joint_count}")
             joint_count = n_joints
-        elif n_joints != joint_count:
-            raise AnnotationFormatError(
-                f"annotation {ann_id}: {n_joints} joints, expected {joint_count}"
-            )
-        try:
-            kps = tuple((Point(float(flat[i]), float(flat[i + 1])), int(flat[i + 2]))
+            kps = tuple((Point(flat[i], flat[i + 1]), int(flat[i + 2]))
                         for i in range(0, 3 * n_joints, 3))
             if not any(v > 0 for _, v in kps):
                 skipped += 1
                 continue
-            if "bbox" not in ann or len(ann["bbox"]) != 4:
+            if len(ann.get("bbox", ())) != 4:
                 raise ValueError("carries no 4-element bbox")
             x, y, w, h = (float(v) for v in ann["bbox"])
             if not all(map(math.isfinite, (x, y, w, h))):
                 raise ValueError(f"bbox must be finite, got {[x, y, w, h]}")
             if w <= 0 or h <= 0:
                 raise ValueError(f"bbox extents must be positive, got w={w}, h={h}")
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise AnnotationFormatError(f"annotation {ann_id}: {exc}") from exc
-        instances.append(Instance(image_size=sizes[image_id], bbox=(x, y, w, h), keypoints=kps))
+        instances.append(Instance(image_size=size, bbox=(x, y, w, h), keypoints=kps))
     return LoadResult(instances=tuple(instances), skipped=skipped)
 
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import default_ccrf_radius
+from .codec import _check_sigma, default_ccrf_radius
 from .geometry import (
     PlaneSize,
     Point,
@@ -131,8 +131,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.compensation is not Compensation.NONE and not self.flip_test:
             raise ValueError("compensation is only meaningful with flip_test enabled")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        _check_sigma(self.sigma)
         combine = self.combine if self.combine is not None else _default_combine(self.codec)
         object.__setattr__(self, "combine", combine)
         radius = self.radius if self.radius is not None else default_ccrf_radius(self.output)

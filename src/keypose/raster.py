@@ -14,6 +14,7 @@ library defaults to ``ZERO_FILL``.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -204,22 +205,10 @@ def write_pgm(path, grid: ImageGrid, maxval: int = 255, raw: bool = True) -> Non
 
 
 def _pgm_tokens(buf: bytes):
-    """Yield whitespace-separated ASCII tokens, skipping '#' comments."""
-    i = 0
-    n = len(buf)
-    while i < n:
-        ch = buf[i : i + 1]
-        if ch in b" \t\r\n":
-            i += 1
-        elif ch == b"#":
-            while i < n and buf[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < n and buf[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            yield i, buf[i:j]
-            i = j
+    """``(offset, token)`` pairs of the whitespace-separated ASCII tokens,
+    skipping '#' comments; lazy, so P5 pixel bytes are never tokenized."""
+    return ((m.start(), m[0]) for m in re.finditer(rb"#[^\n]*|[^ \t\r\n#]+", buf)
+            if m[0][:1] != b"#")
 
 
 @contextmanager

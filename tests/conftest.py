@@ -1,7 +1,9 @@
-"""Put ``src`` on the path of the ``keypose`` subprocesses the tests start.
+"""Put ``src`` on the path of the ``keypose`` subprocesses the tests start,
+and make a numpy ``RuntimeWarning`` fail them as it fails the tests.
 
-The test process itself finds ``src`` through ``pythonpath`` in
-``pyproject.toml``; child processes only see ``PYTHONPATH``.
+The test process itself finds ``src`` through ``pythonpath`` and its warning
+filter through ``filterwarnings`` in ``pyproject.toml``; child processes only
+see ``PYTHONPATH`` and ``PYTHONWARNINGS``.
 """
 
 import os
@@ -9,3 +11,5 @@ from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning")))

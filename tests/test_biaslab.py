@@ -437,6 +437,50 @@ class TestAnalyticErrorTable:
             assert closed is None
             assert rendered > 0.375 + 1e-4
 
+    @pytest.mark.parametrize("combine,sigma,exact", [
+        (Combine.AVERAGE_HEATMAPS, 0.5, False), (Combine.AVERAGE_HEATMAPS, 2.0, False),
+        (Combine.AVERAGE_COORDS, 0.5, True), (Combine.AVERAGE_COORDS, 2.0, True)])
+    def test_gaussian_maps_have_a_closed_form_only_where_no_two_apart_are_averaged(
+        self, combine, sigma, exact
+    ):
+        # A Newton step on the average of two Gaussians 0.75 apart does not
+        # land on their midpoint; averaging the decoded coordinates does.
+        cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF,
+                       combine=combine, sigma=sigma)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 3)
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)
+        if exact:
+            assert (closed["mean_abs_x"], closed["var_abs_x"]) == (0.375, 0.0)
+            assert rendered.mean_abs_x == pytest.approx(0.375, abs=1e-12)
+            assert rendered.var_abs_x < 1e-20
+        else:
+            assert closed["mean_abs_x"] is None
+            assert rendered.var_abs_x > 1e-12
+
+    @pytest.mark.parametrize("sigma,exact", [(0.05, False), (0.0565, True), (0.5, True)])
+    def test_gaussian_maps_have_a_closed_form_only_while_the_window_holds_normal_floats(
+        self, sigma, exact
+    ):
+        # The 3x3 window corner, d^2 = 4.5 from the keypoint, is subnormal
+        # or zero below sigma = sqrt(4.5 / (2 * 1022 ln 2)) ~ 0.05636.
+        cfg = make_cfg(codec=Codec.CF, sigma=sigma)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        if exact:
+            assert closed == 0.0
+            assert rendered.mean_abs_x < 1e-12
+        else:
+            assert closed is None
+            assert rendered.n_degenerate > 0 and rendered.mean_abs_x > 0.01
+
+    def test_gaussian_closed_form_ends_where_the_window_corner_leaves_the_normal_range(self):
+        bound = math.sqrt(4.5 / (2.0 * 1022 * math.log(2.0)))
+        assert math.exp(-4.5 / (2.0 * bound * bound)) == pytest.approx(2.0 ** -1022)
+        for sigma, closed in ((bound, 0.0), (math.nextafter(bound, 0.0), None)):
+            cfg = make_cfg(codec=Codec.CF, sigma=sigma)
+            assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] == closed
+
     def test_unanalyzed_configurations_marked_unavailable(self):
         rno = analytic_errors(make_cfg(codec=Codec.CF, rno=True))
         assert rno["mean_abs_x"] is None

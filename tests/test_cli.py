@@ -21,6 +21,12 @@ def run_cli(*args, cwd=None):
     )
 
 
+def run_cli_strict(*args):
+    """``run_cli`` with every ``RuntimeWarning`` turned into an error."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "keypose", *args],
+                          capture_output=True, text=True)
+
+
 class TestTransformCommand:
     def test_crop_matrix_and_point(self):
         out = run_cli("transform", "--op", "crop", "--roi", "100,50,40,60", "--point", "80,20")
@@ -109,6 +115,22 @@ class TestCodecCommands:
         assert abs(payload["x"] - 20.37) < 1e-3
         assert abs(payload["y"] - 31.82) < 1e-3
         assert payload["degenerate"] is False
+
+    def test_encode_tiny_sigma_without_warnings(self, tmp_path):
+        # 2*sigma^2 is subnormal: exponents off the keypoint overflow to -inf.
+        path = tmp_path / "spike.grid"
+        out = run_cli_strict("encode", "--codec", "cf", "--keypoint", "1,1", "--size", "4x4",
+                             "--sigma", "1e-160", "--out", str(path))
+        assert (out.returncode, out.stderr) == (0, "")
+        expected = np.zeros((4, 4))
+        expected[1, 1] = 1.0
+        assert np.array_equal(read_grid_text(path).data[:, :, 0], expected)
+
+    def test_encode_sigma_whose_square_underflows_is_usage_error(self, tmp_path):
+        out = run_cli_strict("encode", "--codec", "cf", "--keypoint", "1,1", "--size", "4x4",
+                             "--sigma", "1e-320", "--out", str(tmp_path / "g.grid"))
+        assert out.returncode == 2
+        assert out.stderr == "error: sigma is too small: 2*sigma^2 underflows to 0, got 1e-320\n"
 
     @pytest.mark.parametrize("command", ["decode", "warp"])
     def test_bad_grid_header_names_the_file(self, tmp_path, command):
@@ -327,6 +349,19 @@ class TestSimulateCommand:
         assert out.returncode == 2
         assert out.stderr == f"error: {message}\n"
 
+    def test_sigma_whose_square_underflows_is_usage_error(self):
+        out = run_cli_strict("simulate", "--seed", "1", "-n", "20", "--sigma", "1e-320",
+                             "--mode", "heatmap", "--codec", "cf")
+        assert out.returncode == 2
+        assert out.stderr == "error: sigma is too small: 2*sigma^2 underflows to 0, got 1e-320\n"
+
+    def test_tiny_sigma_heatmap_run_has_no_warnings_and_no_closed_form(self):
+        out = run_cli_strict("simulate", "--seed", "1", "-n", "20", "--sigma", "1e-160",
+                             "--mode", "heatmap", "--codec", "cf")
+        assert (out.returncode, out.stderr) == (0, "")
+        assert "degenerate=20" in out.stdout
+        assert "closed-form" not in out.stdout
+
     def test_config_file_with_nan_sigma_is_refused(self, tmp_path):
         path = tmp_path / "nan.cfg"
         path.write_text("convention=unit_length\ninput_px=192x256\noutput_px=48x64\n"
@@ -426,6 +461,32 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: annotation 7: {shown}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit,shown", [
+        (lambda d: d.update(annotations=[5]), "annotation #0: expected an object, got int"),
+        (lambda d: d.update(annotations={"a": 1}), "annotations: expected an array"),
+        (lambda d: d["annotations"][0].update(keypoints=5), "annotation 7: object of type"),
+        (lambda d: d["annotations"][0].update(image_id=[1]), "annotation 7: unhashable type"),
+        (lambda d: d["annotations"][0].pop("image_id"), "annotation 7: missing field 'image_id'"),
+        (lambda d: d.update(images=5), "images: expected an array of records, got int"),
+        (lambda d: d.update(images=[5]), "image #0: expected an object, got int"),
+        (lambda d: d["images"][0].update(width="abc"), "image 1: invalid literal for int()"),
+        (lambda d: d["images"][0].update(width=1), "image 1: plane must be at least 2x2"),
+    ], ids=["annotation-int", "annotations-object", "keypoints-int", "image-id-list",
+            "image-id-missing", "images-int", "image-int", "width-text", "width-one"])
+    def test_coco_malformed_record_is_usage_error_naming_it(self, tmp_path, edit, shown):
+        doc = {"images": [{"id": 1, "width": 640, "height": 480}],
+               "annotations": [{"id": 7, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+                                "keypoints": [160, 160, 2]}]}
+        edit(doc)
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli("simulate", "--seed", "1", "-n", "20", "--coco", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith(f"error: {shown}")
+        assert out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
 
     def test_coco_singular_crop_box_under_rno_is_usage_error(self, tmp_path, capsys):
         # The decode plane -> source map inverts source -> input, whose

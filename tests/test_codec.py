@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from keypose.codec import (
     CcrfTarget,
+    GaussianTarget,
     NoDetectionError,
     OutOfBoundsError,
     _quarter_offset,
@@ -167,6 +168,20 @@ class TestEncodeGaussian:
     def test_non_finite_or_non_positive_sigma_rejected(self, value):
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
             encode_gaussian(Point(5.0, 5.0), DIMS, value)
+
+    def test_sigma_whose_square_underflows_rejected(self):
+        with pytest.raises(ValueError, match="sigma is too small: 2\\*sigma\\^2 underflows"):
+            encode_gaussian(Point(5.0, 5.0), DIMS, 1e-320)
+        with pytest.raises(ValueError, match="sigma is too small"):
+            GaussianTarget(c=ImageGrid.from_array(np.zeros((2, 2))), sigma=1e-320)
+
+    def test_tiny_sigma_gives_an_exact_spike_without_warnings(self):
+        # 2*sigma^2 is subnormal, so every exponent but the keypoint node's
+        # overflows to -inf, whose exp is the exact 0.
+        c = encode_gaussian(Point(1.0, 1.0), PlaneSize(4, 4), 1e-160).c.data[:, :, 0]
+        expected = np.zeros((4, 4))
+        expected[1, 1] = 1.0
+        assert np.array_equal(c, expected)
 
 
 class TestDecodeArgmax:

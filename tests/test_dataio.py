@@ -119,6 +119,28 @@ class TestLoadCoco:
         with pytest.raises(AnnotationFormatError, match=r"^annotation 11: .* must be finite"):
             load_coco_keypoints(path)
 
+    @pytest.mark.parametrize("field,value,reason", [
+        ("width", "abc", "invalid literal for int()"),
+        ("height", 1, "plane must be at least 2x2 pixels, got 320x1"),
+        ("width", None, "int() argument must be"),
+    ])
+    def test_bad_image_record_names_the_image(self, tmp_path, field, value, reason):
+        doc = coco_doc()
+        doc["images"][1][field] = value
+        path = tmp_path / "img.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AnnotationFormatError) as excinfo:
+            load_coco_keypoints(path)
+        assert str(excinfo.value).startswith(f"image 2: {reason}")
+
+    def test_record_without_id_is_named_by_position(self, tmp_path):
+        doc = coco_doc()
+        del doc["images"][1]["id"]
+        path = tmp_path / "noid.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AnnotationFormatError, match=r"^image #1: missing field 'id'$"):
+            load_coco_keypoints(path)
+
     def test_missing_bbox_rejected(self, tmp_path):
         doc = coco_doc()
         del doc["annotations"][0]["bbox"]

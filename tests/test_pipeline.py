@@ -113,6 +113,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="sigma must be finite and positive, got nan"):
             config_from_text(text)
 
+    def test_sigma_whose_square_underflows_rejected(self):
+        with pytest.raises(ValueError, match="sigma is too small: .* got 1e-320"):
+            make_cfg(sigma=1e-320)
+
     def test_overrides_apply_before_the_config_is_built(self):
         text = "convention=unit_length\ninput_px=192x256\noutput_px=48x64\ncodec=ccrf\n"
         # Valid only together with the override: rno refuses the disc codec.

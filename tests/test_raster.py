@@ -23,6 +23,7 @@ from keypose.raster import (
     BorderPolicy,
     ImageGrid,
     _bilinear_many,
+    _pgm_tokens,
     bilinear_sample,
     flip_heatmap,
     read_grid_text,
@@ -276,6 +277,25 @@ class TestFlipHeatmap:
         assert np.array_equal(flip_heatmap(flipped).data, grid.data)
 
 
+def scanned_pgm_tokens(buf):
+    """PGM tokens by a byte-at-a-time scan: whitespace is space, tab, CR
+    and LF; a '#' outside a token starts a comment that runs to the LF."""
+    i, n = 0, len(buf)
+    while i < n:
+        ch = buf[i : i + 1]
+        if ch in b" \t\r\n":
+            i += 1
+        elif ch == b"#":
+            while i < n and buf[i : i + 1] != b"\n":
+                i += 1
+        else:
+            j = i
+            while j < n and buf[j : j + 1] not in b" \t\r\n#":
+                j += 1
+            yield i, buf[i:j]
+            i = j
+
+
 class TestFileFormats:
     def test_pgm_roundtrip_raw_and_ascii(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -307,6 +327,12 @@ class TestFileFormats:
         path.write_bytes(b"P2\n# a comment\n2 2\n255\n1 2\n3 4\n")
         grid = read_pgm(path)
         assert np.array_equal(grid.data[:, :, 0], [[1.0, 2.0], [3.0, 4.0]])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"#", b"0", b"7", b"P",
+                                     b"\x00", b"\x0b", b"\xff"]), max_size=40).map(b"".join))
+    def test_pgm_tokens_match_the_byte_scanner(self, buf):
+        assert list(_pgm_tokens(buf)) == list(scanned_pgm_tokens(buf))
 
     def test_grid_text_roundtrip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(7)
