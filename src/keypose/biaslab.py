@@ -10,20 +10,19 @@ plane (skipping keypoints outside it), render the original and the flipped
 input's prediction, combine them (average the decoded coordinates, or
 mirror the flipped map back, optionally shift it one node and average the
 maps), apply the residual correction, decode, and map the result to the
-output and source planes.  The modes differ only in how a map is
-represented:
+output and source planes.  Both keep a map as its branch keypoints, so the
+flip ensemble is written once; they differ only in how a map is decoded:
 
-* ``ANALYTIC_SHIFT`` mode keeps a map as its peak coordinates.
-  Classification-map averaging is modeled by its single-peak approximation
-  (the averaged map's peak sits at the midpoint of the two branch peaks),
-  decoding is exact for the unbiased codecs, and the quarter-shift decoder
-  applies its closed-form quantization law.
+* ``ANALYTIC_SHIFT`` mode decodes a map to the midpoint of its keypoints,
+  the single-peak approximation of classification-map averaging; decoding
+  is exact for the unbiased codecs, and the quarter-shift decoder applies
+  its closed-form quantization law.
 * ``FULL_HEATMAP`` mode decodes the configured encoder's real heatmaps,
   flipped, shifted and averaged, with the real decoders' rules, so it also
-  captures what the coordinate-level approximation leaves out.  A map is
-  kept as its branch keypoints; only the node values a decoder reads are
-  computed, each equal to the 2-D map's bit for bit (over 20 times faster
-  than rendering whole maps on the top-down presets; ``BENCH_11.json``).
+  captures what the coordinate-level approximation leaves out.  Only the
+  node values a decoder reads are computed, each equal to the 2-D map's bit
+  for bit (over 20 times faster than rendering whole maps on the top-down
+  presets; ``BENCH_11.json``).
 
 Trials run in fixed-size chunks, each as one pass over numpy arrays; the
 rendered-heatmap step takes a chunk's live trials in blocks.  Each trial's
@@ -355,18 +354,52 @@ def _quarter_law(v: np.ndarray) -> np.ndarray:
     return np.where(v - fl < 0.5, fl + 0.25, fl + 0.75)
 
 
-class _PeakMaps:
-    """Coordinate-level oracle: a map is its single peak ``(x, y)`` in the
-    output plane, so two maps average to the midpoint of their peaks.
-    Decoding is exact except for the quarter-shift decoder, which applies
-    its quantization law; ``up`` maps output to input plane for rno.  Every
-    operation is element-wise, so a map may hold a whole batch of peaks, and
-    no peak is ever skipped or fails to decode."""
+class _Maps:
+    """A map is a tuple of branch terms ``(m, n, mirrored, shift)``: the
+    encoder's map of keypoints ``(m, n)``, one per trial, optionally mirrored
+    back and moved ``shift`` nodes in +x (zeros move in); two terms average.
+    Both oracle modes share this flip ensemble and define only ``covers``
+    (which keypoints a map holds) and ``decode``."""
 
-    __slots__ = ("wo", "up", "quarter")
+    def __init__(self, cfg: PipelineConfig) -> None:
+        self.cfg = cfg
+        self.w, self.h = cfg.output.width_px, cfg.output.height_px
+
+    @staticmethod
+    def render(kx, ky):
+        return ((kx, ky, False, 0),)
+
+    @staticmethod
+    def flip_back(terms):
+        return tuple((m, n, not mirrored, shift) for m, n, mirrored, shift in terms)
+
+    @staticmethod
+    def shift(terms):
+        return tuple((m, n, mirrored, shift + 1) for m, n, mirrored, shift in terms)
+
+    @staticmethod
+    def average(a, b):
+        return a + b
+
+    def keypoints(self, terms):
+        """The terms' output-plane keypoints, as lists of x and of y arrays."""
+        return ([(self.w - 1 - m if mirrored else m) + shift for m, _, mirrored, shift in terms],
+                [n for _, n, _, _ in terms])
+
+    def midpoint(self, terms):
+        (x, *xs), (y, *ys) = self.keypoints(terms)
+        return (0.5 * (x + xs[0]), 0.5 * (y + ys[0])) if xs else (x, y)
+
+
+class _PeakMaps(_Maps):
+    """Coordinate-level oracle: a map decodes to the midpoint of its terms'
+    keypoints (single-peak averaging), exactly except for the quarter-shift
+    decoder's quantization law; ``up`` maps output to input plane for rno.
+    Every operation is element-wise over a batch of peaks, and no peak is
+    ever skipped or fails to decode."""
 
     def __init__(self, cfg: PipelineConfig, up=None) -> None:
-        self.wo = cfg.output.width_units
+        super().__init__(cfg)
         self.up = up
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
 
@@ -374,23 +407,8 @@ class _PeakMaps:
     def covers(kx, ky):
         return True
 
-    @staticmethod
-    def render(kx, ky):
-        return kx, ky
-
-    def flip_back(self, p):
-        return self.wo - p[0], p[1]
-
-    @staticmethod
-    def shift(p):
-        return p[0] + 1.0, p[1]
-
-    @staticmethod
-    def average(a, b):
-        return 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
-
-    def decode(self, p):
-        x, y = p
+    def decode(self, terms):
+        x, y = self.midpoint(terms)
         if self.up is not None:
             x, y = _ap(self.up, x, y)
         if self.quarter:
@@ -421,19 +439,15 @@ def _newton_offsets(window: np.ndarray):
     return dx, dy, degenerate
 
 
-class _AxisMaps:
-    """Rendered-heatmap oracle for a block of trials.  A map is a tuple of
-    branch terms ``(m, n, mirrored, shift)``: the encoder's map of keypoints
-    ``(m, n)``, one per trial, optionally mirrored back and moved ``shift``
-    nodes in +x (zeros move in); two terms average.  Node values are
+class _AxisMaps(_Maps):
+    """Rendered-heatmap oracle for a block of trials.  Node values are
     computed where a decoder reads them, with the encoder's formulas; under
     rno they are read through ``raster._bilinear``, the tap sum that
     ``rno_upsample``'s warp uses, so they equal the 2-D map's bit for bit."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
-        self.cfg = cfg
+        super().__init__(cfg)
         self.ccrf = cfg.codec is Codec.CCRF
-        self.w, self.h = cfg.output.width_px, cfg.output.height_px
         self.k = 2.0 * cfg.sigma * cfg.sigma
         self.plane = cfg.input if cfg.rno else cfg.output  # the decode plane
         self.axes = None
@@ -444,22 +458,6 @@ class _AxisMaps:
     def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         out = self.cfg.output
         return (0.0 <= kx) & (kx <= out.width_units) & (0.0 <= ky) & (ky <= out.height_units)
-
-    @staticmethod
-    def render(kx, ky):
-        return ((kx, ky, False, 0),)
-
-    @staticmethod
-    def flip_back(terms):
-        return tuple((m, n, not mirrored, shift) for m, n, mirrored, shift in terms)
-
-    @staticmethod
-    def shift(terms):
-        return tuple((m, n, mirrored, shift + 1) for m, n, mirrored, shift in terms)
-
-    @staticmethod
-    def average(a, b):
-        return a + b
 
     def _at(self, terms, x, y):
         """The map's channels at output-plane columns ``x`` (B, k) and rows
@@ -512,10 +510,8 @@ class _AxisMaps:
         rises toward its keypoints along each axis (both branches share
         their rows), so its peak lies between the nodes at or beyond them."""
         reach = self.cfg.radius if self.ccrf else 0.0
-        xs = [(self.w - 1 - m if mirrored else m) + shift for m, _, mirrored, shift in terms]
-        ys = [t[1] for t in terms]
         x, y = (self._box(np.minimum.reduce(c) - reach, np.maximum.reduce(c) + reach, axis)
-                for axis, c in enumerate((xs, ys)))
+                for axis, c in enumerate(self.keypoints(terms)))
         v = self._values(terms, x, y)
         top = v.max(axis=(1, 2))
         w, h = self.plane.width_px, self.plane.height_px
@@ -563,9 +559,6 @@ class _Engine:
         self.batched = mode is OracleMode.ANALYTIC_SHIFT
         up = _aff(invert(i2o_t)) if cfg.rno and self.batched else None
         self.maps = _PeakMaps(cfg, up) if self.batched else _AxisMaps(cfg)
-        # Decoded coordinates combine as peaks in the output plane: the
-        # config rejects coordinate averaging together with rno.
-        self.peaks = _PeakMaps(cfg)
         self.snoop = cfg.compensation is not Compensation.NONE
         self.average_coords = cfg.combine is Combine.AVERAGE_COORDS
         # The 1/(2s) residual correction of the flip ensemble, in
@@ -605,13 +598,13 @@ class _Engine:
             raise ValueError("transform entries must be finite")
         return table
 
-    def _combine(self, ops, a, b):
-        """Mirror ``b`` back, shift it one node in +x when compensating, and
-        average it with ``a``."""
-        back = ops.flip_back(b)
+    def _combine(self, a, b):
+        """Mirror map ``b`` back, shift it one node in +x when compensating,
+        and average it with ``a``."""
+        back = self.maps.flip_back(b)
         if self.snoop:
-            back = ops.shift(back)
-        return ops.average(a, back)
+            back = self.maps.shift(back)
+        return self.maps.average(a, back)
 
     def _predict(self, ko, kof):
         """Render, combine and decode; returns (x, y, degenerate, failed)."""
@@ -621,11 +614,12 @@ class _Engine:
             return maps.decode(m)
         m_flip = maps.render(*kof)
         if self.average_coords:
+            # Decoded points combine as maps in the output plane (never with rno).
             x1, y1, deg1, failed1 = maps.decode(m)
             x2, y2, deg2, failed2 = maps.decode(m_flip)
-            x, y = self._combine(self.peaks, (x1, y1), (x2, y2))
+            x, y = maps.midpoint(self._combine(maps.render(x1, y1), maps.render(x2, y2)))
             return x, y, deg1 | deg2, failed1 | failed2
-        return maps.decode(self._combine(maps, m, m_flip))
+        return maps.decode(self._combine(m, m_flip))
 
     def run(self, ctx: np.ndarray, gx: np.ndarray, gy: np.ndarray):
         """Simulate a batch of trials with crop-box coefficients ``ctx``,
@@ -853,7 +847,7 @@ def analytic_errors(
     Rendered Gaussian maps decode to their keypoints only when no two maps
     apart are averaged and the 3x3 window, whose corner can be ``d^2 = 4.5``
     out, holds normal floats: ``sigma >= sqrt(4.5 / (2 * 1022 ln 2))``.
-    """
+    A rendered argmax snaps to a node, so it has no closed form here."""
     na = {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
     if cfg.rno:
         return dict(na)
@@ -871,7 +865,8 @@ def analytic_errors(
     apart = cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
     if mode is OracleMode.FULL_HEATMAP and (
             cfg.codec is Codec.CCRF and apart and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25
-            or cfg.codec is Codec.CF and (apart or cfg.sigma < _CF_MIN_SIGMA)):
+            or cfg.codec is Codec.CF and (apart or cfg.sigma < _CF_MIN_SIGMA)
+            or cfg.codec is Codec.ARGMAX_ONLY):
         return dict(na)
 
     if cfg.codec is Codec.CF_BIASED_DECODE:

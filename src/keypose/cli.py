@@ -618,8 +618,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, dataio.MissingImageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, OSError, MemoryError, dataio.MissingImageError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -98,7 +98,10 @@ def load_coco_keypoints(path) -> LoadResult:
     sizes: dict[int, PlaneSize] = {}
     for pos, img in enumerate(doc["images"]):
         with _record("image", pos, img):
-            sizes[img["id"]] = PlaneSize(int(img["width"]), int(img["height"]))
+            w, h = img["width"], img["height"]
+            if any(isinstance(v, float) and not v.is_integer() for v in (w, h)):
+                raise ValueError("pixel counts must be integers")
+            sizes[img["id"]] = PlaneSize(int(w), int(h))
 
     joint_count, instances, skipped = None, [], 0
     for pos, ann in enumerate(doc["annotations"]):

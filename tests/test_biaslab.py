@@ -143,6 +143,28 @@ class TestIdealNetwork:
             ideal_network(Point(-1.0, 5.0), cfg, OracleMode.ANALYTIC_SHIFT)
 
 
+@st.composite
+def _point_algebra_ensembles(draw):
+    """``(cfg, mode)`` whose flip ensemble is point algebra: the exact
+    decoders of the coordinate oracle, and rendered disc maps whose decoded
+    coordinates are averaged; no rno, and no averaged rendered maps."""
+    mode = draw(st.sampled_from(OracleMode))
+    analytic = mode is OracleMode.ANALYTIC_SHIFT
+    exact = (Codec.ARGMAX_ONLY, Codec.CF, Codec.CCRF)
+    codec = draw(st.sampled_from(exact)) if analytic else Codec.CCRF
+    return PipelineConfig(
+        convention=draw(st.sampled_from(Convention)),
+        input=draw(st.builds(PlaneSize, st.integers(2, 192), st.integers(2, 192))),
+        output=draw(st.builds(PlaneSize, st.integers(12, 96), st.integers(12, 96))),
+        flip_test=True,
+        compensation=draw(st.sampled_from(Compensation)),
+        codec=codec,
+        combine=draw(st.sampled_from(Combine)) if analytic else Combine.AVERAGE_COORDS,
+        sigma=draw(st.floats(0.05, 1.5)),
+        radius=draw(st.floats(0.3, 5.0)),
+    ), mode
+
+
 class TestRunTrial:
     def test_record_round_trips_exactly_when_unbiased(self):
         cfg = make_cfg(codec=Codec.CCRF, flip_test=True)
@@ -178,6 +200,24 @@ class TestRunTrial:
             got = run_trial(gt, roi, cfg, mode).pred_output
             assert got.x == pytest.approx(expected.x, abs=1e-12)
             assert got.y == pytest.approx(expected.y, abs=1e-12)
+
+    @given(case=_point_algebra_ensembles(), seed=st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_engine_flip_ensemble_equals_flip_combine_bit_for_bit(self, case, seed):
+        cfg, mode = case
+        roi = default_roi(cfg)
+        bound = UniformKeypointSampler(roi).bind(cfg)
+        _, gx, gy = bound.sample(biaslab._uniforms(seed, 0, 8, bound.k))
+        s2i, i2o = source_to_input(roi, cfg), input_to_output(cfg)
+        flip_in = t_flip(cfg.input.width_units)
+        for gt in map(Point, gx, gy):
+            try:
+                got = run_trial(gt, roi, cfg, mode).pred_output
+            except (SkipTrial, NoDetectionError):
+                continue
+            k_i = apply_point(s2i, gt)
+            k_o, k_o_flip = apply_point(i2o, k_i), apply_point(i2o, apply_point(flip_in, k_i))
+            assert got == flip_combine(k_o, k_o_flip, cfg)
 
     def test_gt_outside_roi_skips(self):
         cfg = make_cfg()
@@ -480,6 +520,19 @@ class TestAnalyticErrorTable:
         for sigma, closed in ((bound, 0.0), (math.nextafter(bound, 0.0), None)):
             cfg = make_cfg(codec=Codec.CF, sigma=sigma)
             assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] == closed
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_rendered_argmax_has_no_closed_form(self, flip):
+        # The rendered argmax snaps to a node; the coordinate oracle's
+        # argmax is the exact peak, so only analytic mode has a closed form.
+        kw = dict(convention=Convention.PIXEL_COUNT, flip_test=True) if flip else {}
+        cfg = make_cfg(codec=Codec.ARGMAX_ONLY, sigma=0.5, **kw)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)
+        assert closed == {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
+        assert analytic_errors(cfg)["var_abs_x"] == 0.0
+        assert rendered.mean_abs_x > 0.2 and rendered.var_abs_x > 0.01
 
     def test_unanalyzed_configurations_marked_unavailable(self):
         rno = analytic_errors(make_cfg(codec=Codec.CF, rno=True))

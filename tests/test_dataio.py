@@ -15,6 +15,7 @@ from keypose.dataio import (
     load_coco_keypoints,
     write_report,
 )
+from keypose.geometry import PlaneSize
 
 
 def coco_doc():
@@ -123,6 +124,7 @@ class TestLoadCoco:
         ("width", "abc", "invalid literal for int()"),
         ("height", 1, "plane must be at least 2x2 pixels, got 320x1"),
         ("width", None, "int() argument must be"),
+        ("width", 640.7, "pixel counts must be integers"),
     ])
     def test_bad_image_record_names_the_image(self, tmp_path, field, value, reason):
         doc = coco_doc()
@@ -132,6 +134,13 @@ class TestLoadCoco:
         with pytest.raises(AnnotationFormatError) as excinfo:
             load_coco_keypoints(path)
         assert str(excinfo.value).startswith(f"image 2: {reason}")
+
+    def test_numeric_string_and_integral_float_sizes_load(self, tmp_path):
+        doc = coco_doc()
+        doc["images"][1].update(width="320", height=240.0)
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(doc))
+        assert load_coco_keypoints(path).instances[1].image_size == PlaneSize(320, 240)
 
     def test_record_without_id_is_named_by_position(self, tmp_path):
         doc = coco_doc()
