@@ -45,14 +45,15 @@ import numpy as np
 
 from .codec import _HESSIAN_EPS, NoDetectionError, encode_ccrf, encode_gaussian
 from .dataio import crop_boxes
-from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, apply_point, invert
+from .geometry import Point, Roi, _apply, _coeffs, _finite, _invert, apply_point, invert
 from .pipeline import (
     Codec,
     Combine,
     Compensation,
     Convention,
     PipelineConfig,
-    _extents,
+    _output_to_source,
+    _source_to_input,
     input_to_output,
     output_to_source,
 )
@@ -209,7 +210,7 @@ class _BoundUniform(_Bound):
 
     def __init__(self, roi: Roi, cfg: PipelineConfig, margin: float) -> None:
         self.boxes = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
-        self._o2s = _aff(output_to_source(roi, cfg))
+        self._o2s = _coeffs(output_to_source(roi, cfg))
         self._margin = margin
         self._rx = cfg.output.width_units - 2.0 * margin
         self._ry = cfg.output.height_units - 2.0 * margin
@@ -217,7 +218,7 @@ class _BoundUniform(_Bound):
     def sample(self, u: np.ndarray):
         kx = self._margin + u[:, 0] * self._rx
         ky = self._margin + u[:, 1] * self._ry
-        return (np.zeros(len(u), dtype=np.intp), *_ap(self._o2s, kx, ky))
+        return (np.zeros(len(u), dtype=np.intp), *_apply(self._o2s, kx, ky))
 
 
 @dataclass(frozen=True)
@@ -332,19 +333,11 @@ def describe_config(cfg: PipelineConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # Trial engine.  It runs a batch of trials element-wise on arrays; affine
-# transforms are carried as flat 6-tuples of coefficients, either floats
-# shared by the batch or one array entry per trial.
+# transforms are geometry's six coefficients, either floats shared by the
+# batch or one array entry per trial, and go through geometry's routines.
 # ---------------------------------------------------------------------------
 
 _OK, _SKIPPED, _FAILED = 0, 1, 2
-
-
-def _aff(t) -> tuple[float, ...]:
-    return tuple(t.m[:2].ravel().tolist())
-
-
-def _ap(a, x, y):
-    return a[0] * x + a[1] * y + a[2], a[3] * x + a[4] * y + a[5]
 
 
 def _quarter_law(v: np.ndarray) -> np.ndarray:
@@ -410,14 +403,18 @@ class _PeakMaps(_Maps):
     def decode(self, terms):
         x, y = self.midpoint(terms)
         if self.up is not None:
-            x, y = _ap(self.up, x, y)
+            x, y = _apply(self.up, x, y)
         if self.quarter:
             return _quarter_law(x), _quarter_law(y), False, False
         return x, y, False, False
 
 
 _BLOCK = 256  # live trials per block of rendered maps
-_CF_MIN_SIGMA = math.sqrt(4.5 / (2.0 * 1022 * math.log(2.0)))  # see analytic_errors
+
+
+def _min_sigma(d2: float) -> float:
+    """The least sigma whose Gaussian node ``d2`` (squared) out is normal."""
+    return math.sqrt(d2 / (2.0 * 1022 * math.log(2.0)))
 
 
 def _newton_offsets(window: np.ndarray):
@@ -452,8 +449,8 @@ class _AxisMaps(_Maps):
         self.plane = cfg.input if cfg.rno else cfg.output  # the decode plane
         self.axes = None
         if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
-            inv = invert(invert(input_to_output(cfg))).m
-            self.axes = ((inv[0, 0], inv[0, 2]), (inv[1, 1], inv[1, 2]))
+            a, _, c, _, e, f = _coeffs(invert(invert(input_to_output(cfg))))
+            self.axes = ((a, c), (e, f))
 
     def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         out = self.cfg.output
@@ -551,13 +548,13 @@ class _Engine:
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
         self.cfg = cfg
         i2o_t = input_to_output(cfg)
-        self.i2o = _aff(i2o_t)
+        self.i2o = _coeffs(i2o_t)
         self.w_i = cfg.input.width_units
         self.h_i = cfg.input.height_units
         # Decode plane -> output plane; None when they coincide.
         self.dp2o = self.i2o if cfg.rno else None
         self.batched = mode is OracleMode.ANALYTIC_SHIFT
-        up = _aff(invert(i2o_t)) if cfg.rno and self.batched else None
+        up = _coeffs(invert(i2o_t)) if cfg.rno and self.batched else None
         self.maps = _PeakMaps(cfg, up) if self.batched else _AxisMaps(cfg)
         self.snoop = cfg.compensation is not Compensation.NONE
         self.average_coords = cfg.combine is Combine.AVERAGE_COORDS
@@ -570,33 +567,17 @@ class _Engine:
     def contexts(self, boxes: np.ndarray) -> np.ndarray:
         """Crop-box coefficients as a ``(12, R)`` array, one column per
         ``(cx, cy, w, h)`` column of ``boxes``: source -> input, then decode
-        plane -> source; bit-equal to ``test_transform``, then ``invert``
-        (rno) or ``output_to_source``, with their IEEE operations and checks."""
+        plane -> source.  The same routines and checks, in the same order, as
+        ``test_transform``, then ``invert`` (rno) or ``output_to_source``."""
         cx, cy, w, h = boxes
         if not np.all(np.isfinite(boxes)):
             raise ValueError("roi fields must be finite")
         if np.any(bad := (w <= 0) | (h <= 0)):
             raise ValueError(f"roi extents must be positive, got w={w[bad][0]}, h={h[bad][0]}")
-        in_w, in_h = _extents(self.cfg.input, self.cfg.convention)
         with np.errstate(all="ignore"):
-            # compose(t_resize, t_crop); + 0.0 is what its exact zero terms add
-            a, b, d, e = in_w / w, 0.0 * w, 0.0 * w, in_h / h
-            c, f = a * (-cx + 0.5 * w) + 0.0, e * (-cy + 0.5 * h) + 0.0
-            det = a * e - b * d
-            if self.cfg.rno:  # geometry.invert
-                ia, ib, ic, ie = e / det, -b / det, -d / det, a / det
-                back = (ia, ib, -(ia * c + ib * f), ic, ie, -(ic * c + ie * f))
-            else:  # output_to_source: compose(translate back, t_resize)
-                out_w, out_h = _extents(self.cfg.output, self.cfg.convention)
-                back = (w / out_w, b, cx - 0.5 * w + 0.0, d, h / out_h, cy - 0.5 * h + 0.0)
-            table = np.array((a, b, c, d, e, f, *back))
-        finite = np.isfinite(table)
-        if np.all(finite[:6]) and self.cfg.rno:  # as invert, after the forward entries
-            if np.any(bad := ~np.isfinite(det) | (np.abs(det) < _SINGULAR_EPS)):
-                raise SingularTransformError(f"transform is singular (det={det[bad][0]})")
-        if not np.all(finite):
-            raise ValueError("transform entries must be finite")
-        return table
+            forward = _finite(_source_to_input(self.cfg, *boxes))
+            back = _invert(forward) if self.cfg.rno else _output_to_source(self.cfg, *boxes)
+            return np.concatenate((forward, _finite(back)))
 
     def _combine(self, a, b):
         """Mirror map ``b`` back, shift it one node in +x when compensating,
@@ -629,9 +610,9 @@ class _Engine:
         ``status`` per trial, ``ok`` the indices of the ``_OK`` trials, and
         their arrays in that order (``deg`` is ``False`` for peak maps).
         """
-        kix, kiy = _ap(ctx[:6], gx, gy)
-        ko = _ap(self.i2o, kix, kiy)
-        kof = _ap(self.i2o, self.w_i - kix, kiy) if self.cfg.flip_test else None
+        kix, kiy = _apply(ctx[:6], gx, gy)
+        ko = _apply(self.i2o, kix, kiy)
+        kof = _apply(self.i2o, self.w_i - kix, kiy) if self.cfg.flip_test else None
         live = (0.0 <= kix) & (kix <= self.w_i) & (0.0 <= kiy) & (kiy <= self.h_i)
         live &= self.maps.covers(*ko) & (kof is None or self.maps.covers(*kof))
         ok = np.flatnonzero(live)
@@ -653,8 +634,8 @@ class _Engine:
             ok, x, y, deg, ko = ok[keep], x[keep], y[keep], deg[keep], (ko[0][keep], ko[1][keep])
         if self.ec:
             x = x - self.ec
-        po = (x, y) if self.dp2o is None else _ap(self.dp2o, x, y)
-        ps = _ap(ctx[6:, ok] if ctx.shape[1] > 1 else ctx[6:], x, y)
+        po = (x, y) if self.dp2o is None else _apply(self.dp2o, x, y)
+        ps = _apply(ctx[6:, ok] if ctx.shape[1] > 1 else ctx[6:], x, y)
         return status, ok, po, ps, ko, deg
 
 
@@ -812,24 +793,11 @@ def _quarter_stats(shift: float) -> tuple[float, float]:
     """Mean and variance of |error| for the quarter-shift decoder applied to
     a single-peak map whose center is offset by ``shift`` (|shift| <= 0.5)
     from a uniformly positioned keypoint."""
-    t = abs(shift)
-    b1, b2 = 0.5 - t, 1.0 - t
-
-    def seg(lo: float, hi: float, a: float) -> tuple[float, float]:
-        def f_abs(u: float) -> float:
-            return (u - a) * abs(u - a) / 2.0
-
-        def f_sq(u: float) -> float:
-            return (u - a) ** 3 / 3.0
-
-        return f_abs(hi) - f_abs(lo), f_sq(hi) - f_sq(lo)
-
-    e1, q1 = seg(0.0, b1, 0.25)
-    e2, q2 = seg(b1, b2, 0.75)
-    e3, q3 = seg(b2, 1.0, 1.25)
-    mean = e1 + e2 + e3
-    var = (q1 + q2 + q3) - mean * mean
-    return mean, var
+    # The decoded point is 0.25, 0.75 or 1.25 on three pieces of [0, 1).
+    cuts = (0.0, 0.5 - abs(shift), 1.0 - abs(shift), 1.0)
+    ends = [(lo - a, hi - a) for lo, hi, a in zip(cuts, cuts[1:], (0.25, 0.75, 1.25))]
+    mean = sum(hi * abs(hi) / 2.0 - lo * abs(lo) / 2.0 for lo, hi in ends)
+    return mean, sum(hi ** 3 / 3.0 - lo ** 3 / 3.0 for lo, hi in ends) - mean * mean
 
 
 def analytic_errors(
@@ -847,7 +815,13 @@ def analytic_errors(
     Rendered Gaussian maps decode to their keypoints only when no two maps
     apart are averaged and the 3x3 window, whose corner can be ``d^2 = 4.5``
     out, holds normal floats: ``sigma >= sqrt(4.5 / (2 * 1022 ln 2))``.
-    A rendered argmax snaps to a node, so it has no closed form here."""
+    The quarter-shift decoder compares the peak node's two neighbours along
+    each axis.  The peak lies within 0.5 of the branch keypoints' span,
+    ``2|half|`` wide in x (``half`` is 0 for one map), so a compared node
+    can be ``d^2 = (1.5 + 2|half|)^2 + 0.25`` from a keypoint; its closed
+    form needs that value normal, ``sigma >= sqrt(d^2 / (2 * 1022 ln 2))``
+    (0.042 for one map).  A rendered argmax snaps to a node, so it has no
+    closed form here."""
     na = {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
     if cfg.rno:
         return dict(na)
@@ -865,14 +839,14 @@ def analytic_errors(
     apart = cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
     if mode is OracleMode.FULL_HEATMAP and (
             cfg.codec is Codec.CCRF and apart and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25
-            or cfg.codec is Codec.CF and (apart or cfg.sigma < _CF_MIN_SIGMA)
+            or cfg.codec is Codec.CF and (apart or cfg.sigma < _min_sigma(4.5))
+            or cfg.codec is Codec.CF_BIASED_DECODE
+            and cfg.sigma < _min_sigma((1.5 + 2.0 * abs(half)) ** 2 + 0.25)
             or cfg.codec is Codec.ARGMAX_ONLY):
         return dict(na)
 
     if cfg.codec is Codec.CF_BIASED_DECODE:
-        if cfg.flip_test and cfg.combine is not Combine.AVERAGE_HEATMAPS:
-            return dict(na)
-        if abs(shift) > 0.5:
+        if cfg.flip_test and cfg.combine is not Combine.AVERAGE_HEATMAPS or abs(shift) > 0.5:
             return dict(na)
         mean, var = _quarter_stats(shift)
     else:

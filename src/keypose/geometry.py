@@ -12,6 +12,13 @@ the wrong one silently shift every coordinate that passes through them.
 Transforms are 3x3 homogeneous matrices acting on column vectors
 ``(x, y, 1)``.  Composition is right-to-left: ``compose(a, b)`` applies
 ``b`` first.
+
+The arithmetic is written once, on a transform's top two rows as six
+coefficients ``(a, b, c, d, e, f)``: ``(x, y) -> (a*x + b*y + c, d*x + e*y + f)``.
+The private ``_compose``, ``_invert`` and ``_apply`` take six floats or six
+``(R,)`` arrays and use one fixed operation order (not numpy's ``@``, whose
+order is the BLAS library's), so a batch equals its one-row calls bit for
+bit; the public functions are those one-row calls.
 """
 
 from __future__ import annotations
@@ -126,8 +133,7 @@ class Transform2D:
             raise ValueError(f"transform matrix must be 3x3, got shape {m.shape}")
         if m[2, 0] != 0.0 or m[2, 1] != 0.0 or m[2, 2] != 1.0:
             raise ValueError("bottom row must be exactly (0, 0, 1)")
-        if not np.all(np.isfinite(m[:2])):
-            raise ValueError("transform entries must be finite")
+        _finite(m[:2])
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
@@ -137,6 +143,61 @@ class Transform2D:
 
     def __call__(self, p: Point) -> Point:
         return apply_point(self, p)
+
+
+def _finite(rows) -> np.ndarray:
+    """``rows`` of coefficients as an array, refused unless all are finite."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("transform entries must be finite")
+    return rows
+
+
+def _coeffs(t: Transform2D) -> tuple[float, ...]:
+    return tuple(t.m[:2].ravel().tolist())
+
+
+def _transform(p) -> Transform2D:
+    a, b, c, d, e, f = p
+    return Transform2D(np.array([[a, b, c], [d, e, f], [0.0, 0.0, 1.0]]))
+
+
+def _translate(tx, ty):
+    return 1.0, 0.0, tx, 0.0, 1.0, ty
+
+
+def _crop(cx, cy, w, h):
+    """:func:`t_crop` for center-format boxes ``(cx, cy, w, h)``."""
+    return _translate(-cx + 0.5 * w, -cy + 0.5 * h)
+
+
+def _resize(src_w, src_h, dst_w, dst_h):
+    """:func:`t_resize`, without its extent check."""
+    return dst_w / src_w, 0.0, 0.0, 0.0, dst_h / src_h, 0.0
+
+
+def _compose(p, q):
+    """``q`` first, then ``p``."""
+    a, b, c, d, e, f = p
+    qa, qb, qc, qd, qe, qf = q
+    return (a * qa + b * qd, a * qb + b * qe, a * qc + b * qf + c,
+            d * qa + e * qd, d * qb + e * qe, d * qc + e * qf + f)
+
+
+def _invert(p):
+    """The inverse in closed form; raises :class:`SingularTransformError`
+    naming the determinant of the first transform that has no inverse."""
+    a, b, c, d, e, f = p
+    det = a * e - b * d
+    bad = ~np.isfinite(det) | (np.abs(det) < _SINGULAR_EPS)
+    if np.any(bad):
+        raise SingularTransformError(f"transform is singular (det={np.extract(bad, det)[0]})")
+    ia, ib, ic, ie = e / det, -b / det, -d / det, a / det
+    return ia, ib, -(ia * c + ib * f), ic, ie, -(ic * c + ie * f)
+
+
+def _apply(p, x, y):
+    return p[0] * x + p[1] * y + p[2], p[3] * x + p[4] * y + p[5]
 
 
 def identity() -> Transform2D:
@@ -150,15 +211,7 @@ def t_crop(roi: Roi) -> Transform2D:
     The corner of a center-format roi sits at ``(cx - w/2, cy - h/2)``, so
     the result is a pure translation by ``(-cx + w/2, -cy + h/2)``.
     """
-    return Transform2D(
-        np.array(
-            [
-                [1.0, 0.0, -roi.cx + 0.5 * roi.w],
-                [0.0, 1.0, -roi.cy + 0.5 * roi.h],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    )
+    return _transform(_crop(roi.cx, roi.cy, roi.w, roi.h))
 
 
 def t_resize(src_w: float, src_h: float, dst_w: float, dst_h: float) -> Transform2D:
@@ -172,15 +225,7 @@ def t_resize(src_w: float, src_h: float, dst_w: float, dst_h: float) -> Transfor
         raise ValueError(
             f"resize extents must be positive, got ({src_w}, {src_h}) -> ({dst_w}, {dst_h})"
         )
-    return Transform2D(
-        np.array(
-            [
-                [dst_w / src_w, 0.0, 0.0],
-                [0.0, dst_h / src_h, 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    )
+    return _transform(_resize(src_w, src_h, dst_w, dst_h))
 
 
 def t_rotate(theta: float, center: Point) -> Transform2D:
@@ -189,15 +234,7 @@ def t_rotate(theta: float, center: Point) -> Transform2D:
         raise ValueError(f"rotation angle must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     bx, by = center.x, center.y
-    return Transform2D(
-        np.array(
-            [
-                [c, -s, -bx * c + by * s + bx],
-                [s, c, -bx * s - by * c + by],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    )
+    return _transform((c, -s, -bx * c + by * s + bx, s, c, -bx * s - by * c + by))
 
 
 def t_flip(width: float) -> Transform2D:
@@ -208,20 +245,12 @@ def t_flip(width: float) -> Transform2D:
     """
     if width <= 0:
         raise ValueError(f"flip width must be positive, got {width}")
-    return Transform2D(
-        np.array(
-            [
-                [-1.0, 0.0, float(width)],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    )
+    return _transform((-1.0, 0.0, float(width), 0.0, 1.0, 0.0))
 
 
 def compose(outer: Transform2D, inner: Transform2D) -> Transform2D:
     """The transform applying ``inner`` first, then ``outer``."""
-    return Transform2D(outer.m @ inner.m)
+    return _transform(_compose(_coeffs(outer), _coeffs(inner)))
 
 
 def invert(t: Transform2D) -> Transform2D:
@@ -232,28 +261,9 @@ def invert(t: Transform2D) -> Transform2D:
     SingularTransformError
         If the upper-left 2x2 block has (near-)zero determinant.
     """
-    a, b, c = t.m[0]
-    d, e, f = t.m[1]
-    det = a * e - b * d
-    if not math.isfinite(det) or abs(det) < _SINGULAR_EPS:
-        raise SingularTransformError(f"transform is singular (det={det})")
-    ia, ib = e / det, -b / det
-    ic, ie = -d / det, a / det
-    return Transform2D(
-        np.array(
-            [
-                [ia, ib, -(ia * c + ib * f)],
-                [ic, ie, -(ic * c + ie * f)],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    )
+    return _transform(_invert(_coeffs(t)))
 
 
 def apply_point(t: Transform2D, p: Point) -> Point:
     """Apply ``t`` to a point (homogeneous multiply, last coordinate 1)."""
-    m = t.m
-    return Point(
-        m[0, 0] * p.x + m[0, 1] * p.y + m[0, 2],
-        m[1, 0] * p.x + m[1, 1] * p.y + m[1, 2],
-    )
+    return Point(*_apply(_coeffs(t), p.x, p.y))

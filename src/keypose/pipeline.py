@@ -35,10 +35,14 @@ from .geometry import (
     Point,
     Roi,
     Transform2D,
+    _compose,
+    _crop,
+    _resize,
+    _transform,
+    _translate,
     apply_point,
     compose,
     invert,
-    t_crop,
     t_flip,
     t_resize,
     t_rotate,
@@ -158,6 +162,20 @@ def _extents(size: PlaneSize, convention: Convention) -> tuple[float, float]:
     return float(size.width_px), float(size.height_px)
 
 
+def _source_to_input(cfg: PipelineConfig, cx, cy, w, h):
+    """Coefficients of :func:`test_transform` for crop boxes ``(cx, cy, w,
+    h)``, floats or ``(R,)`` arrays: crop, then resize to the input extents."""
+    in_w, in_h = _extents(cfg.input, cfg.convention)
+    return _compose(_resize(w, h, in_w, in_h), _crop(cx, cy, w, h))
+
+
+def _output_to_source(cfg: PipelineConfig, cx, cy, w, h):
+    """Coefficients of :func:`output_to_source` for crop boxes, as
+    :func:`_source_to_input` takes them."""
+    out_w, out_h = _extents(cfg.output, cfg.convention)
+    return _compose(_translate(cx - 0.5 * w, cy - 0.5 * h), _resize(out_w, out_h, w, h))
+
+
 def train_transform(roi: Roi, theta: float, flipped: bool, cfg: PipelineConfig) -> Transform2D:
     """Source -> network-input transform used in training.
 
@@ -167,8 +185,7 @@ def train_transform(roi: Roi, theta: float, flipped: bool, cfg: PipelineConfig) 
     physical sample grid and therefore always use unit-length extents; only
     the resize ratio follows the configured convention.
     """
-    in_w, in_h = _extents(cfg.input, cfg.convention)
-    t = compose(t_resize(roi.w, roi.h, in_w, in_h), t_crop(roi))
+    t = _transform(_source_to_input(cfg, roi.cx, roi.cy, roi.w, roi.h))
     if theta != 0.0:
         center = Point(0.5 * cfg.input.width_units, 0.5 * cfg.input.height_units)
         t = compose(t_rotate(theta, center), t)
@@ -192,14 +209,7 @@ def input_to_output(cfg: PipelineConfig) -> Transform2D:
 def output_to_source(roi: Roi, cfg: PipelineConfig) -> Transform2D:
     """Network-output -> source transform: resize back to roi extents, then
     translate the origin back to the roi's top-left corner."""
-    out_w, out_h = _extents(cfg.output, cfg.convention)
-    back = compose(
-        Transform2D(
-            [[1.0, 0.0, roi.cx - 0.5 * roi.w], [0.0, 1.0, roi.cy - 0.5 * roi.h], [0.0, 0.0, 1.0]]
-        ),
-        t_resize(out_w, out_h, roi.w, roi.h),
-    )
-    return back
+    return _transform(_output_to_source(cfg, roi.cx, roi.cy, roi.w, roi.h))
 
 
 def flip_combine(k_o: Point, k_o_flip: Point, cfg: PipelineConfig) -> Point:

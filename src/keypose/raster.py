@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import PlaneSize, Point, Transform2D, invert
+from .geometry import PlaneSize, Point, Transform2D, _apply, _coeffs, invert
 
 __all__ = [
     "BorderPolicy",
@@ -164,11 +164,9 @@ def warp(
     ``invert(t) . p``.  Raises :class:`~keypose.geometry.SingularTransformError`
     for non-invertible ``t``.
     """
-    inv = invert(t).m
     xs = np.arange(dst_size.width_px, dtype=np.float64)
     ys = np.arange(dst_size.height_px, dtype=np.float64)[:, None]
-    sx = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
-    sy = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
+    sx, sy = _apply(_coeffs(invert(t)), xs, ys)
     return ImageGrid(dst_size, _bilinear_many(src.data, sx, sy, policy))
 
 

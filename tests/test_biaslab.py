@@ -521,6 +521,50 @@ class TestAnalyticErrorTable:
             cfg = make_cfg(codec=Codec.CF, sigma=sigma)
             assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] == closed
 
+    _QUARTER_ROWS = {
+        # flags, closed-form mean and variance, and the squared distance of
+        # the farthest neighbour the nudge compares: (1.5 + 2|half|)^2 + 0.25
+        "one-map": ({}, 1.0 / 8.0, 1.0 / 192.0, 2.5),
+        "averaged": (dict(convention=Convention.PIXEL_COUNT, flip_test=True),
+                     3.0 / 8.0, 1.0 / 48.0, 2.25 ** 2 + 0.25),
+        "averaged-snoop": (dict(convention=Convention.PIXEL_COUNT, flip_test=True,
+                                compensation=Compensation.SNOOP),
+                           5.0 / 32.0, 37.0 / 3072.0, 1.75 ** 2 + 0.25),
+    }
+
+    def _quarter_run(self, flags, sigma):
+        cfg = make_cfg(codec=Codec.CF_BIASED_DECODE, sigma=sigma, **flags)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
+        return rendered, analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)
+
+    @pytest.mark.parametrize("row", ["one-map", "averaged-snoop"])
+    def test_quarter_decoder_has_no_closed_form_where_its_neighbours_underflow(self, row):
+        # At sigma 0.02 both neighbours the nudge compares can underflow to
+        # 0, and the tie counts as uphill, so the rendered map misses the law.
+        flags, mean, _, _ = self._QUARTER_ROWS[row]
+        rendered, closed = self._quarter_run(flags, 0.02)
+        assert closed == {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
+        assert rendered.mean_abs_x - mean > 20 * rendered.sem_abs_x
+
+    @pytest.mark.parametrize("row", list(_QUARTER_ROWS))
+    def test_quarter_decoder_closed_form_is_unchanged_at_the_presets_sigma(self, row):
+        flags, mean, var, _ = self._QUARTER_ROWS[row]
+        rendered, closed = self._quarter_run(flags, 2.0)
+        assert (closed["mean_abs_x"], closed["var_abs_x"]) == pytest.approx((mean, var))
+        assert abs(rendered.mean_abs_x - mean) < 5 * rendered.sem_abs_x
+
+    @pytest.mark.parametrize("row", list(_QUARTER_ROWS))
+    def test_quarter_closed_form_ends_where_the_farthest_compared_node_is_subnormal(self, row):
+        flags, mean, _, d2 = self._QUARTER_ROWS[row]
+        bound = math.sqrt(d2 / (2.0 * 1022 * math.log(2.0)))
+        rendered, closed = self._quarter_run(flags, bound)
+        assert closed["mean_abs_x"] == pytest.approx(mean)
+        assert abs(rendered.mean_abs_x - mean) < 5 * rendered.sem_abs_x
+        cfg = make_cfg(codec=Codec.CF_BIASED_DECODE, sigma=math.nextafter(bound, 0.0), **flags)
+        assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
+        assert analytic_errors(cfg)["mean_abs_x"] == pytest.approx(mean)
+
     @pytest.mark.parametrize("flip", [False, True])
     def test_rendered_argmax_has_no_closed_form(self, flip):
         # The rendered argmax snaps to a node; the coordinate oracle's
@@ -853,6 +897,62 @@ class TestCropBoxTable:
         boxes = np.array([[100.0], [100.0], [1e200], [1e200]])
         with pytest.raises(SingularTransformError, match=r"^transform is singular \(det=0\.0\)$"):
             biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
+
+
+def _many_box_instances():
+    """40 seeded instances, four keypoints each, some outside the padded crop."""
+    rng = SplitMix64(16)
+    instances = []
+    for _ in range(40):
+        x, y = 600 * rng.uniform(), 400 * rng.uniform()
+        w, h = 20 + 180 * rng.uniform(), 20 + 260 * rng.uniform()
+        keypoints = tuple((Point(x + (1.6 * rng.uniform() - 0.3) * w,
+                                 y + (1.6 * rng.uniform() - 0.3) * h), 2) for _ in range(4))
+        instances.append(Instance(PlaneSize(800, 600), (x, y, w, h), keypoints))
+    return tuple(instances)
+
+
+# ``ErrorStats`` of 3,000 trials at seed 16, floats as ``float.hex``:
+# (n_trials, n_skipped, n_decode_failed, n_degenerate, mean_abs_x, mean_abs_y,
+# var_abs_x, var_abs_y, mean_abs_x_source).  Reports print 6 or 9 digits, so
+# only these catch a moved last bit in the crop-box coefficients.
+_CROP_BOX_PIN = {
+    ("coco", "analytic", "unit_length"): (2423, 577, 0, 0, "0x1.c7c9784bd325bp-4", "0x1.003be0ec321bcp-3", "0x1.31e1c086a6a41p-8", "0x1.44a8049bd9caap-8", "0x1.bae5957d87db7p-2"),  # noqa: E501
+    ("coco", "analytic", "pixel_count"): (2403, 597, 0, 0, "0x1.88e1cd201b1d6p-2", "0x1.0c17f9305ed65p-3", "0x1.617ced8ae5071p-6", "0x1.359aa5bbc6189p-8", "0x1.725054bd01a93p+0"),  # noqa: E501
+    ("coco", "analytic-rno", "unit_length"): (2423, 577, 0, 0, "0x1.f7b16bcc40f30p-6", "0x1.07addb3590e39p-5", "0x1.36e526c769485p-12", "0x1.79112f8d083a6p-12", "0x1.db90dd39af73dp-4"),  # noqa: E501
+    ("coco", "analytic-rno", "pixel_count"): (2403, 597, 0, 0, "0x1.8276a0e9fca57p-2", "0x1.f503d90b2be2ap-6", "0x1.54c776676a8eap-10", "0x1.926827c2e64b4p-12", "0x1.68a4c4744f515p+0"),  # noqa: E501
+    ("coco", "heatmap-rno", "unit_length"): (2423, 577, 0, 0, "0x1.5690f24020288p-3", "0x1.4bbc9b9289ab9p-3", "0x1.1a1a0937d928ep-7", "0x1.49e3917f6d374p-7", "0x1.463872e2d1b1cp-1"),  # noqa: E501
+    ("coco", "heatmap-rno", "pixel_count"): (2290, 710, 0, 0, "0x1.8181e54c5e46fp-2", "0x1.9396b81b8c669p-3", "0x1.9c2ce5b7f85a0p-5", "0x1.28dd88214c8bdp-6", "0x1.6d21859b3eb2bp+0"),  # noqa: E501
+    ("roi", "analytic", "unit_length"): (3000, 0, 0, 0, "0x1.00e95a099d6e0p-3", "0x1.f644816b86ce3p-4", "0x1.5404978b8a3c8p-8", "0x1.563878144640bp-8", "0x1.2d3011dc6df08p-3"),  # noqa: E501
+    ("roi", "analytic", "pixel_count"): (3000, 0, 0, 0, "0x1.7a599abe1013ep-2", "0x1.f644816b86ccdp-4", "0x1.4fc7a41d82f8ep-6", "0x1.5638781446405p-8", "0x1.b250755d604a2p-2"),  # noqa: E501
+    ("roi", "analytic-rno", "unit_length"): (3000, 0, 0, 0, "0x1.f4e43f3a76167p-6", "0x1.f1cc15b6d233fp-6", "0x1.4ec67b9febdaap-12", "0x1.4b62992afb58fp-12", "0x1.259b942d6f2abp-5"),  # noqa: E501
+    ("roi", "analytic-rno", "pixel_count"): (3000, 0, 0, 0, "0x1.8027164e1b001p-2", "0x1.01a0c0f31742dp-5", "0x1.5a3ce778bcc83p-10", "0x1.5730c9993c8eep-12", "0x1.b8f9ab34533a6p-2"),  # noqa: E501
+    ("roi", "heatmap-rno", "unit_length"): (3000, 0, 0, 0, "0x1.49d1e2a4a7950p-3", "0x1.4668c0003cdb2p-3", "0x1.4b392cf9cfc95p-7", "0x1.3252c32eb4b09p-7", "0x1.82a941ce1a862p-3"),  # noqa: E501
+    ("roi", "heatmap-rno", "pixel_count"): (3000, 0, 0, 0, "0x1.81092dd47faa1p-2", "0x1.8e3ecf1cd1b42p-3", "0x1.af07b17db0358p-5", "0x1.1c72a91da6bbep-6", "0x1.b9fd341365b7dp-2"),  # noqa: E501
+}
+
+
+def test_crop_box_path_stats_are_pinned_to_the_last_bit():
+    # A many-box COCO sampler (with skips) and a uniform sampler in an
+    # unaligned roi, through output_to_source (analytic) and invert (rno).
+    # The quarter decoder only compares node values, so the heatmap rows
+    # do not hang on the last bits of exp.
+    samplers = {"coco": CocoKeypointSampler(_many_box_instances()),
+                "roi": UniformKeypointSampler(Roi(101.3, 77.7, 55.1, 73.9))}
+    modes = {"analytic": (OracleMode.ANALYTIC_SHIFT, False),
+             "analytic-rno": (OracleMode.ANALYTIC_SHIFT, True),
+             "heatmap-rno": (OracleMode.FULL_HEATMAP, True)}
+    got = {}
+    for (sampler, mode, convention) in _CROP_BOX_PIN:
+        oracle, rno = modes[mode]
+        cfg = make_cfg(convention=Convention(convention), flip_test=True,
+                       codec=Codec.CF_BIASED_DECODE, rno=rno)
+        s = monte_carlo(cfg, oracle, 3000, 16, samplers[sampler], jobs=1)
+        got[sampler, mode, convention] = (
+            s.n_trials, s.n_skipped, s.n_decode_failed, s.n_degenerate,
+            *(v.hex() for v in (s.mean_abs_x, s.mean_abs_y, s.var_abs_x, s.var_abs_y,
+                                s.mean_abs_x_source)))
+    assert got == _CROP_BOX_PIN
 
 
 def _shift_one_node(grid: ImageGrid) -> ImageGrid:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keypose import geometry
 from keypose.geometry import (
     PlaneSize,
     Point,
@@ -24,6 +25,7 @@ from keypose.geometry import (
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 positive = st.floats(min_value=0.5, max_value=1e3, allow_nan=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+entries = st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
 
 
 def random_transform(rng) -> Transform2D:
@@ -215,3 +217,76 @@ class TestBiasedFlipDefect:
             chain = compose(t_flip(wop - 1.0), compose(resize_pixel, t_flip(wip - 1.0)))
             defect = compose(chain, invert(resize_pixel))
             assert defect.m[0, 2] == pytest.approx((1.0 - s) / s, abs=1e-12)
+
+
+@st.composite
+def general_transforms(draw) -> Transform2D:
+    """A rotation, a shear, a mirror or six drawn entries, optionally after a
+    translation; entries include signed zeros."""
+    kind = draw(st.sampled_from(("rotate", "shear", "flip", "entries")))
+    if kind == "rotate":
+        t = t_rotate(draw(angles), Point(draw(finite), draw(finite)))
+    elif kind == "shear":
+        t = Transform2D([[1.0, draw(entries), 0.0], [draw(entries), 1.0, 0.0], [0.0, 0.0, 1.0]])
+    elif kind == "flip":
+        t = t_flip(draw(positive))
+    else:
+        t = Transform2D([[draw(entries) for _ in range(3)] for _ in range(2)] + [[0.0, 0.0, 1.0]])
+    if draw(st.booleans()):
+        t = compose(t, Transform2D([[1.0, 0.0, draw(entries)], [0.0, 1.0, draw(entries)],
+                                    [0.0, 0.0, 1.0]]))
+    return t
+
+
+def _columns(ts):
+    """The coefficients of transforms ``ts`` as six ``(R,)`` arrays."""
+    return tuple(np.array([t.m[i, j] for t in ts]) for i in range(2) for j in range(3))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestCoefficientForms:
+    """The array forms equal their one-row calls, the public functions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(general_transforms(), general_transforms(), entries, entries),
+                         min_size=1, max_size=6))
+    def test_array_forms_equal_the_public_functions_bit_for_bit(self, rows):
+        outer, inner, xs, ys = zip(*rows)
+        want = np.array([compose(a, b).m[:2].ravel() for a, b in zip(outer, inner)]).T
+        assert_same_bits(geometry._compose(_columns(outer), _columns(inner)), want)
+        points = [apply_point(t, Point(x, y)) for t, x, y in zip(outer, xs, ys)]
+        got = geometry._apply(_columns(outer), np.array(xs), np.array(ys))
+        assert_same_bits(got, [[p.x for p in points], [p.y for p in points]])
+        try:
+            want = np.array([invert(t).m[:2].ravel() for t in outer]).T
+        except SingularTransformError as exc:
+            with pytest.raises(SingularTransformError) as got:
+                geometry._invert(_columns(outer))
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_bits(geometry._invert(_columns(outer)), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ts=st.lists(general_transforms(), max_size=4),
+           scales=st.lists(st.sampled_from([0.0, -0.0, 1e-7, -3e-7, 9.9e-7]), min_size=1,
+                           max_size=3),
+           data=st.data())
+    def test_a_singular_batch_names_its_first_bad_determinant(self, ts, scales, data):
+        batch = list(ts)
+        for u in scales:
+            at = data.draw(st.integers(0, len(batch)))
+            batch.insert(at, Transform2D([[u, 0.0, 1.0], [0.0, 0.5 * u, 2.0], [0.0, 0.0, 1.0]]))
+        for t in batch:
+            try:
+                invert(t)
+            except SingularTransformError as exc:
+                message = str(exc)
+                break
+        with pytest.raises(SingularTransformError) as got:
+            geometry._invert(_columns(batch))
+        assert str(got.value) == message
