@@ -38,6 +38,7 @@ index order, so results are identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +53,7 @@ from .pipeline import (
     Compensation,
     Convention,
     PipelineConfig,
+    _extents,
     _output_to_source,
     _source_to_input,
     input_to_output,
@@ -755,10 +757,12 @@ def monte_carlo(
         (engine, bound, ctx, seed, start, min(start + _CHUNK, n))
         for start in range(0, n, _CHUNK)
     ]
-    if jobs > 1 and len(chunks) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(chunks), cpus or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(jobs, len(chunks))) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             partials = pool.starmap(_run_chunk, chunks)
     else:
         partials = [_run_chunk(*chunk) for chunk in chunks]
@@ -809,12 +813,18 @@ def analytic_errors(
     Returns a dict with ``mean_abs_x``, ``var_abs_x`` and
     ``mean_abs_x_source``; entries are ``None`` when the configuration falls
     outside the analyzed cases (and the source entry also when no ``roi``
-    supplies a crop width).  Rendered disc maps that are averaged decode to
-    the midpoint of the two branch keypoints, ``d`` apart, only when the
-    discs share a node wherever they fall: ``r^2 > (0.5 + d/2)^2 + 0.25``.
+    supplies a crop width).  Mirrored back, a flipped branch lands
+    ``(1 - s)/s`` nodes from the original under pixel-count ratios and on it
+    under unit-length ones, and snoop moves it one node more; the averaged
+    map is ``half`` that distance off the keypoint, less ``1/(2s)`` under
+    snoop+ec.  Rendered disc maps that are averaged decode to the midpoint
+    of the two branch keypoints, ``d`` apart, only when the discs share a
+    node wherever they fall: ``r^2 > (0.5 + d/2)^2 + 0.25``.
     Rendered Gaussian maps decode to their keypoints only when no two maps
-    apart are averaged and the 3x3 window, whose corner can be ``d^2 = 4.5``
-    out, holds normal floats: ``sigma >= sqrt(4.5 / (2 * 1022 ln 2))``.
+    apart are averaged, the 3x3 window, whose corner can be ``d^2 = 4.5``
+    out, holds normal floats, ``sigma >= sqrt(4.5 / (2 * 1022 ln 2))``, and
+    the Newton step's Hessian determinant ``1/sigma^4`` is not below
+    ``_HESSIAN_EPS``: ``sigma < 1000``.
     The quarter-shift decoder compares the peak node's two neighbours along
     each axis.  The peak lies within 0.5 of the branch keypoints' span,
     ``2|half|`` wide in x (``half`` is 0 for one map), so a compared node
@@ -822,37 +832,23 @@ def analytic_errors(
     form needs that value normal, ``sigma >= sqrt(d^2 / (2 * 1022 ln 2))``
     (0.042 for one map).  A rendered argmax snaps to a node, so it has no
     closed form here."""
-    na = {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
-    if cfg.rno:
-        return dict(na)
-
-    # ``half`` is half the x distance between the averaged branches.
-    shift = half = 0.0
-    if cfg.flip_test and cfg.convention is Convention.PIXEL_COUNT:
-        s = cfg.stride
-        if cfg.compensation is Compensation.NONE:
-            shift = half = (1.0 - s) / (2.0 * s)
-        else:
-            half = 1.0 / (2.0 * s)
-            if cfg.compensation is Compensation.SNOOP:
-                shift = half
+    na = dict.fromkeys(("mean_abs_x", "var_abs_x", "mean_abs_x_source"))
+    s, snoop = cfg.stride, cfg.compensation is not Compensation.NONE
+    gap = 1.0 - s if cfg.convention is Convention.PIXEL_COUNT else 0.0
+    half = (gap + (s if snoop else 0.0)) / (2.0 * s) if cfg.flip_test else 0.0
+    shift = half - (1.0 / (2.0 * s) if cfg.compensation is Compensation.SNOOP_PLUS_EC else 0.0)
+    quarter = cfg.codec is Codec.CF_BIASED_DECODE
+    if cfg.rno or quarter and (cfg.flip_test and cfg.combine is not Combine.AVERAGE_HEATMAPS
+                               or abs(shift) > 0.5):
+        return na
     apart = cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
     if mode is OracleMode.FULL_HEATMAP and (
             cfg.codec is Codec.CCRF and apart and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25
-            or cfg.codec is Codec.CF and (apart or cfg.sigma < _min_sigma(4.5))
-            or cfg.codec is Codec.CF_BIASED_DECODE
-            and cfg.sigma < _min_sigma((1.5 + 2.0 * abs(half)) ** 2 + 0.25)
+            or cfg.codec is Codec.CF
+            and (apart or not _min_sigma(4.5) <= cfg.sigma < _HESSIAN_EPS ** -0.25)
+            or quarter and cfg.sigma < _min_sigma((1.5 + 2.0 * abs(half)) ** 2 + 0.25)
             or cfg.codec is Codec.ARGMAX_ONLY):
-        return dict(na)
-
-    if cfg.codec is Codec.CF_BIASED_DECODE:
-        if cfg.flip_test and cfg.combine is not Combine.AVERAGE_HEATMAPS or abs(shift) > 0.5:
-            return dict(na)
-        mean, var = _quarter_stats(shift)
-    else:
-        mean, var = abs(shift), 0.0
-
-    unit = cfg.convention is Convention.UNIT_LENGTH
-    out_w = cfg.output.width_units if unit else float(cfg.output.width_px)
-    mean_source = mean * roi.w / out_w if roi is not None else None
+        return na
+    mean, var = _quarter_stats(shift) if quarter else (abs(shift), 0.0)
+    mean_source = None if roi is None else mean * roi.w / _extents(cfg.output, cfg.convention)[0]
     return {"mean_abs_x": mean, "var_abs_x": var, "mean_abs_x_source": mean_source}

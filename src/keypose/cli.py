@@ -421,11 +421,13 @@ def _verify_checks(seed: int):
 
     # Closed forms match their fixed constants (np.max keeps a NaN).
     errors = []
-    for comp, mean, var in (
-        (Compensation.SNOOP, 5.0 / 32.0, 37.0 / 3072.0),
-        (Compensation.NONE, 3.0 / 8.0, 1.0 / 48.0),
+    for conv, comp, mean, var in (
+        (pixel, Compensation.SNOOP, 5.0 / 32.0, 37.0 / 3072.0),
+        (pixel, Compensation.NONE, 3.0 / 8.0, 1.0 / 48.0),
+        (unit, Compensation.SNOOP, 1.0 / 2.0, 1.0 / 48.0),
+        (unit, Compensation.SNOOP_PLUS_EC, 3.0 / 8.0, 1.0 / 48.0),
     ):
-        cfg = _topdown(pixel, flip_test=True, compensation=comp, codec=Codec.CF_BIASED_DECODE)
+        cfg = _topdown(conv, flip_test=True, compensation=comp, codec=Codec.CF_BIASED_DECODE)
         closed = analytic_errors(cfg)
         errors += [abs(closed["mean_abs_x"] - mean), abs(closed["var_abs_x"] - var)]
     yield "closed-form table matches its constants", float(np.max(errors)), 0.0, 1e-12, ""
@@ -516,8 +518,8 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_simulate_flags(sp: argparse.ArgumentParser, require_seed: bool) -> None:
-    sp.add_argument("--seed", type=int, required=require_seed, help="PRNG seed (required)")
+def _add_simulate_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--seed", type=int, required=True, help="PRNG seed (required)")
     sp.add_argument("-n", "--trials", type=int, default=10000, help="number of trials")
     sp.add_argument("--mode", choices=("analytic", "heatmap"), default="analytic",
                     help="coordinate-level or rendered-heatmap oracle")
@@ -598,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--aspect", type=float, default=None, help="crop aspect for --coco")
     sp.add_argument("--padding", type=float, default=1.25, help="crop padding for --coco")
     sp.add_argument("--label", default=None, help="row label in reports")
-    _add_simulate_flags(sp, require_seed=True)
+    _add_simulate_flags(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run the identity and closed-form check suite")
@@ -607,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ablate", help="run a preset configuration grid")
     sp.add_argument("--preset", choices=("topdown", "bottomup"), required=True)
-    _add_simulate_flags(sp, require_seed=True)
+    _add_simulate_flags(sp)
     sp.set_defaults(func=cmd_ablate)
 
     return parser

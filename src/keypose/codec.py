@@ -75,8 +75,7 @@ class CcrfTarget:
     radius: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        _check_radius(self.radius)
         if not (self.c.size == self.x_off.size == self.y_off.size):
             raise ValueError("c, x_off and y_off must share one plane size")
 
@@ -119,6 +118,11 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma is too small: 2*sigma^2 underflows to 0, got {sigma}")
 
 
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+
+
 def _check_in_plane(k: Point, dims: PlaneSize) -> None:
     if not (0.0 <= k.x <= dims.width_units and 0.0 <= k.y <= dims.height_units):
         raise OutOfBoundsError(
@@ -150,8 +154,7 @@ def encode_ccrf(k: Point, dims: PlaneSize, radius: float) -> CcrfTarget:
 
     Raises :class:`OutOfBoundsError` if ``k`` is outside the plane.
     """
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    _check_radius(radius)
     _check_in_plane(k, dims)
     c, x_off, y_off = _ccrf_arrays(dims.width_px, dims.height_px, k.x, k.y, radius)
     return CcrfTarget(

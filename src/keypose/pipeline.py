@@ -25,11 +25,10 @@ the residual as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import _check_sigma, default_ccrf_radius
+from .codec import _check_radius, _check_sigma, default_ccrf_radius
 from .geometry import (
     PlaneSize,
     Point,
@@ -139,8 +138,7 @@ class PipelineConfig:
         combine = self.combine if self.combine is not None else _default_combine(self.codec)
         object.__setattr__(self, "combine", combine)
         radius = self.radius if self.radius is not None else default_ccrf_radius(self.output)
-        if not 0.0 < radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {radius}")
+        _check_radius(radius)
         object.__setattr__(self, "radius", float(radius))
         if self.rno and self.codec is Codec.CCRF:
             raise ValueError("rno cannot be used with the ccrf codec: its offset "

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from keypose.biaslab import (
     UniformKeypointSampler,
     analytic_errors,
     default_roi,
+    describe_config,
     ideal_network,
     monte_carlo,
     run_trial,
@@ -278,6 +281,41 @@ class TestDeterminism:
         three = monte_carlo(cfg, mode, n, 11, sampler, jobs=3)
         assert one == three
 
+    @pytest.mark.parametrize("affinity,cpu_count,workers", [
+        ({0, 1}, 64, [2]), ({0}, 64, []), (None, 3, [3]), (None, None, [])])
+    def test_worker_count_is_capped_at_the_usable_cpus(
+        self, monkeypatch, affinity, cpu_count, workers
+    ):
+        # A stand-in pool records its size and runs the chunks in this
+        # process, so no worker starts; five chunks ask for 500 workers.
+        import multiprocessing
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks):
+                return [fn(*task) for task in tasks]
+
+        sizes = []
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        cfg = make_cfg(flip_test=True, codec=Codec.CF_BIASED_DECODE)
+        n = 4 * biaslab._CHUNK + 1
+        capped = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, n, 11, jobs=500)
+        assert sizes == workers
+        assert capped == monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, n, 11)
+
     def test_different_seed_changes_draws(self):
         cfg = make_cfg(codec=Codec.CF_BIASED_DECODE)
         a = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 2000, 1)
@@ -521,6 +559,26 @@ class TestAnalyticErrorTable:
             cfg = make_cfg(codec=Codec.CF, sigma=sigma)
             assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] == closed
 
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("sigma,exact", [(999.9, True), (1000.0, False), (1100.0, False)])
+    def test_gaussian_closed_form_ends_where_the_newton_step_falls_back(self, sigma, exact, flip):
+        # One Gaussian's log-space Hessian determinant is 1/sigma^4; the
+        # decode keeps the peak node once it drops below _HESSIAN_EPS = 1e-12.
+        kw = dict(convention=Convention.PIXEL_COUNT, flip_test=True,
+                  combine=Combine.AVERAGE_COORDS) if flip else {}
+        cfg = make_cfg(codec=Codec.CF, sigma=sigma, **kw)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        mean = 0.375 if flip else 0.0
+        assert analytic_errors(cfg)["mean_abs_x"] == mean
+        if exact:
+            assert closed == mean and rendered.n_degenerate == 0
+            assert rendered.mean_abs_x == pytest.approx(mean, abs=1e-9)
+        else:
+            assert closed is None
+            assert rendered.n_degenerate > 0 and abs(rendered.mean_abs_x - mean) > 1e-3
+
     _QUARTER_ROWS = {
         # flags, closed-form mean and variance, and the squared distance of
         # the farthest neighbour the nudge compares: (1.5 + 2|half|)^2 + 0.25
@@ -590,6 +648,36 @@ class TestAnalyticErrorTable:
             )
         )
         assert coords["mean_abs_x"] is None
+
+
+_DIFFERENTIAL_PLANES = {"192x256-48x64": (PlaneSize(192, 256), PlaneSize(48, 64)),
+                        "128x128-64x64": (PlaneSize(128, 128), PlaneSize(64, 64))}
+
+
+@pytest.mark.parametrize("mode", list(OracleMode))
+@pytest.mark.parametrize("planes", list(_DIFFERENTIAL_PLANES))
+def test_monte_carlo_lies_within_five_sems_of_every_closed_form(planes, mode):
+    # Every row with a closed form, in both conventions, without and with
+    # each flip remedy; the unit-length snoop rows move the flipped branch
+    # one node off an aligned ensemble.
+    flips = [(False, Compensation.NONE)] + [(True, comp) for comp in Compensation]
+    n = 4000 if mode is OracleMode.ANALYTIC_SHIFT else 1000
+    rows = misses = 0
+    for convention, (flip, comp), codec, combine in itertools.product(
+            Convention, flips, Codec, Combine):
+        cfg = PipelineConfig(convention, *_DIFFERENTIAL_PLANES[planes], flip_test=flip,
+                             compensation=comp, codec=codec, combine=combine)
+        closed = analytic_errors(cfg, mode=mode)["mean_abs_x"]
+        if closed is None:
+            continue
+        stats = monte_carlo(cfg, mode, n, 11)
+        rows += 1
+        if abs(stats.mean_abs_x - closed) > 5 * stats.sem_abs_x + 1e-9:
+            misses += 1
+            print(f"{describe_config(cfg)} {combine.value}: "
+                  f"closed {closed:.6f}, measured {stats.mean_abs_x:.6f} "
+                  f"(SEM {stats.sem_abs_x:.2e})")
+    assert rows > 30 and misses == 0
 
 
 class TestFailureAccounting:

@@ -270,6 +270,22 @@ class TestSimulateCommand:
             assert "mean|ex|=0.488643" in lines[0]
         assert lines[1:] == (["closed-form: mean|ex|=0.375000 var|ex|=0.000000"] if closed else [])
 
+    @pytest.mark.parametrize("flags,closed", [
+        (["--codec", "cf"], "mean|ex|=0.500000 var|ex|=0.000000"),
+        (["--codec", "cf", "--ec"], "mean|ex|=0.375000 var|ex|=0.000000"),
+        (["--codec", "cf-biased"], "mean|ex|=0.500000 var|ex|=0.020833"),
+        (["--mode", "heatmap", "--codec", "cf"], None),
+    ])
+    def test_unit_length_snoop_closed_form_moves_the_aligned_ensemble_one_node(
+        self, capsys, flags, closed
+    ):
+        # Unit-length branches coincide, so snoop leaves them one node apart:
+        # half a node off, and rendered Gaussians a node apart have no closed form.
+        argv = ["simulate", "--seed", "1", "-n", "2000", "--ucst", "--ft", "--snoop", *flags]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ([f"closed-form: {closed}"] if closed else [])
+
     @pytest.mark.parametrize("flag", ["--aspect", "--padding"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_non_finite_or_zero_crop_fixing_is_a_usage_error_naming_it(
