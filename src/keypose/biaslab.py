@@ -824,7 +824,7 @@ def analytic_errors(
     apart are averaged, the 3x3 window, whose corner can be ``d^2 = 4.5``
     out, holds normal floats, ``sigma >= sqrt(4.5 / (2 * 1022 ln 2))``, and
     the Newton step's Hessian determinant ``1/sigma^4`` is not below
-    ``_HESSIAN_EPS``: ``sigma < 1000``.
+    ``_HESSIAN_EPS`` even after rounding: ``sigma < (1 - 1e-9) * 1000``.
     The quarter-shift decoder compares the peak node's two neighbours along
     each axis.  The peak lies within 0.5 of the branch keypoints' span,
     ``2|half|`` wide in x (``half`` is 0 for one map), so a compared node
@@ -842,10 +842,12 @@ def analytic_errors(
                                or abs(shift) > 0.5):
         return na
     apart = cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
+    # The log node values carry ~1.1e-16 of rounding, so near sigma = 1000 the
+    # determinant is known only to ~1e-9 relative: stop that far short of it.
     if mode is OracleMode.FULL_HEATMAP and (
             cfg.codec is Codec.CCRF and apart and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25
             or cfg.codec is Codec.CF
-            and (apart or not _min_sigma(4.5) <= cfg.sigma < _HESSIAN_EPS ** -0.25)
+            and (apart or not _min_sigma(4.5) <= cfg.sigma < (1.0 - 1e-9) * _HESSIAN_EPS ** -0.25)
             or quarter and cfg.sigma < _min_sigma((1.5 + 2.0 * abs(half)) ** 2 + 0.25)
             or cfg.codec is Codec.ARGMAX_ONLY):
         return na

@@ -67,8 +67,8 @@ from .pipeline import (
 from .raster import (
     BorderPolicy,
     ImageGrid,
+    _read_pgm,
     read_grid_text,
-    read_pgm,
     warp,
     write_grid_text,
     write_pgm,
@@ -134,21 +134,23 @@ def cmd_transform(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_image(path: str) -> ImageGrid:
+def _read_image(path: str) -> tuple[ImageGrid, int]:
+    """The grid and the maxval a PGM written from it keeps: the input's own
+    for a PGM, 255 for a text grid."""
     if path.endswith(".pgm"):
-        return read_pgm(path)
-    return read_grid_text(path)
+        return _read_pgm(path)
+    return read_grid_text(path), 255
 
 
-def _write_image(path: str, grid: ImageGrid) -> None:
+def _write_image(path: str, grid: ImageGrid, maxval: int) -> None:
     if path.endswith(".pgm"):
-        write_pgm(path, grid)
+        write_pgm(path, grid, maxval)
     else:
         write_grid_text(path, grid)
 
 
 def cmd_warp(args) -> int:
-    src = _read_image(args.image)
+    src, maxval = _read_image(args.image)
     dst_size = parse_size(args.dst_size) if args.dst_size else src.size
     if args.op == "flip":
         t = t_flip(src.size.width_units)
@@ -173,7 +175,7 @@ def cmd_warp(args) -> int:
     else:  # pragma: no cover
         raise UsageError(f"unknown op {args.op!r}")
     out = warp(src, t, dst_size, _BORDER_FLAGS[args.border])
-    _write_image(args.out, out)
+    _write_image(args.out, out, maxval)
     print(json.dumps({"written": args.out, "size": [dst_size.width_px, dst_size.height_px]}))
     return 0
 

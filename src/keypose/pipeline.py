@@ -46,7 +46,7 @@ from .geometry import (
     t_resize,
     t_rotate,
 )
-from .raster import BorderPolicy, ImageGrid, warp
+from .raster import ImageGrid, warp
 
 __all__ = [
     "Codec",
@@ -229,16 +229,14 @@ def flip_combine(k_o: Point, k_o_flip: Point, cfg: PipelineConfig) -> Point:
     return avg
 
 
-def rno_upsample(
-    h: ImageGrid, cfg: PipelineConfig, policy: BorderPolicy = BorderPolicy.ZERO_FILL
-) -> ImageGrid:
+def rno_upsample(h: ImageGrid, cfg: PipelineConfig) -> ImageGrid:
     """Resize a network-output map up to input resolution before decoding.
 
     The warp inverts the input->output resize under the configured
     convention.  This costs one interpolation pass and bends the map's
     value distribution, which is why it is exposed as an explicit toggle.
     """
-    return warp(h, invert(input_to_output(cfg)), cfg.input, policy)
+    return warp(h, invert(input_to_output(cfg)), cfg.input)
 
 
 def swap_flip_pairs(points: list[Point], pairs: tuple[tuple[int, int], ...]) -> list[Point]:

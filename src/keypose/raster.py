@@ -220,6 +220,11 @@ def _named(path):
 
 def read_pgm(path) -> ImageGrid:
     """Read a P2 or P5 PGM file into a single-channel float grid."""
+    return _read_pgm(path)[0]
+
+
+def _read_pgm(path) -> tuple[ImageGrid, int]:
+    """:func:`read_pgm`'s grid and the file's maxval."""
     with open(path, "rb") as fh, _named(path):
         buf = fh.read()
         tokens = _pgm_tokens(buf)
@@ -249,7 +254,7 @@ def read_pgm(path) -> ImageGrid:
             vals = np.array([float(int(tok)) for _, tok in tokens], dtype=np.float64)
             if vals.size != w * h:
                 raise ValueError(f"expected {w * h} samples, got {vals.size}")
-        return ImageGrid(PlaneSize(w, h), vals.reshape(h, w))
+        return ImageGrid(PlaneSize(w, h), vals.reshape(h, w)), maxval
 
 
 def write_grid_text(path, grid: ImageGrid) -> None:

@@ -579,6 +579,27 @@ class TestAnalyticErrorTable:
             assert closed is None
             assert rendered.n_degenerate > 0 and abs(rendered.mean_abs_x - mean) > 1e-3
 
+    @pytest.mark.parametrize("planes", ["topdown", "bottomup"])
+    @pytest.mark.parametrize("sigma,exact", [(999.999, True), (999.99999999, False)])
+    def test_gaussian_closed_form_stops_short_of_the_newton_bound_by_its_rounding(
+        self, sigma, exact, planes
+    ):
+        # Near sigma = 1000 the determinant 1/sigma^4 is known only to ~1e-9
+        # relative, so 1e-11 below the bound some trials already fall back.
+        kw = (dict(input=PlaneSize(128, 128), output=PlaneSize(64, 64), flip_test=True,
+                   combine=Combine.AVERAGE_COORDS) if planes == "bottomup" else {})
+        cfg = dataclasses.replace(make_cfg(Convention.PIXEL_COUNT, codec=Codec.CF, sigma=sigma),
+                                  **kw)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        if exact:
+            assert closed == analytic_errors(cfg)["mean_abs_x"]
+            assert rendered.n_degenerate == 0
+            assert rendered.mean_abs_x == pytest.approx(closed, abs=1e-9)
+        else:
+            assert closed is None and rendered.n_degenerate > 0
+
     _QUARTER_ROWS = {
         # flags, closed-form mean and variance, and the squared distance of
         # the farthest neighbour the nudge compares: (1.5 + 2|half|)^2 + 0.25

@@ -79,6 +79,16 @@ class TestWarpCommand:
 
         assert np.array_equal(read_pgm(dst).data, grid.data[:, ::-1, :])
 
+    @pytest.mark.parametrize("maxval,dtype", [(255, np.uint8), (65535, ">u2")])
+    def test_flip_pgm_keeps_the_input_maxval(self, tmp_path, maxval, dtype):
+        vals = np.array([[0, 1000, 40000], [65535, 300, 7]]) % (maxval + 1)
+        head = f"P5\n3 2\n{maxval}\n".encode()
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        src.write_bytes(head + vals.astype(dtype).tobytes())
+        out = run_cli("warp", "--image", str(src), "--out", str(dst), "--op", "flip")
+        assert out.returncode == 0
+        assert dst.read_bytes() == head + vals[:, ::-1].astype(dtype).tobytes()
+
     def test_resize_grid_text(self, tmp_path):
         xs = np.arange(3, dtype=float)
         grid = ImageGrid.from_array(np.tile(xs, (3, 1)))
@@ -394,6 +404,15 @@ class TestSimulateCommand:
         assert (out.returncode, out.stderr) == (0, "")
         assert "degenerate=20" in out.stdout
         assert "closed-form" not in out.stdout
+
+    @pytest.mark.parametrize("sigma,closed", [("999.999", True), ("999.99999999", False)])
+    def test_newton_closed_form_ends_short_of_the_rounding_window(self, capsys, sigma, closed):
+        argv = ["simulate", "--seed", "1", "-n", "4000", "--sigma", sigma, "--margin", "3",
+                "--mode", "heatmap", "--codec", "cf"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("degenerate=0" in lines[0]) is closed
+        assert lines[1:] == (["closed-form: mean|ex|=0.000000 var|ex|=0.000000"] if closed else [])
 
     def test_config_file_with_nan_sigma_is_refused(self, tmp_path):
         path = tmp_path / "nan.cfg"
