@@ -353,28 +353,13 @@ class _Maps:
     """A map is a tuple of branch terms ``(m, n, mirrored, shift)``: the
     encoder's map of keypoints ``(m, n)``, one per trial, optionally mirrored
     back and moved ``shift`` nodes in +x (zeros move in); two terms average.
-    Both oracle modes share this flip ensemble and define only ``covers``
-    (which keypoints a map holds) and ``decode``."""
+    Only the engine writes terms (``_Engine._terms``), so the flip ensemble
+    is written once; each oracle mode reads them here and defines only
+    ``covers`` (which keypoints a map holds) and ``decode``."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
         self.w, self.h = cfg.output.width_px, cfg.output.height_px
-
-    @staticmethod
-    def render(kx, ky):
-        return ((kx, ky, False, 0),)
-
-    @staticmethod
-    def flip_back(terms):
-        return tuple((m, n, not mirrored, shift) for m, n, mirrored, shift in terms)
-
-    @staticmethod
-    def shift(terms):
-        return tuple((m, n, mirrored, shift + 1) for m, n, mirrored, shift in terms)
-
-    @staticmethod
-    def average(a, b):
-        return a + b
 
     def keypoints(self, terms):
         """The terms' output-plane keypoints, as lists of x and of y arrays."""
@@ -389,13 +374,13 @@ class _Maps:
 class _PeakMaps(_Maps):
     """Coordinate-level oracle: a map decodes to the midpoint of its terms'
     keypoints (single-peak averaging), exactly except for the quarter-shift
-    decoder's quantization law; ``up`` maps output to input plane for rno.
-    Every operation is element-wise over a batch of peaks, and no peak is
-    ever skipped or fails to decode."""
+    decoder's quantization law; under rno, ``up`` takes the midpoint to the
+    input plane first.  Every operation is element-wise over a batch of
+    peaks, and no peak is ever skipped or fails to decode."""
 
-    def __init__(self, cfg: PipelineConfig, up=None) -> None:
+    def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
-        self.up = up
+        self.up = _coeffs(invert(input_to_output(cfg))) if cfg.rno else None
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
 
     @staticmethod
@@ -540,24 +525,22 @@ class _AxisMaps(_Maps):
 class _Engine:
     """The test pass of one configuration, for a batch of trials.
 
-    The oracle mode only picks the map representation; the flow is the
-    same for both.  Predictions are decoded in the decode plane: the input
-    plane when the output is upsampled first (rno), else the output plane.
+    The engine alone writes the flip ensemble's terms (``_terms``); the
+    oracle mode picks the map class that decodes them in the decode plane:
+    the input plane when the output is upsampled first (rno), else the output plane.
     Everything runs element-wise on the batch; rendered maps take the live
     trials in blocks of ``_BLOCK``, which bounds the node values they hold.
     """
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
         self.cfg = cfg
-        i2o_t = input_to_output(cfg)
-        self.i2o = _coeffs(i2o_t)
+        self.i2o = _coeffs(input_to_output(cfg))
         self.w_i = cfg.input.width_units
         self.h_i = cfg.input.height_units
         # Decode plane -> output plane; None when they coincide.
         self.dp2o = self.i2o if cfg.rno else None
         self.batched = mode is OracleMode.ANALYTIC_SHIFT
-        up = _coeffs(invert(i2o_t)) if cfg.rno and self.batched else None
-        self.maps = _PeakMaps(cfg, up) if self.batched else _AxisMaps(cfg)
+        self.maps = (_PeakMaps if self.batched else _AxisMaps)(cfg)
         self.snoop = cfg.compensation is not Compensation.NONE
         self.average_coords = cfg.combine is Combine.AVERAGE_COORDS
         # The 1/(2s) residual correction of the flip ensemble, in
@@ -581,28 +564,24 @@ class _Engine:
             back = _invert(forward) if self.cfg.rno else _output_to_source(self.cfg, *boxes)
             return np.concatenate((forward, _finite(back)))
 
-    def _combine(self, a, b):
-        """Mirror map ``b`` back, shift it one node in +x when compensating,
-        and average it with ``a``."""
-        back = self.maps.flip_back(b)
-        if self.snoop:
-            back = self.maps.shift(back)
-        return self.maps.average(a, back)
+    def _terms(self, a, b=None):
+        """The map of keypoints ``a``; with ``b``, the flip ensemble: ``b``'s map
+        mirrored back, shifted one node in +x when compensating, averaged with ``a``'s."""
+        one = (*a, False, 0)
+        return (one,) if b is None else (one, (*b, True, int(self.snoop)))
 
     def _predict(self, ko, kof):
         """Render, combine and decode; returns (x, y, degenerate, failed)."""
         maps = self.maps
-        m = maps.render(*ko)
         if kof is None:
-            return maps.decode(m)
-        m_flip = maps.render(*kof)
+            return maps.decode(self._terms(ko))
         if self.average_coords:
             # Decoded points combine as maps in the output plane (never with rno).
-            x1, y1, deg1, failed1 = maps.decode(m)
-            x2, y2, deg2, failed2 = maps.decode(m_flip)
-            x, y = maps.midpoint(self._combine(maps.render(x1, y1), maps.render(x2, y2)))
+            x1, y1, deg1, failed1 = maps.decode(self._terms(ko))
+            x2, y2, deg2, failed2 = maps.decode(self._terms(kof))
+            x, y = maps.midpoint(self._terms((x1, y1), (x2, y2)))
             return x, y, deg1 | deg2, failed1 | failed2
-        return maps.decode(self._combine(m, m_flip))
+        return maps.decode(self._terms(ko, kof))
 
     def run(self, ctx: np.ndarray, gx: np.ndarray, gy: np.ndarray):
         """Simulate a batch of trials with crop-box coefficients ``ctx``,

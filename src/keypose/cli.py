@@ -273,11 +273,12 @@ def _sampler_from_args(args, cfg: PipelineConfig):
             raise UsageError("--roi and --margin do not apply to --coco, whose crop boxes "
                              "come from the annotations")
         loaded = dataio.load_coco_keypoints(args.coco)
-        return CocoKeypointSampler(
-            instances=loaded.instances,
-            target_aspect=args.aspect,
-            padding=args.padding,
-        )
+        padding = {} if args.padding is None else {"padding": args.padding}
+        return CocoKeypointSampler(instances=loaded.instances, target_aspect=args.aspect,
+                                   **padding)
+    if args.aspect is not None or args.padding is not None:
+        raise UsageError("--aspect and --padding apply only to --coco, which fixes crop "
+                         "boxes from the annotations")
     roi = Roi(*_floats(args.roi, "CX,CY,W,H")) if args.roi else default_roi(cfg)
     return UniformKeypointSampler(roi, margin=args.margin)
 
@@ -600,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keypoint margin from output borders, in output units")
     sp.add_argument("--coco", help="sample ground truth from this annotation JSON")
     sp.add_argument("--aspect", type=float, default=None, help="crop aspect for --coco")
-    sp.add_argument("--padding", type=float, default=1.25, help="crop padding for --coco")
+    sp.add_argument("--padding", type=float, default=None, help="crop padding for --coco")
     sp.add_argument("--label", default=None, help="row label in reports")
     _add_simulate_flags(sp)
     sp.set_defaults(func=cmd_simulate)

@@ -290,7 +290,9 @@ def config_from_text(text: str, **overrides) -> PipelineConfig:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
+        if (key := key.strip()) in values:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
 
     def as_bool(text: str) -> bool:
         if text.lower() not in ("true", "false"):

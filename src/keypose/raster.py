@@ -254,6 +254,8 @@ def _read_pgm(path) -> tuple[ImageGrid, int]:
             vals = np.array([float(int(tok)) for _, tok in tokens], dtype=np.float64)
             if vals.size != w * h:
                 raise ValueError(f"expected {w * h} samples, got {vals.size}")
+        if np.any(bad := (vals < 0) | (vals > maxval)):
+            raise ValueError(f"sample {vals[bad][0]:g} is outside 0..{maxval}")
         return ImageGrid(PlaneSize(w, h), vals.reshape(h, w)), maxval
 
 

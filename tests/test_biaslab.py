@@ -1268,21 +1268,46 @@ def test_ties_go_to_the_first_node_in_row_major_order(codec, flipped):
     # A keypoint on a cell centre is equally far from four nodes; so is the
     # average of maps at x = 10.25 and, mirrored back, 10.75.
     cfg = make_cfg(codec=codec)
-    maps = biaslab._AxisMaps(cfg)
+    engine = biaslab._Engine(cfg, OracleMode.FULL_HEATMAP)
     decoder = decode_argmax if codec is Codec.ARGMAX_ONLY else decode_biased_quarter
     if flipped:
         mirrored_x = cfg.output.width_units - 10.75
-        terms = maps.average(maps.render(np.array([10.25]), np.array([20.5])),
-                             maps.flip_back(maps.render(np.array([mirrored_x]), np.array([20.5]))))
+        terms = engine._terms((np.array([10.25]), np.array([20.5])),
+                              (np.array([mirrored_x]), np.array([20.5])))
         a, b = (encode_gaussian(Point(x, 20.5), OUT_SIZE, cfg.sigma).c
                 for x in (10.25, mirrored_x))
         reference = decoder(ImageGrid(OUT_SIZE, 0.5 * (a.data + flip_heatmap(b).data)))
     else:
-        terms = maps.render(np.array([10.5]), np.array([20.5]))
+        terms = engine._terms((np.array([10.5]), np.array([20.5])))
         reference = decoder(encode_gaussian(Point(10.5, 20.5), OUT_SIZE, cfg.sigma).c)
-    x, y, _, _ = maps.decode(terms)
+    x, y, _, _ = engine.maps.decode(terms)
     assert reference.argmax == (10, 20)
     assert (x[0], y[0]) == (reference.k.x, reference.k.y)
+
+
+# float.hex of (mean_abs_x, var_abs_x, mean_abs_x_source) for the bottom-up
+# rno rows at seed 11: the ablate pins show 6 decimals, too few to see a
+# last-bit change in the decode-plane maps.
+_RNO_ROW_BITS = {
+    ("analytic", "A"): ("0x1.7c01dd5dc2d1dp-2", "0x1.5ca2b6399e46fp-10", "0x1.7c01dd5dc2d1dp-1"),
+    ("analytic", "D"): ("0x1.049ba5e353f7dp-50", "0x1.0e9466644c741p-99", "0x1.76c8b43958106p-49"),
+    ("analytic", "F"): ("0x1.ff1286a32a3f6p-3", "0x1.5470a145680a0p-8", "0x1.ff1286a32a3f6p-3"),
+    ("analytic", "G"): ("0x1.0000000000000p-2", "0x0.0p+0", "0x1.0000000000000p-2"),
+    ("analytic", "J"): ("0x1.e2d0e56041893p-50", "0x1.e3976889cd8aep-98", "0x1.ac083126e978dp-49"),
+    ("heatmap", "A"): ("0x1.af2b6287576e3p-2", "0x1.8f75ebd96b770p-5", "0x1.af2b6287576e3p-1"),
+    ("heatmap", "D"): ("0x1.63ef2b372db90p-3", "0x1.9b55055319be1p-8", "0x1.6f6a7f30b354bp-2"),
+    ("heatmap", "F"): ("0x1.2b4111fd46d7ep-2", "0x1.add5da0a1b641p-6", "0x1.2b4111fd46d7ep-2"),
+    ("heatmap", "G"): ("0x1.1d192ec52ed02p-2", "0x1.39eec011261c7p-6", "0x1.1d192ec52ed02p-2"),
+    ("heatmap", "J"): ("0x1.dece731e2c0abp-5", "0x1.27dd25e97efe3p-9", "0x1.e668136bdb6efp-5"),
+}
+
+
+@pytest.mark.parametrize("mode,row", list(_RNO_ROW_BITS), ids="-".join)
+def test_rno_rows_are_pinned_to_the_bit(mode, row):
+    stats = monte_carlo(dict(_bottomup_presets())[row], OracleMode(mode),
+                        500 if mode == "analytic" else 60, 11)
+    bits = (stats.mean_abs_x.hex(), stats.var_abs_x.hex(), stats.mean_abs_x_source.hex())
+    assert bits == _RNO_ROW_BITS[mode, row]
 
 
 class TestChunkMoments:

@@ -191,6 +191,20 @@ class TestCodecCommands:
             assert out.returncode == 2
             assert out.stderr == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("body,message", [
+        (b"P2\n2 2\n255\n-7 2 3 4\n", "sample -7 is outside 0..255"),
+        (b"P2\n2 2\n3\n1 300 2 3\n", "sample 300 is outside 0..3"),
+        (b"P5\n2 2\n100\n" + bytes([1, 2, 200, 4]), "sample 200 is outside 0..100"),
+    ], ids=["p2-negative", "p2-above-maxval", "p5-above-maxval"])
+    def test_pgm_samples_outside_maxval_are_refused(self, tmp_path, body, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(body)
+        out = run_cli("warp", "--image", str(path), "--out", str(tmp_path / "o.pgm"),
+                      "--op", "flip")
+        assert out.returncode == 2
+        assert out.stderr == f"error: {path}: {message}\n"
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_decode_biased_quarter(self, tmp_path):
         path = tmp_path / "q.grid"
         run_cli("encode", "--codec", "cf", "--keypoint", "20.3,31.0",
@@ -422,6 +436,14 @@ class TestSimulateCommand:
         assert out.returncode == 2
         assert out.stderr == "error: sigma must be finite and positive, got nan\n"
 
+    def test_config_file_with_a_repeated_key_is_refused(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("convention=unit_length\ninput_px=192x256\noutput_px=48x64\n"
+                        "convention=pixel_count\n")
+        out = run_cli("simulate", "--seed", "1", "-n", "200", "--config", str(path))
+        assert out.returncode == 2
+        assert out.stderr == "error: config line 4: duplicate key 'convention'\n"
+
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("simulate", "--seed", "11", "-n", "3000", "--no-ucst", "--ft",
@@ -571,6 +593,17 @@ class TestSimulateCommand:
         assert out.returncode == 2
         assert out.stderr.startswith("error: ")
         assert "--roi and --margin do not apply to --coco" in out.stderr
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize("flags", [("--aspect", "2"), ("--padding", "1.5")],
+                             ids=["aspect", "padding"])
+    def test_coco_crop_flags_need_coco(self, flags):
+        # The default sampler's crop box is fixed, so --aspect and --padding
+        # would be ignored; they are refused instead.
+        out = run_cli("simulate", "--seed", "1", "-n", "10", *flags)
+        assert out.returncode == 2
+        assert out.stderr == ("error: --aspect and --padding apply only to --coco, which "
+                              "fixes crop boxes from the annotations\n")
         assert out.stdout == ""
 
 
