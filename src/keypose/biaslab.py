@@ -241,17 +241,13 @@ class CocoKeypointSampler:
         aspect = self.target_aspect
         if aspect is None:
             aspect = cfg.input.width_px / cfg.input.height_px
-        idx, xs, ys = [], [], []
-        for i, inst in enumerate(self.instances):
-            for point, visibility in inst.keypoints:
-                if visibility > 0:
-                    idx.append(i)
-                    xs.append(point.x)
-                    ys.append(point.y)
-        if not idx:
+        kps = [inst.keypoints for inst in self.instances]
+        x, y, flag = np.concatenate([np.empty((0, 3)), *kps]).T
+        if not (visible := flag > 0).any():
             raise ValueError("no visible keypoints to sample from")
+        idx = np.repeat(np.arange(len(kps)), [len(k) for k in kps])
         boxes = crop_boxes([inst.bbox for inst in self.instances], aspect, self.padding)
-        return _BoundCoco(np.array(boxes), np.array(idx), np.array(xs), np.array(ys))
+        return _BoundCoco(np.array(boxes), idx[visible], x[visible], y[visible])
 
 
 class _BoundCoco(_Bound):

@@ -296,6 +296,10 @@ def _print_stats(stats) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
+    unused = "sigma" if cfg.codec is Codec.CCRF else "radius"
+    if getattr(args, unused) is not None:
+        codec = cfg.codec.value.replace("_", "-")
+        raise UsageError(f"--{unused} does not apply to the {codec} codec")
     sampler = _sampler_from_args(args, cfg)
     mode = OracleMode(args.mode)
     stats = monte_carlo(

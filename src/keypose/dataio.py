@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlaneSize, Point, Roi
+from .geometry import PlaneSize, Roi
 
 __all__ = [
     "AnnotationFormatError",
@@ -39,18 +39,19 @@ class MissingImageError(LookupError):
     """An annotation references an image id absent from the file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """One annotated person: image size, bounding box and keypoints.
 
     ``bbox`` is ``(x, y, w, h)`` with a top-left anchor, in source units.
-    Each keypoint pairs a position with a visibility flag: 0 not labeled,
-    1 labeled but occluded, 2 labeled and visible.
+    ``keypoints`` is a read-only ``(J, 3)`` float array of COCO's ``x, y,
+    visibility`` rows; visibility 0 is not labeled, 1 labeled but occluded,
+    2 labeled and visible.  Instances compare by identity.
     """
 
     image_size: PlaneSize
     bbox: tuple[float, float, float, float]
-    keypoints: tuple[tuple[Point, int], ...]
+    keypoints: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,14 @@ def load_coco_keypoints(path) -> LoadResult:
             if joint_count not in (None, n_joints):
                 raise ValueError(f"{n_joints} joints, expected {joint_count}")
             joint_count = n_joints
-            kps = tuple((Point(flat[i], flat[i + 1]), int(flat[i + 2]))
-                        for i in range(0, 3 * n_joints, 3))
-            if not any(v > 0 for _, v in kps):
+            kps = np.reshape([f(v) for f, v in zip((float, float, int) * n_joints, flat)], (-1, 3))
+            if not (finite := np.isfinite(kps[:, :2]).all(axis=1)).all():
+                x, y, _ = kps[finite.argmin()].tolist()
+                raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+            if bad := [v for v in flat[2::3] if float(v) not in (0, 1, 2)]:
+                raise ValueError(f"keypoint visibility must be 0, 1 or 2, got {bad[0]}")
+            kps.flags.writeable = False
+            if not kps[:, 2].any():
                 skipped += 1
                 continue
             if len(ann.get("bbox", ())) != 4:

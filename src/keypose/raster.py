@@ -240,23 +240,23 @@ def _read_pgm(path) -> tuple[ImageGrid, int]:
         w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
         if maxval <= 0 or maxval > 65535:
             raise ValueError(f"bad maxval {maxval}")
+        plane = PlaneSize(w, h)
         if magic == b"P5":
             # Binary data starts after the single whitespace byte that ends
             # the maxval token.
             data_start = pos_maxval + len(maxval_tok) + 1
             dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-            count = w * h
-            raw = buf[data_start : data_start + count * dtype.itemsize]
-            if len(raw) < count * dtype.itemsize:
-                raise ValueError("truncated PGM pixel data")
-            vals = np.frombuffer(raw, dtype=dtype, count=count).astype(np.float64)
+            need, size = w * h * dtype.itemsize, len(buf[data_start:])
+            if size != need:
+                raise ValueError(f"expected {need} bytes of pixel data, got {size}")
+            vals = np.frombuffer(buf, dtype, offset=data_start).astype(np.float64)
         else:
             vals = np.array([float(int(tok)) for _, tok in tokens], dtype=np.float64)
             if vals.size != w * h:
                 raise ValueError(f"expected {w * h} samples, got {vals.size}")
         if np.any(bad := (vals < 0) | (vals > maxval)):
             raise ValueError(f"sample {vals[bad][0]:g} is outside 0..{maxval}")
-        return ImageGrid(PlaneSize(w, h), vals.reshape(h, w)), maxval
+        return ImageGrid(plane, vals.reshape(h, w)), maxval
 
 
 def write_grid_text(path, grid: ImageGrid) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 from fractions import Fraction
@@ -38,7 +39,7 @@ from keypose.codec import (
     encode_ccrf,
     encode_gaussian,
 )
-from keypose.dataio import Instance, write_report
+from keypose.dataio import Instance, load_coco_keypoints, write_report
 from keypose.geometry import (
     PlaneSize,
     Point,
@@ -72,12 +73,12 @@ COCO_INSTANCES = (
     Instance(
         image_size=PlaneSize(640, 480),
         bbox=(100.0, 80.0, 120.0, 160.0),
-        keypoints=((Point(160.0, 160.0), 2), (Point(130.0, 200.0), 1), (Point(400.0, 90.0), 2)),
+        keypoints=np.array([[160.0, 160.0, 2], [130.0, 200.0, 1], [400.0, 90.0, 2]]),
     ),
     Instance(
         image_size=PlaneSize(640, 480),
         bbox=(300.0, 40.0, 90.0, 200.0),
-        keypoints=((Point(330.5, 100.25), 2), (Point(371.0, 220.0), 2), (Point(0.0, 0.0), 0)),
+        keypoints=np.array([[330.5, 100.25, 2], [371.0, 220.0, 2], [0.0, 0.0, 0]]),
     ),
 )
 
@@ -759,18 +760,57 @@ class TestFailureAccounting:
         assert upsampled.mean_abs_x > 0.05
 
 
+@st.composite
+def _coco_documents(draw):
+    """Small COCO documents: one joint count, mixed visibilities (some
+    annotations wholly unlabeled), values as numbers or numeric strings."""
+    def maybe_text(values):
+        return st.one_of(values, values.map(repr))
+
+    coordinate = maybe_text(st.one_of(st.integers(-1000, 1000), st.floats(-1e4, 1e4)))
+    flag = maybe_text(st.sampled_from((0, 0, 1, 2)))
+    joints = draw(st.integers(1, 4))
+    annotations = [{"id": i, "image_id": 1, "bbox": [10.0, 20.0, 30.0, 40.0],
+                    "keypoints": draw(st.lists(st.tuples(coordinate, coordinate, flag),
+                                               min_size=joints, max_size=joints)
+                                      .map(lambda kps: [v for kp in kps for v in kp]))}
+                   for i in range(draw(st.integers(0, 5)))]
+    return {"images": [{"id": 1, "width": 640, "height": 480}], "annotations": annotations}
+
+
 class TestCocoSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_coco_documents())
+    def test_bind_entries_are_the_visible_keypoints_in_annotation_order(
+        self, tmp_path_factory, doc
+    ):
+        path = tmp_path_factory.mktemp("coco") / "ann.json"
+        path.write_text(json.dumps(doc))
+        labeled = [a["keypoints"] for a in doc["annotations"]
+                   if any(int(v) > 0 for v in a["keypoints"][2::3])]
+        spec = [(i, float(x), float(y)) for i, flat in enumerate(labeled)
+                for x, y, v in zip(flat[0::3], flat[1::3], flat[2::3]) if int(v) > 0]
+        sampler = CocoKeypointSampler(load_coco_keypoints(path).instances)
+        if not spec:
+            with pytest.raises(ValueError, match="^no visible keypoints to sample from$"):
+                sampler.bind(make_cfg())
+            return
+        # Entry k is drawn by any u in [k/E, (k+1)/E); the last u below 1 picks the last.
+        u = np.append((np.arange(len(spec)) + 0.5) / len(spec), np.nextafter(1.0, 0.0))
+        idx, xs, ys = sampler.bind(make_cfg()).sample(u[:, None])
+        assert list(zip(idx.tolist(), xs.tolist(), ys.tolist())) == spec + spec[-1:]
+
     def test_draws_visible_keypoints_from_instances(self):
         image = PlaneSize(640, 480)
         instances = (
             Instance(
                 image_size=image,
                 bbox=(100.0, 80.0, 120.0, 160.0),
-                keypoints=(
-                    (Point(160.0, 160.0), 2),
-                    (Point(130.0, 200.0), 1),
-                    (Point(0.0, 0.0), 0),
-                ),
+                keypoints=np.array([
+                    [160.0, 160.0, 2],
+                    [130.0, 200.0, 1],
+                    [0.0, 0.0, 0],
+                ]),
             ),
         )
         cfg = make_cfg(codec=Codec.CCRF)
@@ -790,8 +830,8 @@ class TestCocoSampler:
     def test_draw_follows_the_sampling_law(self):
         # One uniform per trial picks entry int(u * E) of the visible
         # (instance, keypoint) pairs in annotation order.
-        entries = [(i, p.x, p.y) for i, inst in enumerate(COCO_INSTANCES)
-                   for p, visibility in inst.keypoints if visibility > 0]
+        entries = [(i, x, y) for i, inst in enumerate(COCO_INSTANCES)
+                   for x, y, visibility in inst.keypoints.tolist() if visibility > 0]
         bound = CocoKeypointSampler(instances=COCO_INSTANCES).bind(make_cfg())
         for i in range(300):
             u = substream(8, i).uniform()
@@ -824,7 +864,7 @@ class TestCocoSampler:
         inst = Instance(
             image_size=PlaneSize(64, 64),
             bbox=(10.0, 10.0, 20.0, 20.0),
-            keypoints=((Point(15.0, 15.0), 0),),
+            keypoints=np.array([[15.0, 15.0, 0]]),
         )
         cfg = make_cfg()
         with pytest.raises(ValueError):
@@ -1015,8 +1055,8 @@ def _many_box_instances():
     for _ in range(40):
         x, y = 600 * rng.uniform(), 400 * rng.uniform()
         w, h = 20 + 180 * rng.uniform(), 20 + 260 * rng.uniform()
-        keypoints = tuple((Point(x + (1.6 * rng.uniform() - 0.3) * w,
-                                 y + (1.6 * rng.uniform() - 0.3) * h), 2) for _ in range(4))
+        keypoints = np.array([(x + (1.6 * rng.uniform() - 0.3) * w,
+                               y + (1.6 * rng.uniform() - 0.3) * h, 2) for _ in range(4)])
         instances.append(Instance(PlaneSize(800, 600), (x, y, w, h), keypoints))
     return tuple(instances)
 

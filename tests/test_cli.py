@@ -205,6 +205,20 @@ class TestCodecCommands:
         assert out.stderr == f"error: {path}: {message}\n"
         assert not (tmp_path / "o.pgm").exists()
 
+    @pytest.mark.parametrize("body,message", [
+        (b"P5\n2 2\n255\n" + bytes(6), "expected 4 bytes of pixel data, got 6"),
+        (b"P5\n2 2\n255\n" + bytes(3), "expected 4 bytes of pixel data, got 3"),
+        (b"P5\n2 2\n65535\n" + bytes(9), "expected 8 bytes of pixel data, got 9"),
+    ], ids=["trailing", "truncated", "sixteen-bit-trailing"])
+    def test_p5_pixel_data_must_fill_the_raster_exactly(self, tmp_path, body, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(body)
+        out = run_cli("warp", "--image", str(path), "--out", str(tmp_path / "o.pgm"),
+                      "--op", "flip")
+        assert out.returncode == 2
+        assert out.stderr == f"error: {path}: {message}\n"
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_decode_biased_quarter(self, tmp_path):
         path = tmp_path / "q.grid"
         run_cli("encode", "--codec", "cf", "--keypoint", "20.3,31.0",
@@ -536,6 +550,37 @@ class TestSimulateCommand:
         assert err.startswith(f"error: annotation 7: {shown}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("visibility", [-1, 7, 0.5])
+    def test_coco_visibility_outside_0_1_2_is_usage_error(self, tmp_path, capsys, visibility):
+        ann = {"id": 7, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+               "keypoints": [160, 160, 2, 130, 200, visibility]}
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"images": [{"id": 1, "width": 640, "height": 480}],
+                                    "annotations": [ann]}))
+        assert cli.main(["simulate", "--seed", "1", "-n", "10", "--coco", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: annotation 7: keypoint visibility must be 0, 1 or 2, got {visibility}\n")
+
+    def test_coco_infinite_coordinate_names_the_first_bad_keypoint(self, tmp_path, capsys):
+        ann = {"id": 7, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+               "keypoints": [160, 160, 2, 130, math.inf, 1, -math.inf, 5, 2]}
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"images": [{"id": 1, "width": 640, "height": 480}],
+                                    "annotations": [ann]}))
+        assert "Infinity" in path.read_text()
+        assert cli.main(["simulate", "--seed", "1", "-n", "20", "--coco", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: annotation 7: point coordinates must be finite, got (130.0, inf)\n")
+
+    def test_coco_without_a_labeled_keypoint_is_usage_error(self, tmp_path, capsys):
+        anns = [{"id": i, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+                 "keypoints": [160, 160, 0, 130, 200, 0]} for i in (1, 2)]
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"images": [{"id": 1, "width": 640, "height": 480}],
+                                    "annotations": anns}))
+        assert cli.main(["simulate", "--seed", "1", "-n", "20", "--coco", str(path)]) == 2
+        assert capsys.readouterr().err == "error: no visible keypoints to sample from\n"
+
     @pytest.mark.parametrize("edit,shown", [
         (lambda d: d.update(annotations=[5]), "annotation #0: expected an object, got int"),
         (lambda d: d.update(annotations={"a": 1}), "annotations: expected an array"),
@@ -605,6 +650,28 @@ class TestSimulateCommand:
         assert out.stderr == ("error: --aspect and --padding apply only to --coco, which "
                               "fixes crop boxes from the annotations\n")
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--sigma", "2", "--codec", "ccrf"), "--sigma does not apply to the ccrf codec"),
+        (("--radius", "2", "--codec", "cf"), "--radius does not apply to the cf codec"),
+        (("--radius", "2", "--config", "{cfg}"), "--radius does not apply to the cf-biased codec"),
+    ], ids=["sigma-ccrf", "radius-cf", "radius-config-codec"])
+    def test_width_flag_its_codec_does_not_read_is_usage_error(
+        self, tmp_path, capsys, flags, message
+    ):
+        path = tmp_path / "biased.cfg"
+        path.write_text("convention=unit_length\ninput_px=192x256\noutput_px=48x64\n"
+                        "codec=cf_biased\n")
+        argv = [a.replace("{cfg}", str(path)) for a in flags]
+        assert cli.main(["simulate", "--seed", "1", "-n", "10", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_config_file_width_keys_are_not_refused(self, tmp_path, capsys):
+        path = tmp_path / "ccrf.cfg"
+        path.write_text("convention=unit_length\ninput_px=192x256\noutput_px=48x64\n"
+                        "codec=ccrf\nsigma=3.0\n")
+        assert cli.main(["simulate", "--seed", "1", "-n", "10", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestVerifyCommand:

@@ -75,9 +75,9 @@ class TestLoadCoco:
         assert first.image_size.width_px == 640
         assert first.bbox == (100.0, 80.0, 120.0, 160.0)
         assert len(first.keypoints) == 3
-        assert first.keypoints[0][0].x == 160.0
-        assert first.keypoints[0][1] == 2
-        assert first.keypoints[2][1] == 0
+        assert first.keypoints[0, 0] == 160.0
+        assert first.keypoints[0, 2] == 2
+        assert first.keypoints[2, 2] == 0
 
     def test_malformed_json_reports_byte_offset(self, tmp_path):
         path = tmp_path / "bad.json"
