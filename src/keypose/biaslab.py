@@ -768,64 +768,81 @@ def monte_carlo(
 # ---------------------------------------------------------------------------
 
 
-def _quarter_stats(shift: float) -> tuple[float, float]:
-    """Mean and variance of |error| for the quarter-shift decoder applied to
-    a single-peak map whose center is offset by ``shift`` (|shift| <= 0.5)
-    from a uniformly positioned keypoint."""
-    # The decoded point is 0.25, 0.75 or 1.25 on three pieces of [0, 1).
-    cuts = (0.0, 0.5 - abs(shift), 1.0 - abs(shift), 1.0)
-    ends = [(lo - a, hi - a) for lo, hi, a in zip(cuts, cuts[1:], (0.25, 0.75, 1.25))]
-    mean = sum(hi * abs(hi) / 2.0 - lo * abs(lo) / 2.0 for lo, hi in ends)
-    return mean, sum(hi ** 3 / 3.0 - lo ** 3 / 3.0 for lo, hi in ends) - mean * mean
+def _piecewise_moments(lo: float, hi: float, grids, decoded) -> tuple[float, float]:
+    """Mean and variance of ``|decoded(x) - x|`` for ``x`` uniform on ``[lo, hi]``,
+    where ``decoded`` is constant between the points ``origin + k * step`` of
+    its ``grids`` (a superset of its jumps is harmless): the error has slope
+    -1 on each piece, so the piece integrates exactly."""
+    cuts = [o + g * np.arange(math.floor((lo - o) / g), math.ceil((hi - o) / g) + 1)
+            for o, g in grids]
+    edges = np.unique(np.clip(np.concatenate(([lo, hi], *cuts)), lo, hi))
+    d = decoded(0.5 * (edges[:-1] + edges[1:]))
+    p, q = d - edges[:-1], d - edges[1:]
+    mean = math.fsum(p * np.abs(p) - q * np.abs(q)) / (2.0 * (hi - lo))
+    return mean, math.fsum(p ** 3 - q ** 3) / (3.0 * (hi - lo)) - mean * mean
 
 
 def analytic_errors(
-    cfg: PipelineConfig, roi: Roi | None = None, mode: OracleMode = OracleMode.ANALYTIC_SHIFT
+    cfg: PipelineConfig, sampler=None, mode: OracleMode = OracleMode.ANALYTIC_SHIFT
 ) -> dict:
-    """Closed-form expected |x error| for configurations with known analysis,
-    under the oracle ``mode``.
+    """Closed-form expected |x error| of a run of ``cfg`` under the oracle
+    ``mode`` that draws from ``sampler`` (``monte_carlo``'s default if ``None``).
 
     Returns a dict with ``mean_abs_x``, ``var_abs_x`` and
-    ``mean_abs_x_source``; entries are ``None`` when the configuration falls
-    outside the analyzed cases (and the source entry also when no ``roi``
-    supplies a crop width).  Mirrored back, a flipped branch lands
-    ``(1 - s)/s`` nodes from the original under pixel-count ratios and on it
-    under unit-length ones, and snoop moves it one node more; the averaged
-    map is ``half`` that distance off the keypoint, less ``1/(2s)`` under
-    snoop+ec.  Rendered disc maps that are averaged decode to the midpoint
-    of the two branch keypoints, ``d`` apart, only when the discs share a
-    node wherever they fall: ``r^2 > (0.5 + d/2)^2 + 0.25``.
-    Rendered Gaussian maps decode to their keypoints only when no two maps
-    apart are averaged, the 3x3 window, whose corner can be ``d^2 = 4.5``
-    out, holds normal floats, ``sigma >= sqrt(4.5 / (2 * 1022 ln 2))``, and
-    the Newton step's Hessian determinant ``1/sigma^4`` is not below
-    ``_HESSIAN_EPS`` even after rounding: ``sigma < (1 - 1e-9) * 1000``.
-    The quarter-shift decoder compares the peak node's two neighbours along
-    each axis.  The peak lies within 0.5 of the branch keypoints' span,
-    ``2|half|`` wide in x (``half`` is 0 for one map), so a compared node
-    can be ``d^2 = (1.5 + 2|half|)^2 + 0.25`` from a keypoint; its closed
-    form needs that value normal, ``sigma >= sqrt(d^2 / (2 * 1022 ln 2))``
-    (0.042 for one map).  A rendered argmax snaps to a node, so it has no
-    closed form here."""
+    ``mean_abs_x_source``; entries are ``None`` where no closed form holds
+    (and the source entry also for samplers with many crop boxes).
+    Mirrored back, a flipped branch lands ``(1 - s)/s`` nodes from the
+    original under pixel-count ratios and on it under unit-length ones, and
+    snoop moves it one node more; the averaged map is ``half`` that distance
+    off the keypoint, less ``1/(2s)`` under snoop+ec, for any sampled law.
+    The quarter-shift decoder's output is a step function of the output x,
+    integrated exactly over the interval a uniform sampler draws and the
+    input plane keeps.  Rendered maps (heatmap mode) need a uniform sampler,
+    no rno and, for Gaussians, peaks off the border: ``margin >= 1/2 +
+    2|half| + snoop``.  Averaged disc maps ``d`` apart decode to their
+    midpoint only when the discs share a node wherever they fall:
+    ``r^2 > (0.5 + d/2)^2 + 0.25``.  Gaussian maps decode to their keypoints
+    only when no two maps apart are averaged, the 3x3 window, whose corner
+    can be ``d^2 = 4.5`` out, holds normal floats, ``sigma >= sqrt(4.5 /
+    (2 * 1022 ln 2))``, and the Newton step's Hessian determinant
+    ``1/sigma^4`` is not below ``_HESSIAN_EPS`` even after rounding:
+    ``sigma < (1 - 1e-9) * 1000``.  The quarter-shift decoder's compared
+    neighbours, up to ``d^2 = (1.5 + 2|half|)^2 + 0.25`` out, must be normal,
+    and two averaged maps ``|half| >= 1/2`` off have one peak only while
+    ``|half| <= sigma``.  A rendered argmax snaps to a node: no closed form."""
     na = dict.fromkeys(("mean_abs_x", "var_abs_x", "mean_abs_x_source"))
+    sampler = UniformKeypointSampler(default_roi(cfg)) if sampler is None else sampler
+    uniform = isinstance(sampler, UniformKeypointSampler)  # never bind COCO: it costs ms
+    margin = sampler.bind(cfg)._margin if uniform else None
     s, snoop = cfg.stride, cfg.compensation is not Compensation.NONE
     gap = 1.0 - s if cfg.convention is Convention.PIXEL_COUNT else 0.0
     half = (gap + (s if snoop else 0.0)) / (2.0 * s) if cfg.flip_test else 0.0
-    shift = half - (1.0 / (2.0 * s) if cfg.compensation is Compensation.SNOOP_PLUS_EC else 0.0)
+    ec = 1.0 / (2.0 * s) if cfg.compensation is Compensation.SNOOP_PLUS_EC else 0.0
     quarter = cfg.codec is Codec.CF_BIASED_DECODE
-    if cfg.rno or quarter and (cfg.flip_test and cfg.combine is not Combine.AVERAGE_HEATMAPS
-                               or abs(shift) > 0.5):
-        return na
     apart = cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
     # The log node values carry ~1.1e-16 of rounding, so near sigma = 1000 the
     # determinant is known only to ~1e-9 relative: stop that far short of it.
-    if mode is OracleMode.FULL_HEATMAP and (
+    if quarter and not uniform or mode is OracleMode.FULL_HEATMAP and (
             cfg.codec is Codec.CCRF and apart and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25
+            or cfg.rno or not uniform
+            or cfg.codec is not Codec.CCRF and margin < 0.5 + 2.0 * abs(half) + snoop
             or cfg.codec is Codec.CF
             and (apart or not _min_sigma(4.5) <= cfg.sigma < (1.0 - 1e-9) * _HESSIAN_EPS ** -0.25)
-            or quarter and cfg.sigma < _min_sigma((1.5 + 2.0 * abs(half)) ** 2 + 0.25)
+            or quarter and (cfg.sigma < _min_sigma((1.5 + 2.0 * abs(half)) ** 2 + 0.25)
+                            or apart and abs(half) >= 0.5 and abs(half) > cfg.sigma)
             or cfg.codec is Codec.ARGMAX_ONLY):
         return na
-    mean, var = _quarter_stats(shift) if quarter else (abs(shift), 0.0)
-    mean_source = None if roi is None else mean * roi.w / _extents(cfg.output, cfg.convention)[0]
-    return {"mean_abs_x": mean, "var_abs_x": var, "mean_abs_x_source": mean_source}
+    mean, var = abs(half - ec), 0.0
+    if quarter:  # x from the margin to where its input x leaves the input plane
+        w, a = cfg.output.width_units, _coeffs(input_to_output(cfg))[0]
+        reach = a * cfg.input.width_units
+        lo, hi = max(margin, 0.0), min(w - margin, reach)
+        if cfg.flip_test and cfg.combine is Combine.AVERAGE_COORDS:  # Q(reach - x), mirrored
+            mean, var = _piecewise_moments(lo, hi, ((0.0, 0.5), (reach, 0.5)), lambda x: 0.5 * (
+                _quarter_law(x) + w + snoop - _quarter_law(reach - x)) - ec)
+        else:  # a: the decode plane's node spacing, in output units
+            a = a if cfg.rno else 1.0
+            mean, var = _piecewise_moments(lo, hi, ((-half, 0.5 * a),),
+                                           lambda x: a * _quarter_law((x + half) / a) - ec)
+    source = mean * sampler.roi.w / _extents(cfg.output, cfg.convention)[0] if uniform else None
+    return {"mean_abs_x": mean, "var_abs_x": var, "mean_abs_x_source": source}

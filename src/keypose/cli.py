@@ -306,7 +306,7 @@ def cmd_simulate(args) -> int:
         cfg, mode, args.trials, args.seed, sampler, label=args.label, jobs=args.jobs
     )
     _print_stats(stats)
-    closed = analytic_errors(cfg, mode=mode)
+    closed = analytic_errors(cfg, sampler, mode)
     if closed["mean_abs_x"] is not None:
         print(
             f"closed-form: mean|ex|={closed['mean_abs_x']:.6f} "

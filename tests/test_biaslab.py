@@ -455,7 +455,7 @@ class TestAnalyticErrorTable:
     def test_identity_codec_rows(self):
         roi = Roi(100.0, 100.0, 96.0, 128.0)
         cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
-        table = analytic_errors(cfg, roi)
+        table = analytic_errors(cfg, UniformKeypointSampler(roi))
         assert table["mean_abs_x"] == pytest.approx(0.375)
         assert table["var_abs_x"] == 0.0
         assert table["mean_abs_x_source"] == pytest.approx(0.375 * 96.0 / 48.0)
@@ -466,7 +466,7 @@ class TestAnalyticErrorTable:
             compensation=Compensation.SNOOP,
             codec=Codec.CF,
         )
-        table = analytic_errors(snoop, roi)
+        table = analytic_errors(snoop, UniformKeypointSampler(roi))
         assert table["mean_abs_x"] == pytest.approx(0.125)
         assert table["mean_abs_x_source"] == pytest.approx(96.0 / (2.0 * 192.0))
 
@@ -545,7 +545,7 @@ class TestAnalyticErrorTable:
         cfg = make_cfg(codec=Codec.CF, sigma=sigma)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
-        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
         if exact:
             assert closed == 0.0
             assert rendered.mean_abs_x < 1e-12
@@ -558,7 +558,8 @@ class TestAnalyticErrorTable:
         assert math.exp(-4.5 / (2.0 * bound * bound)) == pytest.approx(2.0 ** -1022)
         for sigma, closed in ((bound, 0.0), (math.nextafter(bound, 0.0), None)):
             cfg = make_cfg(codec=Codec.CF, sigma=sigma)
-            assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] == closed
+            sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
+            assert analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"] == closed
 
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("sigma,exact", [(999.9, True), (1000.0, False), (1100.0, False)])
@@ -570,9 +571,9 @@ class TestAnalyticErrorTable:
         cfg = make_cfg(codec=Codec.CF, sigma=sigma, **kw)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
-        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
         mean = 0.375 if flip else 0.0
-        assert analytic_errors(cfg)["mean_abs_x"] == mean
+        assert analytic_errors(cfg, sampler)["mean_abs_x"] == mean
         if exact:
             assert closed == mean and rendered.n_degenerate == 0
             assert rendered.mean_abs_x == pytest.approx(mean, abs=1e-9)
@@ -593,9 +594,9 @@ class TestAnalyticErrorTable:
                                   **kw)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
-        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
         if exact:
-            assert closed == analytic_errors(cfg)["mean_abs_x"]
+            assert closed == analytic_errors(cfg, sampler)["mean_abs_x"]
             assert rendered.n_degenerate == 0
             assert rendered.mean_abs_x == pytest.approx(closed, abs=1e-9)
         else:
@@ -616,7 +617,7 @@ class TestAnalyticErrorTable:
         cfg = make_cfg(codec=Codec.CF_BIASED_DECODE, sigma=sigma, **flags)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
-        return rendered, analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)
+        return rendered, analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
 
     @pytest.mark.parametrize("row", ["one-map", "averaged-snoop"])
     def test_quarter_decoder_has_no_closed_form_where_its_neighbours_underflow(self, row):
@@ -642,8 +643,9 @@ class TestAnalyticErrorTable:
         assert closed["mean_abs_x"] == pytest.approx(mean)
         assert abs(rendered.mean_abs_x - mean) < 5 * rendered.sem_abs_x
         cfg = make_cfg(codec=Codec.CF_BIASED_DECODE, sigma=math.nextafter(bound, 0.0), **flags)
-        assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
-        assert analytic_errors(cfg)["mean_abs_x"] == pytest.approx(mean)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
+        assert analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
+        assert analytic_errors(cfg, sampler)["mean_abs_x"] == pytest.approx(mean)
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_rendered_argmax_has_no_closed_form(self, flip):
@@ -658,45 +660,106 @@ class TestAnalyticErrorTable:
         assert analytic_errors(cfg)["var_abs_x"] == 0.0
         assert rendered.mean_abs_x > 0.2 and rendered.var_abs_x > 0.01
 
-    def test_unanalyzed_configurations_marked_unavailable(self):
-        rno = analytic_errors(make_cfg(codec=Codec.CF, rno=True))
-        assert rno["mean_abs_x"] is None
-        coords = analytic_errors(
-            make_cfg(
-                convention=Convention.PIXEL_COUNT,
-                flip_test=True,
-                codec=Codec.CF_BIASED_DECODE,
-                combine=Combine.AVERAGE_COORDS,
-            )
-        )
-        assert coords["mean_abs_x"] is None
+    @pytest.mark.parametrize("codec", [Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY])
+    def test_rendered_rno_maps_have_no_closed_form(self, codec):
+        # The bilinear upsample adds its own bias to rendered maps; the
+        # coordinate oracle's rno rows are integrated like any other.
+        cfg = make_cfg(codec=codec, rno=True)
+        assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
+        assert analytic_errors(cfg)["mean_abs_x"] is not None
+
+    # Two averaged quarter-decoded Gaussians, their midpoint `half` off each
+    # keypoint: 0.375 (pixel-count flip) and 0.5 (unit-length snoop) at sigma
+    # 0.1, and 1 (60x40 -> 120x80 under snoop+ec), one peak only from sigma 1 on.
+    _TWO_PEAKS = {
+        "half-0.375": (dict(convention=Convention.PIXEL_COUNT, flip_test=True), 0.1, True),
+        "half-0.5": (dict(flip_test=True, compensation=Compensation.SNOOP), 0.1, False),
+        "half-1-sigma-0.5": (dict(convention=Convention.PIXEL_COUNT, flip_test=True,
+                                  compensation=Compensation.SNOOP_PLUS_EC,
+                                  input=PlaneSize(60, 40), output=PlaneSize(120, 80)), 0.5, False),
+        "half-1-sigma-1": (dict(convention=Convention.PIXEL_COUNT, flip_test=True,
+                                compensation=Compensation.SNOOP_PLUS_EC,
+                                input=PlaneSize(60, 40), output=PlaneSize(120, 80)), 1.0, True),
+    }
+
+    @pytest.mark.parametrize("row", list(_TWO_PEAKS))
+    def test_averaged_quarter_maps_have_a_closed_form_only_while_they_have_one_peak(self, row):
+        flags, sigma, exact = self._TWO_PEAKS[row]
+        cfg = dataclasses.replace(make_cfg(codec=Codec.CF_BIASED_DECODE, sigma=sigma), **flags)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=4.37)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 20_000, 3, sampler)
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        law = analytic_errors(cfg, sampler)["mean_abs_x"]
+        if exact:
+            assert closed == law
+            assert abs(rendered.mean_abs_x - law) < 5 * rendered.sem_abs_x
+        else:
+            assert closed is None
+            assert abs(rendered.mean_abs_x - law) > 10 * rendered.sem_abs_x
+
+    @pytest.mark.parametrize("codec", [Codec.CF, Codec.CF_BIASED_DECODE])
+    @pytest.mark.parametrize("margin", [0.3, 0.49, 0.51])
+    def test_gaussian_closed_form_needs_peaks_off_the_border_nodes(self, codec, margin):
+        # One map (half 0): a keypoint within 1/2 of the border peaks on its
+        # node, where Newton falls back and the quarter nudge's clamped
+        # neighbour points the wrong way.  0.3 is sigma 0.1's default margin.
+        cfg = make_cfg(codec=codec, sigma=0.1)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin=margin)
+        rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 20_000, 3, sampler)
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        law = analytic_errors(cfg, sampler)["mean_abs_x"]
+        exact = margin > 0.5
+        if exact:
+            assert closed == law
+            assert abs(rendered.mean_abs_x - law) < 5 * rendered.sem_abs_x + 1e-12
+        else:
+            assert closed is None
+        if margin == 0.3:
+            assert abs(rendered.mean_abs_x - law) > 5 * rendered.sem_abs_x
+        if codec is Codec.CF:
+            assert (rendered.n_degenerate == 0) is exact
+
+    def test_a_coco_sampler_keeps_only_the_rows_that_hold_for_any_law(self):
+        sampler = CocoKeypointSampler(instances=COCO_INSTANCES)
+        for codec in Codec:
+            cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=codec)
+            closed = analytic_errors(cfg, sampler)
+            quarter = codec is Codec.CF_BIASED_DECODE
+            assert closed["mean_abs_x"] == (None if quarter else pytest.approx(0.375))
+            assert closed["mean_abs_x_source"] is None
+            assert analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
 
 
-_DIFFERENTIAL_PLANES = {"192x256-48x64": (PlaneSize(192, 256), PlaneSize(48, 64)),
-                        "128x128-64x64": (PlaneSize(128, 128), PlaneSize(64, 64))}
+_DIFFERENTIAL_PLANES = {"192x256-48x64": (PlaneSize(192, 256), PlaneSize(48, 64), 20.6),
+                        "128x128-64x64": (PlaneSize(128, 128), PlaneSize(64, 64), 9.35)}
 
 
 @pytest.mark.parametrize("mode", list(OracleMode))
 @pytest.mark.parametrize("planes", list(_DIFFERENTIAL_PLANES))
 def test_monte_carlo_lies_within_five_sems_of_every_closed_form(planes, mode):
     # Every row with a closed form, in both conventions, without and with
-    # each flip remedy; the unit-length snoop rows move the flipped branch
-    # one node off an aligned ensemble.
+    # each flip remedy and rno, at the default margin (a whole number of
+    # nodes) and at one that is not; the unit-length snoop rows move the
+    # flipped branch one node off an aligned ensemble.
     flips = [(False, Compensation.NONE)] + [(True, comp) for comp in Compensation]
     n = 4000 if mode is OracleMode.ANALYTIC_SHIFT else 1000
+    *sizes, odd = _DIFFERENTIAL_PLANES[planes]
     rows = misses = 0
-    for convention, (flip, comp), codec, combine in itertools.product(
-            Convention, flips, Codec, Combine):
-        cfg = PipelineConfig(convention, *_DIFFERENTIAL_PLANES[planes], flip_test=flip,
-                             compensation=comp, codec=codec, combine=combine)
-        closed = analytic_errors(cfg, mode=mode)["mean_abs_x"]
+    for convention, (flip, comp), codec, combine, rno, margin in itertools.product(
+            Convention, flips, Codec, Combine, (False, True), (None, odd)):
+        if rno and (codec is Codec.CCRF or flip and combine is Combine.AVERAGE_COORDS):
+            continue  # PipelineConfig refuses these
+        cfg = PipelineConfig(convention, *sizes, flip_test=flip, compensation=comp,
+                             codec=codec, combine=combine, rno=rno)
+        sampler = UniformKeypointSampler(default_roi(cfg), margin)
+        closed = analytic_errors(cfg, sampler, mode)["mean_abs_x"]
         if closed is None:
             continue
-        stats = monte_carlo(cfg, mode, n, 11)
+        stats = monte_carlo(cfg, mode, n, 11, sampler)
         rows += 1
         if abs(stats.mean_abs_x - closed) > 5 * stats.sem_abs_x + 1e-9:
             misses += 1
-            print(f"{describe_config(cfg)} {combine.value}: "
+            print(f"{describe_config(cfg)} {combine.value} margin {margin}: "
                   f"closed {closed:.6f}, measured {stats.mean_abs_x:.6f} "
                   f"(SEM {stats.sem_abs_x:.2e})")
     assert rows > 30 and misses == 0

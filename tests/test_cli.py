@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -19,6 +20,11 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+def _field(line: str, key: str) -> float:
+    """The number after ``key=`` in a printed stats line."""
+    return float(line.split(f"{key}=")[1].split()[0])
 
 
 def run_cli_strict(*args):
@@ -495,6 +501,35 @@ class TestSimulateCommand:
         assert cli.main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:] == ["closed-form: mean|ex|=0.375000 var|ex|=0.000000"]
+
+    def test_coco_run_prints_no_quarter_law_closed_form(self, tmp_path, capsys):
+        # Integer keypoints sit at a few fixed places in their node cells, so
+        # the quarter-shift decoder's law for a uniform sampler does not hold.
+        rng = random.Random(3)
+        annotations = [{"id": i + 1, "image_id": 1, "bbox": [100, 50, 192, 256],
+                        "keypoints": [v for _ in range(17)
+                                      for v in (rng.randint(120, 272), rng.randint(70, 286), 2)]}
+                       for i in range(20)]
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"images": [{"id": 1, "width": 640, "height": 480}],
+                                   "annotations": annotations}))
+        argv = ["simulate", "--seed", "1", "-n", "20000", "--coco", str(ann), "--padding", "1.0",
+                "--codec", "cf-biased"]
+        assert cli.main(argv) == 0
+        (stats,) = capsys.readouterr().out.splitlines()
+        n, mean, var = (_field(stats, key) for key in ("n", "mean|ex|", "var|ex|"))
+        assert mean - 0.125 > 5 * math.sqrt(var / n)
+
+    @pytest.mark.parametrize("flags", [[], ["--ft", "--snoop", "--no-ucst"]], ids=["one", "snoop"])
+    def test_quarter_closed_form_holds_on_a_range_of_partial_nodes(self, capsys, flags):
+        # The sampled range, 47 - 2 * 20.6 = 5.8 nodes, is not whole, so the
+        # law per node cell misses the run by 18 and 14 SEM.
+        argv = ["simulate", "--seed", "1", "-n", "200000", "--codec", "cf-biased",
+                "--margin", "20.6", *flags]
+        assert cli.main(argv) == 0
+        stats, closed = capsys.readouterr().out.splitlines()
+        n, mean, var = (_field(stats, key) for key in ("n", "mean|ex|", "var|ex|"))
+        assert abs(mean - _field(closed, "mean|ex|")) < 5 * math.sqrt(var / n)
 
     def test_coco_unknown_image_id_is_usage_error(self, tmp_path):
         doc = {
