@@ -30,9 +30,10 @@ randomness derives only from the run seed and the trial index (a
 splitmix-style generator).  A bound sampler lists its crop boxes and each
 trial names one of them; a run computes their coefficients in one array
 pass before its first chunk.  Skipped and failed trials are status masks,
-not exceptions.  Each chunk's error sums are exact (``math.fsum``) and its
-variance partial is a two-pass sum of squared deviations; chunks merge in
-index order, so results are identical for any worker count.
+not exceptions.  Each chunk's error sums are exact: limb-split sums equal
+to ``math.fsum`` bit for bit, at array speed (``_fsum``; ``BENCH_22.json``).
+Its variance partial is a two-pass sum of squared deviations; chunks merge
+in index order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ class SplitMix64:
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent generator for one trial, derived only from (seed, index)."""
     return SplitMix64(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a run seed the 64-bit generators would silently reduce."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
 
 
 def _uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
@@ -663,14 +670,43 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096
+_LIMB = 41  # bits per limb of _fsum; a column of 2**(53 - _LIMB) limbs sums exactly
+_SHORT = 768  # shorter arrays sum faster in math.fsum (crossover ~700 on a 2-vCPU Xeon)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum(values)`` bit for bit, at array speed, for a float64 array
+    of non-negative values; arrays shorter than ``_SHORT`` go to fsum itself.
+
+    Two limbs on the grid ``2**(e - _LIMB * k)`` below the top value's
+    binade are peeled off every value; both steps are exact, and so is each
+    limb column's float sum for up to ``2**(53 - _LIMB)`` values.  The limb
+    totals and the non-zero remainders then sum exactly to the array's sum,
+    which fsum rounds correctly, as it does the array itself (Neal, arXiv
+    1505.05571; Demmel and Hida, SIAM J. Sci. Comput. 2003).
+    """
+    n = len(values)
+    if not _SHORT <= n <= 1 << (53 - _LIMB):
+        return math.fsum(memoryview(values))
+    top = float(values.max())
+    if not math.isfinite(top * n):
+        return math.fsum(memoryview(values))
+    if top == 0.0:
+        return 0.0
+    e, parts, r = math.frexp(top)[1], [], values
+    for s in (e - _LIMB, e - 2 * _LIMB):
+        q = np.floor(np.ldexp(r, -s))
+        r = r - np.ldexp(q, s)
+        parts.append(math.ldexp(float(q.sum()), s))
+    return math.fsum(parts + r[r != 0].tolist())
 
 
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """``(n, sum, M2)`` of ``values``: an exact fsum, and the fsum of squared
-    deviations from the mean in a second pass."""
-    total = math.fsum(memoryview(values))
+    """``(n, sum, M2)`` of ``values``: an exact sum, and the exact sum of
+    squared deviations from the mean in a second pass, both by ``_fsum``."""
+    total = _fsum(values)
     dev = values - total / max(len(values), 1)
-    return len(values), total, math.fsum(memoryview(dev * dev))
+    return len(values), total, _fsum(dev * dev)
 
 
 def _merge_m2(parts) -> float:
@@ -698,7 +734,7 @@ def _run_chunk(engine, bound, ctx, seed, start, stop):
     )
     return (np.bincount(status, minlength=3).tolist(), int(np.count_nonzero(deg)),
             _moments(np.abs(pox - kox)), _moments(np.abs(poy - koy)),
-            math.fsum(memoryview(np.abs(psx - gx[ok]))))
+            _fsum(np.abs(psx - gx[ok])))
 
 
 def monte_carlo(
@@ -716,12 +752,13 @@ def monte_carlo(
     Reproducible: the result depends only on the arguments.  Trials derive
     their randomness from ``(seed, trial index)`` and partial sums are
     merged per fixed-size chunk in index order, so any ``jobs`` value
-    produces the identical result.
+    produces the identical result.  ``seed`` must lie in ``0..2**64-1``.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
     if jobs < 1:
         raise ValueError(f"need at least one job, got jobs={jobs}")
+    _check_seed(seed)
     if sampler is None:
         sampler = UniformKeypointSampler(default_roi(cfg))
 

@@ -441,6 +441,7 @@ def _verify_checks(seed: int):
 
 
 def cmd_verify(args) -> int:
+    biaslab._check_seed(args.seed)
     passed = total = 0
     for name, value, expected, tolerance, detail in _verify_checks(args.seed):
         ok = abs(value - expected) < tolerance

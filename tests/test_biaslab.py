@@ -1448,6 +1448,154 @@ class TestChunkMoments:
         assert biaslab._merge_m2(parts) == 0.0
 
 
+def _same_float(got: float, want: float) -> bool:
+    """Equal with ``==`` and in the sign bit, or both NaN."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestExactSum:
+    """``_fsum`` against ``math.fsum``, bit for bit."""
+
+    @staticmethod
+    def _check(values):
+        # Zeros leave the sum alone; padded to _SHORT, a short array takes
+        # the limb split too.
+        values = np.asarray(values, dtype=np.float64)
+        want = math.fsum(memoryview(values))
+        for v in (values, np.concatenate([values, np.zeros(biaslab._SHORT)])):
+            got = biaslab._fsum(v)
+            assert _same_float(got, want), (len(v), got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=64))
+    def test_short_lists_of_values_up_to_1e300(self, values):
+        self._check(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 1 << (53 - biaslab._LIMB)), seed=st.integers(0, 2**32 - 1),
+           lo=st.integers(-1074, 996), span=st.integers(0, 2070), zeros=st.floats(0.0, 1.0))
+    def test_long_arrays_of_wide_binade_spans(self, n, seed, lo, span, zeros):
+        # Mantissas of 1 to 53 bits below 2**top for tops across `span`
+        # binades from 2**lo (at most 2**996, about 7e299), and a share of
+        # exact zeros: the remainder tail and subnormals run.
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(1, 54, n)
+        mantissa = np.floor(np.ldexp(rng.random(n), bits))
+        top = np.minimum(rng.integers(lo, lo + span + 1, n), 996)
+        values = np.ldexp(mantissa, top - bits)
+        values[rng.random(n) < zeros] = 0.0
+        self._check(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [0.0] * 4096, [5e-324], [1.0], [1e300], [0.1] * 3,
+        [5e-324] * 4096, [2.2250738585072014e-308, 5e-324, 1e-310],
+        [1.0, 1e-30, 2.0**-1074], [1e300, 1.0, 5e-324], [2.0**41 - 1.0, 0.5, 2.0**-83],
+        [1.0, 2.0**-53, 2.0**-120],  # only the remainder tail breaks the rounding tie
+    ], ids=lambda v: f"{len(v)}x{v[0] if v else 'empty'}")
+    def test_edge_arrays(self, values):
+        self._check(values)
+
+    @pytest.mark.parametrize("values", [[math.inf], [1.0, math.inf, 2.0], [math.nan],
+                                        [0.5, math.nan, math.inf]], ids=repr)
+    def test_non_finite_values(self, values):
+        self._check(values)
+
+    def test_a_sum_past_the_largest_float_overflows_as_fsum_does(self):
+        values = np.full(3, 1.7e308)
+        with pytest.raises(OverflowError):
+            math.fsum(memoryview(values))
+        with pytest.raises(OverflowError):
+            biaslab._fsum(values)
+
+    def test_the_limb_path_covers_a_chunk_and_falls_back_past_it(self, monkeypatch):
+        # A chunk larger than one exact limb column would send every chunk
+        # to the slow fallback and still pass every equality test above.
+        assert biaslab._SHORT <= biaslab._CHUNK <= 1 << (53 - biaslab._LIMB)
+        fsum, seen = math.fsum, []
+        monkeypatch.setattr(biaslab.math, "fsum", lambda v: seen.append(v) or fsum(v))
+        values = np.random.default_rng(5).random(biaslab._CHUNK + 1)
+        lengths = (biaslab._SHORT - 1, biaslab._SHORT, biaslab._CHUNK, biaslab._CHUNK + 1)
+        for n in lengths:
+            assert biaslab._fsum(values[:n]) == fsum(memoryview(values[:n]))
+        assert [type(v) for v in seen] == [memoryview, list, list, memoryview]
+        assert [len(v) for v in seen[::3]] == [lengths[0], lengths[3]]
+
+
+# Every analytic ablate row at ``-n 10000`` (chunks of 4,096, 4,096 and
+# 1,808), recorded while the chunk sums were still ``math.fsum``.
+_ANALYTIC_ABLATE_PIN = {
+    ("topdown", 3, "A"): (10000, 0, 0, 0, "0x1.027adefdaac81p-3", "0x1.ffc88736fd7e4p-4", "0x1.52e5c4bbbf327p-8", "0x1.5a042aa80c340p-8", "0x1.027adefdaac81p-2"),  # noqa: E501
+    ("topdown", 3, "B"): (10000, 0, 0, 0, "0x1.027adefdaac7ep-3", "0x1.ffc88736fd7dfp-4", "0x1.52e5c4bbbf320p-8", "0x1.5a042aa80c336p-8", "0x1.07fac30df5393p-2"),  # noqa: E501
+    ("topdown", 3, "C"): (10000, 0, 0, 0, "0x1.7fdd869acb971p-2", "0x1.ffc88736fd7e4p-4", "0x1.596240ffe971ep-6", "0x1.5a042aa80c340p-8", "0x1.7fdd869acb971p-1"),  # noqa: E501
+    ("topdown", 3, "D"): (10000, 0, 0, 0, "0x1.027adefdaac7ep-3", "0x1.ffc88736fd7dfp-4", "0x1.52e5c4bbbf320p-8", "0x1.5a042aa80c336p-8", "0x1.07fac30df5393p-2"),  # noqa: E501
+    ("topdown", 3, "E"): (10000, 0, 0, 0, "0x1.4286eccef3c5bp-3", "0x1.ffc88736fd7e4p-4", "0x1.872160eea0611p-7", "0x1.5a042aa80c340p-8", "0x1.4286eccef3c5bp-2"),  # noqa: E501
+    ("topdown", 3, "F"): (10000, 0, 0, 0, "0x1.01f7e082f05a9p-3", "0x1.ffc88736fd7e4p-4", "0x1.55a02bf8d71fbp-8", "0x1.5a042aa80c340p-8", "0x1.01f7e082f05a9p-2"),  # noqa: E501
+    ("topdown", 3, "G"): (10000, 0, 0, 0, "0x1.8000000000000p-2", "0x0.0p+0", "0x1.66d871ace4e31p-103", "0x0.0p+0", "0x1.8000000000000p-1"),  # noqa: E501
+    ("topdown", 3, "H"): (10000, 0, 0, 0, "0x1.52b367a0f9097p-50", "0x0.0p+0", "0x1.0adf533d2f4bfp-98", "0x0.0p+0", "0x1.c858793dd97f6p-48"),  # noqa: E501
+    ("topdown", 3, "I"): (10000, 0, 0, 0, "0x1.405532617c1bep-50", "0x0.0p+0", "0x1.e9aafecd65ad3p-99", "0x0.0p+0", "0x1.c58793dd97f63p-48"),  # noqa: E501
+    ("topdown", 7, "A"): (10000, 0, 0, 0, "0x1.fecdffcbaaf5bp-4", "0x1.ffe06c3c60019p-4", "0x1.5a751ad3cd3e5p-8", "0x1.5586f9d6e663bp-8", "0x1.fecdffcbaaf5bp-3"),  # noqa: E501
+    ("topdown", 7, "B"): (10000, 0, 0, 0, "0x1.fecdffcbaaf56p-4", "0x1.ffe06c3c6001ap-4", "0x1.5a751ad3cd3dep-8", "0x1.5586f9d6e6630p-8", "0x1.04d6209393368p-2"),  # noqa: E501
+    ("topdown", 7, "C"): (10000, 0, 0, 0, "0x1.80f889e56a7a8p-2", "0x1.ffe06c3c60019p-4", "0x1.55c92703f0dbap-6", "0x1.5586f9d6e663bp-8", "0x1.80f889e56a7a8p-1"),  # noqa: E501
+    ("topdown", 7, "D"): (10000, 0, 0, 0, "0x1.fecdffcbaaf56p-4", "0x1.ffe06c3c6001ap-4", "0x1.5a751ad3cd3dep-8", "0x1.5586f9d6e6630p-8", "0x1.04d6209393368p-2"),  # noqa: E501
+    ("topdown", 7, "E"): (10000, 0, 0, 0, "0x1.3e85267dcb132p-3", "0x1.ffe06c3c60019p-4", "0x1.8b30058143e6ap-7", "0x1.5586f9d6e663bp-8", "0x1.3e85267dcb132p-2"),  # noqa: E501
+    ("topdown", 7, "F"): (10000, 0, 0, 0, "0x1.00fbec9db6736p-3", "0x1.ffe06c3c60019p-4", "0x1.4f3601536c498p-8", "0x1.5586f9d6e663bp-8", "0x1.00fbec9db6736p-2"),  # noqa: E501
+    ("topdown", 7, "G"): (10000, 0, 0, 0, "0x1.8000000000000p-2", "0x0.0p+0", "0x1.488834a38c957p-103", "0x0.0p+0", "0x1.8000000000000p-1"),  # noqa: E501
+    ("topdown", 7, "H"): (10000, 0, 0, 0, "0x1.4ac083126e979p-50", "0x0.0p+0", "0x1.07a921ac6b3d7p-98", "0x0.0p+0", "0x1.beecbfb15b574p-48"),  # noqa: E501
+    ("topdown", 7, "I"): (10000, 0, 0, 0, "0x1.3e76c8b439581p-50", "0x0.0p+0", "0x1.e19e32384d982p-99", "0x0.0p+0", "0x1.c7525460aa64cp-48"),  # noqa: E501
+    ("bottomup", 3, "A"): (10000, 0, 0, 0, "0x1.7feb09da2e7b7p-2", "0x1.ffb489d066a81p-6", "0x1.54ede8d68a80fp-10", "0x1.54658f557bd9ep-12", "0x1.7feb09da2e7b7p-1"),  # noqa: E501
+    ("bottomup", 3, "B"): (10000, 0, 0, 0, "0x1.0059f799fad56p-3", "0x1.faf265be8f3f9p-4", "0x1.510c83e013e16p-8", "0x1.532a39bf3d6e8p-8", "0x1.089eef128f4ffp-2"),  # noqa: E501
+    ("bottomup", 3, "C"): (10000, 0, 0, 0, "0x1.256d5cfaacd9fp-50", "0x0.0p+0", "0x1.0880d9b61dc2ep-99", "0x0.0p+0", "0x1.0432ca57a786cp-49"),  # noqa: E501
+    ("bottomup", 3, "D"): (10000, 0, 0, 0, "0x1.06c8b43958106p-50", "0x1.76c8b43958106p-52", "0x1.0f9e05a6a7bf0p-99", "0x1.0b18e06072247p-100", "0x1.6305532617c1cp-49"),  # noqa: E501
+    ("bottomup", 3, "E"): (10000, 0, 0, 0, "0x1.00118c92b4796p-2", "0x1.ffc88736fd7e4p-4", "0x1.55f5fd3a55c1fp-6", "0x1.5a042aa80c340p-8", "0x1.00118c92b4796p-2"),  # noqa: E501
+    ("bottomup", 3, "F"): (10000, 0, 0, 0, "0x1.00e343aa0d5b8p-2", "0x1.0286fd2cbb483p-4", "0x1.5579a37296d11p-8", "0x1.53a4a80abee33p-10", "0x1.00e343aa0d5b8p-2"),  # noqa: E501
+    ("bottomup", 3, "G"): (10000, 0, 0, 0, "0x1.0000000000000p-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-2"),  # noqa: E501
+    ("bottomup", 3, "H"): (10000, 0, 0, 0, "0x1.ff721f70d2298p-4", "0x1.ffc88736fd7e1p-4", "0x1.5585f1332db71p-8", "0x1.5a042aa80c338p-8", "0x1.03c8307a525e4p-3"),  # noqa: E501
+    ("bottomup", 3, "I"): (10000, 0, 0, 0, "0x1.a87fcb923a29cp-50", "0x0.0p+0", "0x1.94af645cabb85p-98", "0x0.0p+0", "0x1.78d4fdf3b645ap-49"),  # noqa: E501
+    ("bottomup", 3, "J"): (10000, 0, 0, 0, "0x1.d0624dd2f1aa0p-50", "0x1.ddcc63f141206p-52", "0x1.befecf9ed1185p-98", "0x1.7c491f7fb1f91p-99", "0x1.cf9096bb98c7ep-49"),  # noqa: E501
+    ("bottomup", 7, "A"): (10000, 0, 0, 0, "0x1.7f70dc7103446p-2", "0x1.fb005f74189ddp-6", "0x1.5aa487cad1513p-10", "0x1.5953fdd23b501p-12", "0x1.7f70dc7103446p-1"),  # noqa: E501
+    ("bottomup", 7, "B"): (10000, 0, 0, 0, "0x1.fe884acd79610p-4", "0x1.013633cf4bb42p-3", "0x1.5b1c7da7e89bfp-8", "0x1.5044cba685580p-8", "0x1.0780269b997c6p-2"),  # noqa: E501
+    ("bottomup", 7, "C"): (10000, 0, 0, 0, "0x1.258793dd97f63p-50", "0x0.0p+0", "0x1.02e1a15cf9e0dp-99", "0x0.0p+0", "0x1.0bfb15b573eabp-49"),  # noqa: E501
+    ("bottomup", 7, "D"): (10000, 0, 0, 0, "0x1.03f7ced916873p-50", "0x1.6474538ef34d7p-52", "0x1.07f854de91fa4p-99", "0x1.02d2b2a0b70b1p-100", "0x1.657a786c22681p-49"),  # noqa: E501
+    ("bottomup", 7, "E"): (10000, 0, 0, 0, "0x1.0004845b0c432p-2", "0x1.ffe06c3c60019p-4", "0x1.5a4a3f6ae4445p-6", "0x1.5586f9d6e663bp-8", "0x1.0004845b0c432p-2"),  # noqa: E501
+    ("bottomup", 7, "F"): (10000, 0, 0, 0, "0x1.ffe1b661b7dbep-3", "0x1.00ff0f4fa93d0p-4", "0x1.59cc58d114d90p-8", "0x1.4e05180e9678bp-10", "0x1.ffe1b661b7dbep-3"),  # noqa: E501
+    ("bottomup", 7, "G"): (10000, 0, 0, 0, "0x1.0000000000000p-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-2"),  # noqa: E501
+    ("bottomup", 7, "H"): (10000, 0, 0, 0, "0x1.fc2f80f113520p-4", "0x1.ffe06c3c60019p-4", "0x1.59bdd9fe5dce8p-8", "0x1.5586f9d6e6626p-8", "0x1.0220417e83b7ep-3"),  # noqa: E501
+    ("bottomup", 7, "I"): (10000, 0, 0, 0, "0x1.a91d14e3bcd36p-50", "0x0.0p+0", "0x1.99452cdfe3d21p-98", "0x0.0p+0", "0x1.7487fcb923a2ap-49"),  # noqa: E501
+    ("bottomup", 7, "J"): (10000, 0, 0, 0, "0x1.cebedfa43fe5dp-50", "0x1.0068db8bac711p-51", "0x1.c3868ec3d97edp-98", "0x1.8da21ebaf9213p-99", "0x1.cd013a92a3055p-49"),  # noqa: E501
+}
+
+
+def _analytic_ablate_stats(keys, jobs):
+    presets = {"topdown": dict(_topdown_presets()), "bottomup": dict(_bottomup_presets())}
+    got = {}
+    for preset, seed, row in keys:
+        s = monte_carlo(presets[preset][row], OracleMode.ANALYTIC_SHIFT, 10000, seed, jobs=jobs)
+        got[preset, seed, row] = (
+            s.n_trials, s.n_skipped, s.n_decode_failed, s.n_degenerate,
+            *(v.hex() for v in (s.mean_abs_x, s.mean_abs_y, s.var_abs_x, s.var_abs_y,
+                                s.mean_abs_x_source)))
+    return got
+
+
+def test_analytic_ablate_rows_are_pinned_to_the_last_bit():
+    assert _analytic_ablate_stats(_ANALYTIC_ABLATE_PIN, jobs=1) == _ANALYTIC_ABLATE_PIN
+
+
+def test_analytic_ablate_pin_holds_for_two_workers():
+    keys = [key for key in _ANALYTIC_ABLATE_PIN if key[:2] == ("bottomup", 7)]
+    assert _analytic_ablate_stats(keys, jobs=2) == {k: _ANALYTIC_ABLATE_PIN[k] for k in keys}
+
+
+def test_seed_outside_64_bits_is_refused():
+    cfg = make_cfg()
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
+            monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 10, seed)
+    assert monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 10, (1 << 64) - 1).n_trials == 10
+
+
 class TestErrorStats:
     def test_standard_errors_stay_out_of_reports(self, tmp_path, capsys):
         stats = monte_carlo(make_cfg(codec=Codec.CF_BIASED_DECODE), OracleMode.ANALYTIC_SHIFT,

@@ -834,3 +834,26 @@ def test_ablate_stdout_is_pinned(capsys, preset, mode):
     assert cli.main(["ablate", "--preset", preset, "--mode", mode, "--seed", "3",
                      "-n", "5000"]) == 0
     assert capsys.readouterr().out == ABLATE_STDOUT[preset, mode]
+
+
+_SEED_ARGV = {
+    "simulate": ["simulate", "-n", "20"],
+    "ablate": ["ablate", "--preset", "bottomup", "-n", "20"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", list(_SEED_ARGV))
+def test_seed_outside_64_bits_is_usage_error(capsys, command, seed):
+    # The generators reduce seeds mod 2**64, so 2**64 would repeat seed 0
+    # and -1 would repeat 2**64 - 1.
+    assert cli.main([*_SEED_ARGV[command], "--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: seed must be in 0..2**64-1, got {seed}\n")
+
+
+@pytest.mark.parametrize("command", list(_SEED_ARGV))
+def test_largest_64_bit_seed_still_runs(capsys, command):
+    assert cli.main([*_SEED_ARGV[command], "--seed", str((1 << 64) - 1)]) == 0
+    assert "error" not in capsys.readouterr().err
