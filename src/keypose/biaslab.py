@@ -25,15 +25,15 @@ flip ensemble is written once; they differ only in how a map is decoded:
   presets; ``BENCH_11.json``).
 
 Trials run in fixed-size chunks, each as one pass over numpy arrays; the
-rendered-heatmap step takes a chunk's live trials in blocks.  Each trial's
-randomness derives only from the run seed and the trial index (a
+rendered-heatmap peak search reads node boxes in blocks of ``_NODES`` values.
+Each trial's randomness derives only from the run seed and the trial index (a
 splitmix-style generator).  A bound sampler lists its crop boxes and each
-trial names one of them; a run computes their coefficients in one array
-pass before its first chunk.  Skipped and failed trials are status masks,
-not exceptions.  Each chunk's error sums are exact: limb-split sums equal
-to ``math.fsum`` bit for bit, at array speed (``_fsum``; ``BENCH_22.json``).
-Its variance partial is a two-pass sum of squared deviations; chunks merge
-in index order, so results are identical for any worker count.
+trial names one of them; a run computes their coefficients in one array pass
+before its first chunk.  Skipped and failed trials are status masks, not
+exceptions.  Each chunk's error sums are exact: limb-split sums equal to
+``math.fsum`` bit for bit, at array speed (``_fsum``; ``BENCH_22.json``).
+Its variance partial is a two-pass sum of squared deviations; chunks merge in
+index order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -114,6 +114,12 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed the 64-bit generators would silently reduce."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
+
+
 class SplitMix64:
     """Splitmix-style PRNG: the state advances by the 64-bit golden-ratio
     constant and each output is a finalizer hash of the state.
@@ -125,7 +131,8 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        _check_seed(seed)
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -138,13 +145,10 @@ class SplitMix64:
 
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent generator for one trial, derived only from (seed, index)."""
+    _check_seed(seed)
+    if not 0 <= index < _MASK64:  # index + 1 must not wrap
+        raise ValueError(f"index must be in 0..2**64-2, got {index}")
     return SplitMix64(_mix64((seed + (index + 1) * _GOLDEN) & _MASK64))
-
-
-def _check_seed(seed: int) -> None:
-    """Refuse a run seed the 64-bit generators would silently reduce."""
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
 
 
 def _uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
@@ -399,7 +403,7 @@ class _PeakMaps(_Maps):
         return x, y, False, False
 
 
-_BLOCK = 256  # live trials per block of rendered maps
+_NODES = 1 << 15  # node values per block of rendered-map boxes (see ROADMAP)
 
 
 def _min_sigma(d2: float) -> float:
@@ -427,10 +431,10 @@ def _newton_offsets(window: np.ndarray):
 
 
 class _AxisMaps(_Maps):
-    """Rendered-heatmap oracle for a block of trials.  Node values are
-    computed where a decoder reads them, with the encoder's formulas; under
-    rno they are read through ``raster._bilinear``, the tap sum that
-    ``rno_upsample``'s warp uses, so they equal the 2-D map's bit for bit."""
+    """Rendered-heatmap oracle.  Node values are computed where a decoder reads
+    them, with the encoder's formulas; under rno through ``raster._bilinear``,
+    the tap sum of ``rno_upsample``'s warp, so they equal the 2-D map's bit for
+    bit.  Peak boxes are read in blocks of at most ``_NODES`` values, or one box."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
@@ -446,9 +450,10 @@ class _AxisMaps(_Maps):
         out = self.cfg.output
         return (0.0 <= kx) & (kx <= out.width_units) & (0.0 <= ky) & (ky <= out.height_units)
 
-    def _at(self, terms, x, y):
-        """The map's channels at output-plane columns ``x`` (B, k) and rows
-        ``y`` (B, l), as ``(B, l, k)`` arrays."""
+    def _at(self, terms, x, y, offsets=False):
+        """The map's first channel at output-plane columns ``x`` (B, k) and
+        rows ``y`` (B, l), with ``offsets`` also the disc's offset channels,
+        as ``(B, l, k)`` arrays."""
         values = []
         for m, n, mirrored, shift in terms:
             # The branch's own columns, at infinity where zeros moved in.
@@ -457,11 +462,13 @@ class _AxisMaps(_Maps):
             n = n[:, None]
             d2 = (np.where(xs >= 0, (own - m[:, None]) ** 2, np.inf)[:, None, :]
                   + ((y - n) ** 2)[:, :, None])
-            if not self.ccrf:
-                # A tiny sigma overflows this to -inf (exp: exact 0); _Engine.run allows it.
-                values.append((np.exp(-d2 / self.k),))
+            if self.ccrf:
+                c = (d2 < self.cfg.radius * self.cfg.radius).astype(np.float64)
+            else:  # a tiny sigma overflows -d2 / k to -inf (exp: exact 0); decode allows it
+                c = np.exp(-d2 / self.k)
+            if not offsets:
+                values.append((c,))
                 continue
-            c = (d2 < self.cfg.radius * self.cfg.radius).astype(np.float64)
             x_off = (m[:, None] - own)[:, None, :] * c
             values.append((c, -x_off if mirrored else x_off, (n - y)[:, :, None] * c))
         return values[0] if len(values) == 1 else tuple(
@@ -477,37 +484,50 @@ class _AxisMaps(_Maps):
                          sx * x[:, None, :] + ox, sy * y[:, :, None] + oy,
                          self.w, self.h, BorderPolicy.ZERO_FILL)
 
-    def _box(self, lo, hi, axis):
-        """Decode-plane nodes ``(B, k)`` from the output node at or below
-        ``lo`` to the one at or above ``hi`` (under rno, from the input node
-        at or below the first to the one at or above the last); clipped, so
-        repeats come last."""
+    def _span(self, lo, hi, axis):
+        """Per trial, the output node at or below ``lo`` and the one at or above
+        ``hi`` (under rno, the input nodes at or beyond those), clipped."""
         n = (self.plane.width_px, self.plane.height_px)[axis]
         lo, hi = np.floor(lo), np.ceil(hi)
         if self.axes is not None:
             scale, offset = self.axes[axis]
             lo, hi = np.floor((lo - offset) / scale), np.ceil((hi - offset) / scale)
-        lo, hi = (np.clip(v, 0, n - 1).astype(np.intp) for v in (lo, hi))
+        return tuple(np.clip(v, 0, n - 1).astype(np.intp) for v in (lo, hi))
+
+    @staticmethod
+    def _box(lo, hi, n):
+        """Nodes ``lo`` to ``hi`` per trial as ``(B, k)`` rows, padded to the
+        widest with the nodes after ``hi``, clipped, so repeats come last."""
         return np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), n - 1)
 
+    @np.errstate(over="ignore")  # a tiny sigma's exponents, in _at
     def decode(self, terms):
         """``(x, y, degenerate, failed)`` arrays; a disc map with no
         response fails.  The peak is the first maximum in row-major order
         in a box: a disc map is zero outside its discs, and a Gaussian map
         rises toward its keypoints along each axis (both branches share
-        their rows), so its peak lies between the nodes at or beyond them."""
+        their rows), so its peak lies between the nodes at or beyond them.
+        Box rows and columns ascend, clipped repeats last: ``argmax`` finds it."""
         reach = self.cfg.radius if self.ccrf else 0.0
-        x, y = (self._box(np.minimum.reduce(c) - reach, np.maximum.reduce(c) + reach, axis)
-                for axis, c in enumerate(self.keypoints(terms)))
-        v = self._values(terms, x, y)
-        top = v.max(axis=(1, 2))
+        (x0, x1), (y0, y1) = (self._span(np.min(c, 0) - reach, np.max(c, 0) + reach, axis)
+                              for axis, c in enumerate(self.keypoints(terms)))
         w, h = self.plane.width_px, self.plane.height_px
-        order = np.where(v == top[:, None, None], y[:, :, None] * w + x[:, None, :], h * w)
+        nodes = (np.max(x1 - x0, initial=0) + 1) * (np.max(y1 - y0, initial=0) + 1)
+        step, peaks = max(1, _NODES // int(nodes)), []
+        for i in range(0, max(len(x0), 1), step):  # an empty chunk keeps its shapes
+            b = slice(i, i + step)
+            x, y = self._box(x0[b], x1[b], w), self._box(y0[b], y1[b], h)
+            v = self._values([(m[b], n[b], *rest) for m, n, *rest in terms], x, y)
+            _, ny, nx = v.shape
+            iy, ix = np.divmod(v.reshape(-1, ny * nx).argmax(axis=1), nx)
+            trial = np.arange(len(v))
+            peaks.append((x[trial, ix], y[trial, iy], v[trial, iy, ix]))
+        ix, iy, top = (np.concatenate(p) for p in zip(*peaks))
         # An all-zero map peaks at its first node.
-        iy, ix = np.divmod(np.where(top > 0.0, order.min(axis=(1, 2)), 0), w)
+        ix, iy = np.where(top > 0.0, ix, 0), np.where(top > 0.0, iy, 0)
         none = np.zeros(len(ix), dtype=bool)
         if self.ccrf:
-            _, x_off, y_off = self._at(terms, ix[:, None], iy[:, None])
+            _, x_off, y_off = self._at(terms, ix[:, None], iy[:, None], offsets=True)
             return ix + x_off[:, 0, 0], iy + y_off[:, 0, 0], none, top == 0.0
         if self.cfg.codec is Codec.ARGMAX_ONLY:
             return ix.astype(np.float64), iy.astype(np.float64), none, none
@@ -531,8 +551,7 @@ class _Engine:
     The engine alone writes the flip ensemble's terms (``_terms``); the
     oracle mode picks the map class that decodes them in the decode plane:
     the input plane when the output is upsampled first (rno), else the output plane.
-    Everything runs element-wise on the batch; rendered maps take the live
-    trials in blocks of ``_BLOCK``, which bounds the node values they hold.
+    Everything runs element-wise on the batch, one call per map class and chunk.
     """
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
@@ -542,8 +561,7 @@ class _Engine:
         self.h_i = cfg.input.height_units
         # Decode plane -> output plane; None when they coincide.
         self.dp2o = self.i2o if cfg.rno else None
-        self.batched = mode is OracleMode.ANALYTIC_SHIFT
-        self.maps = (_PeakMaps if self.batched else _AxisMaps)(cfg)
+        self.maps = (_PeakMaps if mode is OracleMode.ANALYTIC_SHIFT else _AxisMaps)(cfg)
         self.snoop = cfg.compensation is not Compensation.NONE
         self.average_coords = cfg.combine is Combine.AVERAGE_COORDS
         # The 1/(2s) residual correction of the flip ensemble, in
@@ -602,15 +620,7 @@ class _Engine:
         ok = np.flatnonzero(live)
         ko = ko[0][ok], ko[1][ok]
         kof = None if kof is None else (kof[0][ok], kof[1][ok])
-        if self.batched:
-            x, y, deg, failed = self._predict(ko, kof)
-        else:
-            # Always at least one block, so that an empty chunk keeps its shapes.
-            k = np.array(ko if kof is None else (*ko, *kof))
-            with np.errstate(over="ignore"):  # a tiny sigma's exponents, in _AxisMaps._at
-                blocks = [self._predict(b[:2], None if kof is None else b[2:])
-                          for b in np.split(k, range(_BLOCK, len(ok), _BLOCK), axis=1)]
-            x, y, deg, failed = (np.concatenate(part) for part in zip(*blocks))
+        x, y, deg, failed = self._predict(ko, kof)
         status = np.full(len(gx), _SKIPPED)
         status[ok] = np.where(failed, _FAILED, _OK)
         if np.any(failed):

@@ -117,7 +117,7 @@ class TestSplitMix:
         assert substream(42, 0).uniform() == s0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
     def test_batch_draw_equals_substreams(self, seed, k):
         # The chunk engine draws with uint64 arrays; substream is the spec.
         for start, stop in ((0, 5), (biaslab._CHUNK - 7, biaslab._CHUNK + 9)):
@@ -126,6 +126,14 @@ class TestSplitMix:
                 for rng in (substream(seed, i) for i in range(start, stop))
             ]
             assert np.array_equal(biaslab._uniforms(seed, start, stop, k), np.array(expected))
+
+    @pytest.mark.parametrize("index", [-1, 2**64 - 1, 2**64])
+    def test_index_outside_the_trial_range_is_refused(self, index):
+        # index + 1 is reduced mod 2**64: 2**64 - 1 would draw what -1 draws,
+        # and 2**64 what 0 draws.
+        with pytest.raises(ValueError, match=r"index must be in 0\.\.2\*\*64-2"):
+            substream(0, index)
+        assert substream(0, 2**64 - 2).uniform() != substream(0, 0).uniform()
 
 
 class TestIdealNetwork:
@@ -1333,19 +1341,89 @@ _RNO_CF = PipelineConfig(convention=Convention.PIXEL_COUNT, input=PlaneSize(40, 
                          compensation=Compensation.SNOOP, codec=Codec.CF, rno=True)
 
 
-@pytest.mark.parametrize("n", [0, 1, biaslab._BLOCK + 1, 2 * biaslab._BLOCK + 37],
-                         ids=["no-live-trial", "one-trial", "block-of-one", "three-blocks"])
-def test_rendered_oracle_blocks(n):
+def _spy_blocks(monkeypatch):
+    """Spy on the blocks the peak search reads (``_AxisMaps._box`` builds a
+    block's columns, then its rows); returns a function that lists the
+    ``(trials, columns, rows)`` of each block since its last call."""
+    box, calls = biaslab._AxisMaps._box, []
+
+    def spy(lo, hi, n):
+        calls.append(nodes := box(lo, hi, n))
+        return nodes
+
+    def blocks():  # the blocks since the last call
+        got = [(len(x), x.shape[1], y.shape[1]) for x, y in zip(calls[::2], calls[1::2])]
+        calls.clear()
+        return got
+
+    monkeypatch.setattr(biaslab._AxisMaps, "_box", staticmethod(spy))
+    return blocks
+
+
+@pytest.mark.parametrize("n,sizes", [(0, [0]), (1, [1]), (3, [2, 1]), (7, [2, 2, 2, 1])],
+                         ids=["no-live-trial", "one-trial", "two-blocks", "four-blocks"])
+def test_rendered_oracle_blocks(n, sizes, monkeypatch):
     # Every trial of a chunk goes through its block, whatever the block
     # count; a chunk whose trials all leave the planes has an empty block.
+    # With room for two of the chunk's widest boxes, blocks hold two trials.
     roi = default_roi(_RNO_CF)
     bound = UniformKeypointSampler(roi, 1.0).bind(_RNO_CF)
     _, gx, gy = bound.sample(biaslab._uniforms(5, 0, n or 3, bound.k))
     if n == 0:
         gx = gx + 10.0 * roi.w
+    blocks = _spy_blocks(monkeypatch)
+    monkeypatch.setattr(biaslab, "_NODES", 1 << 40)
+    whole = _engine_outcomes(_RNO_CF, bound, gx, gy)
+    (_, cols, rows), = blocks()
+    monkeypatch.setattr(biaslab, "_NODES", 2 * cols * rows)
     outcomes = _engine_outcomes(_RNO_CF, bound, gx, gy)
-    assert outcomes == _chain_outcomes(_RNO_CF, roi, gx, gy)
+    assert [b for b, _, _ in blocks()] == sizes
+    assert outcomes == whole == _chain_outcomes(_RNO_CF, roi, gx, gy)
     assert (outcomes.count("skipped") == len(gx)) == (n == 0)
+
+
+def _partition_configs():
+    planes = {"input": PlaneSize(40, 36), "output": PlaneSize(20, 18), "flip_test": True,
+              "compensation": Compensation.SNOOP}
+    for codec in (Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY, Codec.CCRF):
+        for rno, combine in ((False, Combine.AVERAGE_COORDS), (False, Combine.AVERAGE_HEATMAPS),
+                             (True, Combine.AVERAGE_HEATMAPS))[:2 if codec is Codec.CCRF else 3]:
+            cfg = PipelineConfig(convention=Convention.PIXEL_COUNT, codec=codec, rno=rno,
+                                 combine=combine, radius=2.5, **planes)
+            yield pytest.param(cfg, id=f"{codec.value}-{combine.value}{'-rno' * rno}")
+
+
+@pytest.mark.parametrize("cfg", _partition_configs())
+def test_block_partition_changes_no_result(cfg, monkeypatch):
+    # One trial per block, a few boxes per block, and one block per chunk
+    # read the same node values with the same peak rule.
+    blocks = _spy_blocks(monkeypatch)
+    stats, trials = [], []
+    for nodes in (1, 200, 1 << 40):
+        monkeypatch.setattr(biaslab, "_NODES", nodes)
+        stats.append(monte_carlo(cfg, OracleMode.FULL_HEATMAP, 300, 13))
+        trials.append({b for b, _, _ in blocks()})
+    assert stats[0] == stats[1] == stats[2]
+    live = stats[0].n_trials + stats[0].n_decode_failed
+    assert trials[0] == {1} and 1 < max(trials[1]) < live and trials[2] == {live}
+
+
+def test_a_block_holds_at_most_nodes_or_one_trials_box(monkeypatch):
+    # Wide discs: a trial's box holds up to 122 x 122 nodes, so a block of
+    # a fixed trial count would hold tens of MB per temporary array.
+    cfg = PipelineConfig(convention=Convention.UNIT_LENGTH, input=PlaneSize(512, 512),
+                         output=PlaneSize(256, 256), flip_test=True, codec=Codec.CCRF,
+                         radius=60.0)
+    blocks, stats = _spy_blocks(monkeypatch), []
+    for nodes in (biaslab._NODES, 1000):
+        monkeypatch.setattr(biaslab, "_NODES", nodes)
+        stats.append(monte_carlo(cfg, OracleMode.FULL_HEATMAP, 100, 1))
+        seen = blocks()
+        assert sum(b for b, _, _ in seen) == 2 * 100  # each branch decodes alone
+        assert max(cols * rows for _, cols, rows in seen) > 1000
+        assert all(b * cols * rows <= nodes or b == 1 for b, cols, rows in seen)
+        assert (max(b for b, _, _ in seen) > 1) == (nodes > 2 * 122 * 122)
+    assert stats[0] == stats[1]
 
 
 @pytest.mark.parametrize("codec", [Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY])
@@ -1411,6 +1489,54 @@ def test_rno_rows_are_pinned_to_the_bit(mode, row):
                         500 if mode == "analytic" else 60, 11)
     bits = (stats.mean_abs_x.hex(), stats.var_abs_x.hex(), stats.mean_abs_x_source.hex())
     assert bits == _RNO_ROW_BITS[mode, row]
+
+
+# Every heatmap ablate row at seed 7, topdown at ``-n 5000`` (chunks of 4,096
+# and 904) and bottomup at ``-n 300``, recorded while rendered maps were still
+# decoded in blocks of a fixed trial count.
+_HEATMAP_ABLATE_PIN = {
+    ("topdown", "A"): (5000, 0, 0, 0, "0x1.004c9d9bb32e0p-3", "0x1.f78f1b842b09cp-4", "0x1.58fcf9fd72066p-8", "0x1.516be694a8841p-8", "0x1.004c9d9bb32e0p-2"),  # noqa: E501
+    ("topdown", "B"): (5000, 0, 0, 0, "0x1.004c9d9bb32dfp-3", "0x1.f78f1b842b0a1p-4", "0x1.58fcf9fd7205cp-8", "0x1.516be694a8833p-8", "0x1.05c0a0f6295fep-2"),  # noqa: E501
+    ("topdown", "C"): (5000, 0, 0, 0, "0x1.80f4a0701083ep-2", "0x1.f78f1b842b09cp-4", "0x1.530ddac8dc38cp-6", "0x1.516be694a8841p-8", "0x1.80f4a0701083ep-1"),  # noqa: E501
+    ("topdown", "D"): (5000, 0, 0, 0, "0x1.004c9d9bb32dfp-3", "0x1.f78f1b842b0a1p-4", "0x1.58fcf9fd7205cp-8", "0x1.516be694a8833p-8", "0x1.05c0a0f6295fep-2"),  # noqa: E501
+    ("topdown", "E"): (5000, 0, 0, 0, "0x1.3e62fd10f46dbp-3", "0x1.f78f1b842b09cp-4", "0x1.867b202c5105dp-7", "0x1.516be694a8841p-8", "0x1.3e62fd10f46dbp-2"),  # noqa: E501
+    ("topdown", "F"): (5000, 0, 0, 0, "0x1.ff2c6aa2b05d0p-4", "0x1.f78f1b842b09cp-4", "0x1.4f5f697575132p-8", "0x1.516be694a8841p-8", "0x1.ff2c6aa2b05d0p-3"),  # noqa: E501
+    ("topdown", "G"): (5000, 0, 0, 0, "0x1.8000000000000p-2", "0x0.0p+0", "0x1.3aa2bf03a2cc2p-103", "0x0.0p+0", "0x1.8000000000000p-1"),  # noqa: E501
+    ("topdown", "H"): (5000, 0, 0, 0, "0x1.52339c0ebedfap-50", "0x0.0p+0", "0x1.0cb73f4e51e8fp-98", "0x0.0p+0", "0x1.c3afb7e90ff97p-48"),  # noqa: E501
+    ("topdown", "I"): (5000, 0, 0, 0, "0x1.a7ef9db22d0e5p-51", "0x1.3a92a30553261p-60", "0x1.064d08518f3a1p-99", "0x1.3a42170dc4e7fp-110", "0x1.a5460aa64c2f8p-48"),  # noqa: E501
+    ("bottomup", "A"): (300, 0, 0, 0, "0x1.962da27a3d44cp-2", "0x1.90317af5f9fd1p-3", "0x1.adfd201ef5236p-5", "0x1.1a9edb73e1898p-6", "0x1.962da27a3d44cp-1"),  # noqa: E501
+    ("bottomup", "B"): (300, 0, 0, 0, "0x1.028a8e8d3671ap-3", "0x1.f381e16cea89fp-4", "0x1.51d0e8c418e09p-8", "0x1.5d53c176e785ep-8", "0x1.0ae19b687a43ap-2"),  # noqa: E501
+    ("bottomup", "C"): (300, 0, 0, 0, "0x1.bbbbbbbbbbbbcp-52", "0x1.b4e81b4e81b4fp-59", "0x1.5cc0ed7303b5cp-101", "0x1.b4e81b4e81b4fp-109", "0x1.7777777777777p-50"),  # noqa: E501
+    ("bottomup", "D"): (300, 0, 0, 0, "0x1.4554d9860ee73p-3", "0x1.3f6e9ff154620p-3", "0x1.fa767ecd301f9p-8", "0x1.dac4acbce6acfp-8", "0x1.4fd3752f8b40ep-2"),  # noqa: E501
+    ("bottomup", "E"): (300, 0, 0, 0, "0x1.029bd14242926p-2", "0x1.0d35b9dfe2b31p-3", "0x1.4fe157716caa4p-6", "0x1.62029413d33d3p-8", "0x1.029bd14242926p-2"),  # noqa: E501
+    ("bottomup", "F"): (300, 0, 0, 0, "0x1.0ffc812bec877p-2", "0x1.54e915e158937p-3", "0x1.dbb1693a27bcdp-6", "0x1.9fe505927ecd9p-7", "0x1.0ffc812bec877p-2"),  # noqa: E501
+    ("bottomup", "G"): (300, 0, 0, 0, "0x1.03d724f57dd4fp-2", "0x1.0c804a65a0483p-3", "0x1.5061c9a43b5dfp-6", "0x1.75ab3b30a502fp-8", "0x1.03d724f57dd4dp-2"),  # noqa: E501
+    ("bottomup", "H"): (300, 0, 0, 0, "0x1.03fef51b33275p-3", "0x1.0d35b9dfe2b3bp-3", "0x1.5c58d2a575c98p-8", "0x1.62029413d33b6p-8", "0x1.081f72e6ce611p-3"),  # noqa: E501
+    ("bottomup", "I"): (300, 0, 0, 0, "0x1.e4b17e4b17e4bp-52", "0x0.0p+0", "0x1.2fc38ab0e07b2p-100", "0x0.0p+0", "0x1.0da740da740dap-49"),  # noqa: E501
+    ("bottomup", "J"): (300, 0, 0, 0, "0x1.b3f2ae8538065p-5", "0x1.c73b30d2ae476p-5", "0x1.ff06abe246e5cp-10", "0x1.1bd93b5267fbcp-9", "0x1.bade2721befe8p-5"),  # noqa: E501
+}
+
+
+def _stats_bits(s):
+    """An ablate row's counts and the ``float.hex`` of its five float fields."""
+    return (s.n_trials, s.n_skipped, s.n_decode_failed, s.n_degenerate,
+            *(v.hex() for v in (s.mean_abs_x, s.mean_abs_y, s.var_abs_x, s.var_abs_y,
+                                s.mean_abs_x_source)))
+
+
+def _heatmap_ablate_stats(keys, jobs):
+    presets = {"topdown": dict(_topdown_presets()), "bottomup": dict(_bottomup_presets())}
+    got = {}
+    for preset, row in keys:
+        s = monte_carlo(presets[preset][row], OracleMode.FULL_HEATMAP,
+                        5000 if preset == "topdown" else 300, 7, jobs=jobs)
+        got[preset, row] = _stats_bits(s)
+    return got
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_heatmap_ablate_rows_are_pinned_to_the_last_bit(jobs):
+    assert _heatmap_ablate_stats(_HEATMAP_ABLATE_PIN, jobs) == _HEATMAP_ABLATE_PIN
 
 
 class TestChunkMoments:
@@ -1572,10 +1698,7 @@ def _analytic_ablate_stats(keys, jobs):
     got = {}
     for preset, seed, row in keys:
         s = monte_carlo(presets[preset][row], OracleMode.ANALYTIC_SHIFT, 10000, seed, jobs=jobs)
-        got[preset, seed, row] = (
-            s.n_trials, s.n_skipped, s.n_decode_failed, s.n_degenerate,
-            *(v.hex() for v in (s.mean_abs_x, s.mean_abs_y, s.var_abs_x, s.var_abs_y,
-                                s.mean_abs_x_source)))
+        got[preset, seed, row] = _stats_bits(s)
     return got
 
 
@@ -1589,10 +1712,13 @@ def test_analytic_ablate_pin_holds_for_two_workers():
 
 
 def test_seed_outside_64_bits_is_refused():
+    # Reduced mod 2**64, these would draw what 2**64 - 1, 0 and 5 draw.
     cfg = make_cfg()
-    for seed in (-1, 1 << 64):
-        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
-            monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 10, seed)
+    for seed in (-1, 1 << 64, 2**64 + 5):
+        for run in (lambda s: monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 10, s),
+                    SplitMix64, lambda s: substream(s, 5)):
+            with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
+                run(seed)
     assert monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 10, (1 << 64) - 1).n_trials == 10
 
 
