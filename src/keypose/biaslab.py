@@ -21,8 +21,8 @@ flip ensemble is written once; they differ only in how a map is decoded:
   flipped, shifted and averaged, with the real decoders' rules, so it also
   captures what the coordinate-level approximation leaves out.  Only the
   node values a decoder reads are computed, each equal to the 2-D map's bit
-  for bit (over 20 times faster than rendering whole maps on the top-down
-  presets; ``BENCH_11.json``).
+  for bit (over 20 times faster than whole maps; ``BENCH_11.json``); rno reads
+  use per-run tap tables and one box of output nodes (``BENCH_24.json``).
 
 Trials run in fixed-size chunks, each as one pass over numpy arrays; the
 rendered-heatmap peak search reads node boxes in blocks of ``_NODES`` values.
@@ -60,7 +60,7 @@ from .pipeline import (
     input_to_output,
     output_to_source,
 )
-from .raster import BorderPolicy, _bilinear
+from .raster import BorderPolicy, _axis_taps, _tap_sum
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .codec import _argmax_xy, _ccrf_arrays, _dark_offset, _gaussian_array  # noqa: F401
@@ -432,19 +432,22 @@ def _newton_offsets(window: np.ndarray):
 
 class _AxisMaps(_Maps):
     """Rendered-heatmap oracle.  Node values are computed where a decoder reads
-    them, with the encoder's formulas; under rno through ``raster._bilinear``,
-    the tap sum of ``rno_upsample``'s warp, so they equal the 2-D map's bit for
-    bit.  Peak boxes are read in blocks of at most ``_NODES`` values, or one box."""
+    them, with the encoder's formulas; under rno, from each trial's output nodes
+    under the warp's taps (per-axis tables built once), read once in one box and
+    summed by ``raster._tap_sum`` as ``rno_upsample`` sums them: all equal the 2-D
+    map's bit for bit.  Peak boxes are read in blocks of at most ``_NODES`` values or one box."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
         self.ccrf = cfg.codec is Codec.CCRF
         self.k = 2.0 * cfg.sigma * cfg.sigma
         self.plane = cfg.input if cfg.rno else cfg.output  # the decode plane
-        self.axes = None
         if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
             a, _, c, _, e, f = _coeffs(invert(invert(input_to_output(cfg))))
             self.axes = ((a, c), (e, f))
+            sizes = ((cfg.input.width_px, self.w), (cfg.input.height_px, self.h))
+            self.taps = [_axis_taps(s * np.arange(n) + o, m, BorderPolicy.ZERO_FILL)
+                         for (s, o), (n, m) in zip(self.axes, sizes)]  # each input node's taps
 
     def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         out = self.cfg.output
@@ -471,28 +474,33 @@ class _AxisMaps(_Maps):
                 continue
             x_off = (m[:, None] - own)[:, None, :] * c
             values.append((c, -x_off if mirrored else x_off, (n - y)[:, :, None] * c))
-        return values[0] if len(values) == 1 else tuple(
-            0.5 * (a + b) for a, b in zip(*values))
+        return values[0] if len(values) == 1 else tuple(0.5 * (a + b) for a, b in zip(*values))
 
     def _values(self, terms, x, y):
-        """The first channel in the decode plane at columns ``x`` and rows
-        ``y``; under rno, read through the taps in ``rno_upsample``'s order."""
-        if self.axes is None:
+        """The first channel in the decode plane at columns ``x`` and rows ``y``,
+        ascending per trial; under rno, ``rno_upsample``'s tap sum on a box of
+        output nodes per trial, from its first low to its last high tap."""
+        if not self.cfg.rno:
             return self._at(terms, x, y)[0]
-        (sx, ox), (sy, oy) = self.axes
-        return _bilinear(lambda yi, xi: self._at(terms, xi[:, 0], yi[:, :, 0])[0],
-                         sx * x[:, None, :] + ox, sy * y[:, :, None] + oy,
-                         self.w, self.h, BorderPolicy.ZERO_FILL)
+        xt = [(i[x[:, None]], wt[x[:, None]]) for i, wt in self.taps[0]]  # (B, 1, k)
+        yt = [(i[y[..., None]], wt[y[..., None]]) for i, wt in self.taps[1]]  # (B, l, 1)
+        x0, y0 = xt[0][0][:, 0, :1], yt[0][0][:, :1, 0]  # each trial's first low taps
+        box = self._at(terms, *(lo + np.arange(np.max(hi - lo, initial=0) + 1) for lo, hi in
+                                ((x0, xt[1][0][:, 0, -1:]), (y0, yt[1][0][:, -1:, 0]))))[0]
+        _, l, k = box.shape  # tap (yi, xi) of trial t is box entry (t, yi - y0[t], xi - x0[t])
+        rows = (l * np.arange(len(box))[:, None, None] - y0[:, None]) * k
+        xt, yt = [(xi - x0[:, None], wt) for xi, wt in xt], [(rows + yi * k, wt) for yi, wt in yt]
+        return _tap_sum(lambda yi, xi: box.take(yi + xi), xt, yt)
 
     def _span(self, lo, hi, axis):
         """Per trial, the output node at or below ``lo`` and the one at or above
         ``hi`` (under rno, the input nodes at or beyond those), clipped."""
         n = (self.plane.width_px, self.plane.height_px)[axis]
         lo, hi = np.floor(lo), np.ceil(hi)
-        if self.axes is not None:
+        if self.cfg.rno:
             scale, offset = self.axes[axis]
             lo, hi = np.floor((lo - offset) / scale), np.ceil((hi - offset) / scale)
-        return tuple(np.clip(v, 0, n - 1).astype(np.intp) for v in (lo, hi))
+        return tuple(np.minimum(np.maximum(v, 0), n - 1).astype(np.intp) for v in (lo, hi))
 
     @staticmethod
     def _box(lo, hi, n):
@@ -509,7 +517,8 @@ class _AxisMaps(_Maps):
         their rows), so its peak lies between the nodes at or beyond them.
         Box rows and columns ascend, clipped repeats last: ``argmax`` finds it."""
         reach = self.cfg.radius if self.ccrf else 0.0
-        (x0, x1), (y0, y1) = (self._span(np.min(c, 0) - reach, np.max(c, 0) + reach, axis)
+        (x0, x1), (y0, y1) = (self._span(np.minimum(c[0], c[-1]) - reach,
+                                         np.maximum(c[0], c[-1]) + reach, axis)
                               for axis, c in enumerate(self.keypoints(terms)))
         w, h = self.plane.width_px, self.plane.height_px
         nodes = (np.max(x1 - x0, initial=0) + 1) * (np.max(y1 - y0, initial=0) + 1)
@@ -522,7 +531,7 @@ class _AxisMaps(_Maps):
             iy, ix = np.divmod(v.reshape(-1, ny * nx).argmax(axis=1), nx)
             trial = np.arange(len(v))
             peaks.append((x[trial, ix], y[trial, iy], v[trial, iy, ix]))
-        ix, iy, top = (np.concatenate(p) for p in zip(*peaks))
+        ix, iy, top = peaks[0] if len(peaks) == 1 else (np.concatenate(p) for p in zip(*peaks))
         # An all-zero map peaks at its first node.
         ix, iy = np.where(top > 0.0, ix, 0), np.where(top > 0.0, iy, 0)
         none = np.zeros(len(ix), dtype=bool)
@@ -532,8 +541,8 @@ class _AxisMaps(_Maps):
         if self.cfg.codec is Codec.ARGMAX_ONLY:
             return ix.astype(np.float64), iy.astype(np.float64), none, none
         # The 3x3 window around the peak, neighbours clamped at the borders.
-        window = self._values(terms, np.clip(ix[:, None] + (-1, 0, 1), 0, w - 1),
-                              np.clip(iy[:, None] + (-1, 0, 1), 0, h - 1))
+        window = self._values(terms, np.minimum(np.maximum(ix[:, None] + (-1, 0, 1), 0), w - 1),
+                              np.minimum(np.maximum(iy[:, None] + (-1, 0, 1), 0), h - 1))
         if self.cfg.codec is Codec.CF_BIASED_DECODE:
             # As _quarter_offset: a zero central difference counts as uphill.
             dx = np.where(window[:, 1, 2] - window[:, 1, 0] >= 0.0, 0.25, -0.25)
@@ -580,10 +589,11 @@ class _Engine:
             raise ValueError("roi fields must be finite")
         if np.any(bad := (w <= 0) | (h <= 0)):
             raise ValueError(f"roi extents must be positive, got w={w[bad][0]}, h={h[bad][0]}")
+        box = boxes[:, 0].tolist() if boxes.shape[1] == 1 else boxes  # one box: floats, faster
         with np.errstate(all="ignore"):
-            forward = _finite(_source_to_input(self.cfg, *boxes))
-            back = _invert(forward) if self.cfg.rno else _output_to_source(self.cfg, *boxes)
-            return np.concatenate((forward, _finite(back)))
+            _finite(forward := _source_to_input(self.cfg, *box))
+            back = _invert(forward) if self.cfg.rno else _output_to_source(self.cfg, *box)
+            return _finite((*forward, *back)).reshape(12, -1)
 
     def _terms(self, a, b=None):
         """The map of keypoints ``a``; with ``b``, the flip ensemble: ``b``'s map

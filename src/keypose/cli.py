@@ -350,7 +350,7 @@ def _verify_checks(seed: int):
     """Yield one ``(name, value, expected, tolerance, detail)`` row per check.
 
     A check passes iff ``abs(value - expected) < tolerance``; ``detail``
-    formats ``value`` for the FAIL line.
+    formats ``value`` for its line.
     """
     rng = np.random.default_rng(seed)
     unit, pixel = Convention.UNIT_LENGTH, Convention.PIXEL_COUNT
@@ -437,7 +437,8 @@ def _verify_checks(seed: int):
         cfg = _topdown(conv, flip_test=True, compensation=comp, codec=Codec.CF_BIASED_DECODE)
         closed = analytic_errors(cfg)
         errors += [abs(closed["mean_abs_x"] - mean), abs(closed["var_abs_x"] - var)]
-    yield "closed-form table matches its constants", float(np.max(errors)), 0.0, 1e-12, ""
+    worst = float(np.max(errors))
+    yield "closed-form table matches its constants", worst, 0.0, 1e-12, "max={:.2e}"
 
 
 def cmd_verify(args) -> int:
@@ -445,8 +446,8 @@ def cmd_verify(args) -> int:
     passed = total = 0
     for name, value, expected, tolerance, detail in _verify_checks(args.seed):
         ok = abs(value - expected) < tolerance
-        tail = f"  ({detail.format(value)})" if detail and not ok else ""
-        print(f"{'PASS' if ok else 'FAIL'}  {name}{tail}")
+        tail = f"({detail.format(value)}, bound {tolerance:.3g})"
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  {tail}")
         passed += ok
         total += 1
     print(f"{passed}/{total} checks passed")

@@ -112,14 +112,13 @@ def _axis_taps(
     return (np.clip(i0, 0, n - 1), w0), (np.clip(i1, 0, n - 1), w1)
 
 
-def _bilinear(read, xq, yq, w: int, h: int, policy: BorderPolicy):
-    """The bilinear tap sum at float positions ``xq``, ``yq`` (broadcast
-    against each other) on a ``w`` x ``h`` node grid; ``read(yi, xi)``
-    returns the node values at index arrays shaped like the positions.
-    It owns the tap weights and the order of the four terms, so that all
-    of its callers agree bit for bit."""
-    (x0, wx0), (x1, wx1) = _axis_taps(xq, w, policy)
-    (y0, wy0), (y1, wy1) = _axis_taps(yq, h, policy)
+def _tap_sum(read, xtaps, ytaps):
+    """The bilinear tap sum of ``_axis_taps``' ``xtaps`` and ``ytaps``
+    (broadcast against each other); ``read(yi, xi)`` returns the node values
+    at index arrays shaped like the taps.  It owns the order of the four
+    terms, so that all of its callers agree bit for bit."""
+    (x0, wx0), (x1, wx1) = xtaps
+    (y0, wy0), (y1, wy1) = ytaps
     return (
         (wx0 * wy0) * read(y0, x0)
         + (wx1 * wy0) * read(y0, x1)
@@ -134,7 +133,8 @@ def _bilinear_many(
     """Sample ``data`` (H, W, C) at float positions, (N,) -> (N, C), (H', W') -> (H', W', C)."""
     h, w = data.shape[:2]
     planes = np.moveaxis(data, 2, 0)
-    out = _bilinear(lambda yi, xi: planes[:, yi, xi], xq, yq, w, h, policy)
+    out = _tap_sum(lambda yi, xi: planes[:, yi, xi], _axis_taps(xq, w, policy),
+                   _axis_taps(yq, h, policy))
     return np.moveaxis(out, 0, -1)
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -1072,6 +1073,22 @@ def _crop_box_arrays(draw):
     return np.array(columns).T
 
 
+# Crop boxes the table refuses, or whose table overflows.
+_BAD_BOXES = [
+    [(100.0, 100.0, 1e200, 1e200)],  # singular under rno (det=0.0)
+    [(100.0, 100.0, 1e9, 1e9)],  # singular under rno (tiny det)
+    [(50.0, 50.0, 10.0, 10.0), (math.nan, 0.0, 10.0, 10.0)],
+    [(math.inf, 0.0, 10.0, 10.0)],
+    [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 0.0, 10.0)],
+    [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 1e-320, 10.0)],  # scale overflows
+    [(-1.7e308, 0.0, 1.7e308, 10.0)],  # translation overflows
+    [(0.0, 0.0, 1e-320, 10.0), (math.nan, 0.0, 10.0, 10.0)],  # roi checks come first
+    [(0.0, 0.0, 1e-320, 10.0), (0.0, 0.0, 1e200, 1e200)],
+    [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 1e9, 1e9), (0.0, 0.0, 1e200, 1e200)],
+    [(0.0, 0.0, 0.0, 10.0), (0.0, 0.0, -1.0, 10.0)],
+]
+
+
 class TestCropBoxTable:
     @settings(max_examples=300, deadline=None)
     @given(boxes=_crop_box_arrays(), convention=st.sampled_from(Convention), rno=st.booleans())
@@ -1082,20 +1099,33 @@ class TestCropBoxTable:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=_crop_box_arrays(), convention=st.sampled_from(Convention), rno=st.booleans())
+    def test_one_box_on_floats_equals_the_array_path(self, boxes, convention, rno):
+        # One box goes through the routines on floats, more through arrays.
+        engine = biaslab._Engine(make_cfg(convention=convention, codec=Codec.CF, rno=rno),
+                                 OracleMode.ANALYTIC_SHIFT)
+        one = engine.contexts(boxes[:, :1])
+        two = engine.contexts(boxes[:, [0, 0]])
+        assert one.shape == (12, 1)
+        assert np.array_equal(one[:, 0], two[:, 0])
+        assert np.array_equal(np.signbit(one[:, 0]), np.signbit(two[:, 0]))
+
     @pytest.mark.parametrize("rno", [False, True])
-    @pytest.mark.parametrize("columns", [
-        [(100.0, 100.0, 1e200, 1e200)],  # singular under rno (det=0.0)
-        [(100.0, 100.0, 1e9, 1e9)],  # singular under rno (tiny det)
-        [(50.0, 50.0, 10.0, 10.0), (math.nan, 0.0, 10.0, 10.0)],
-        [(math.inf, 0.0, 10.0, 10.0)],
-        [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 0.0, 10.0)],
-        [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 1e-320, 10.0)],  # scale overflows
-        [(-1.7e308, 0.0, 1.7e308, 10.0)],  # translation overflows
-        [(0.0, 0.0, 1e-320, 10.0), (math.nan, 0.0, 10.0, 10.0)],  # roi checks come first
-        [(0.0, 0.0, 1e-320, 10.0), (0.0, 0.0, 1e200, 1e200)],
-        [(50.0, 50.0, 10.0, 10.0), (0.0, 0.0, 1e9, 1e9), (0.0, 0.0, 1e200, 1e200)],
-        [(0.0, 0.0, 0.0, 10.0), (0.0, 0.0, -1.0, 10.0)],
-    ])
+    @pytest.mark.parametrize("columns", [c for c in _BAD_BOXES if len(c) == 1])
+    def test_one_box_on_floats_is_checked_as_the_array_path(self, rno, columns):
+        engine = biaslab._Engine(make_cfg(codec=Codec.CF, rno=rno), OracleMode.ANALYTIC_SHIFT)
+        boxes = np.array(columns).T
+        try:
+            two = engine.contexts(boxes[:, [0, 0]])
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                engine.contexts(boxes)
+        else:
+            assert np.array_equal(engine.contexts(boxes)[:, 0], two[:, 0])
+
+    @pytest.mark.parametrize("rno", [False, True])
+    @pytest.mark.parametrize("columns", _BAD_BOXES)
     def test_rejects_a_box_as_the_scalar_chain_does(self, rno, columns):
         # Each check runs in the chain's order and names the first box that
         # fails it, so a box that fails alone gets the chain's error.
@@ -1424,6 +1454,81 @@ def test_a_block_holds_at_most_nodes_or_one_trials_box(monkeypatch):
         assert all(b * cols * rows <= nodes or b == 1 for b, cols, rows in seen)
         assert (max(b for b, _, _ in seen) > 1) == (nodes > 2 * 122 * 122)
     assert stats[0] == stats[1]
+
+
+@st.composite
+def _rno_node_reads(draw):
+    """An rno configuration, the terms of a chunk of 0 to 4 trials (one map,
+    or a mirrored pair, shifted or not) and ascending decode-plane columns
+    and rows per trial, edges and clipped repeats included."""
+    wo, ho = draw(st.integers(2, 96)), draw(st.integers(2, 96))
+    wi, hi = (draw(st.integers(max(2, n // 2), min(4 * n, 200))) for n in (wo, ho))
+    cfg = PipelineConfig(convention=draw(st.sampled_from(Convention)), input=PlaneSize(wi, hi),
+                         output=PlaneSize(wo, ho), codec=Codec.CF, rno=True,
+                         sigma=draw(st.sampled_from((0.05, 0.4, 1.0, 2.0, 7.5))))
+    trials, pair = draw(st.integers(0, 4)), draw(st.booleans())
+
+    def keypoints(extent):
+        edges = st.sampled_from((0.0, extent))
+        return np.array(draw(st.lists(edges | st.floats(0.0, extent), min_size=trials,
+                                      max_size=trials)))
+
+    def nodes(n):
+        k, edges = draw(st.integers(1, 5)), st.sampled_from((0, n - 1))
+        return np.array([sorted(draw(st.lists(edges | st.integers(0, n - 1), min_size=k,
+                                              max_size=k))) for _ in range(trials)],
+                        dtype=np.intp).reshape(trials, k)
+
+    terms = [(keypoints(wo - 1), keypoints(ho - 1), False, 0)]
+    if pair:
+        terms.append((keypoints(wo - 1), keypoints(ho - 1), True, draw(st.integers(0, 1))))
+    return cfg, terms, nodes(wi), nodes(hi)
+
+
+def _rendered_rno_map(cfg, terms, t):
+    """``rno_upsample`` of trial ``t``'s 2-D map: each term encoded, mirrored
+    and shifted as the term says, two terms averaged."""
+    maps = []
+    for m, n, mirrored, shift in terms:
+        grid = encode_gaussian(Point(m[t], n[t]), cfg.output, cfg.sigma).c
+        grid = flip_heatmap(grid) if mirrored else grid
+        maps.append(_shift_one_node(grid).data if shift else grid.data)
+    data = maps[0] if len(maps) == 1 else 0.5 * (maps[0] + maps[1])
+    return rno_upsample(ImageGrid(cfg.output, data), cfg).data[:, :, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rno_node_reads())
+def test_rno_node_values_equal_the_upsampled_map_bit_for_bit(case):
+    # Every requested node, not only the decoded peak: a wrong value off the
+    # peak leaves most decodes unchanged.
+    cfg, terms, x, y = case
+    with np.errstate(over="ignore"):  # the smallest sigma's exponents, as decode allows
+        got = biaslab._AxisMaps(cfg)._values(terms, x, y)
+    assert got.shape == (len(x), y.shape[1], x.shape[1])
+    for t in range(len(x)):
+        want = _rendered_rno_map(cfg, terms, t)[np.ix_(y[t], x[t])]
+        assert got[t].tobytes() == want.tobytes(), t
+
+
+def test_rno_values_read_the_output_nodes_once(monkeypatch):
+    # One node-value pass per read under rno, whatever the box or window,
+    # so a return to a pass per bilinear tap fails here.
+    at, values, reads = biaslab._AxisMaps._at, biaslab._AxisMaps._values, []
+
+    def spy_values(self, *args):
+        reads.append(0)
+        return values(self, *args)
+
+    def spy_at(self, *args, **kwargs):
+        reads[-1] += 1
+        return at(self, *args, **kwargs)
+
+    monkeypatch.setattr(biaslab._AxisMaps, "_values", spy_values)
+    monkeypatch.setattr(biaslab._AxisMaps, "_at", spy_at)
+    monkeypatch.setattr(biaslab, "_NODES", 200)  # several blocks
+    monte_carlo(_RNO_CF, OracleMode.FULL_HEATMAP, 300, 3)
+    assert len(reads) > 2 and set(reads) == {1}
 
 
 @pytest.mark.parametrize("codec", [Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY])

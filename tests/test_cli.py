@@ -720,9 +720,8 @@ class TestVerifyCommand:
     def test_default_seed_stdout_is_pinned(self):
         out = run_cli("verify")
         assert out.returncode == 0
-        assert out.stdout == "".join(f"PASS  {name}\n" for name in VERIFY_CHECKS) + (
-            "11/11 checks passed\n"
-        )
+        lines = "".join(f"PASS  {name}  ({tail})\n" for name, tail in VERIFY_CHECKS)
+        assert out.stdout == lines + "11/11 checks passed\n"
 
     def test_failing_check_prints_detail_and_exits_1(self, monkeypatch, capsys):
         real = cli.decode_ccrf
@@ -734,23 +733,24 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "decode_ccrf", off_by_a_micron)
         assert cli.main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert lines[6] == "FAIL  disc codec round trip is exact  (max=1.00e-06)"
+        assert lines[6] == "FAIL  disc codec round trip is exact  (max=1.00e-06, bound 1e-12)"
         assert [l[:6] for l in lines[:11]] == ["PASS  "] * 6 + ["FAIL  "] + ["PASS  "] * 4
         assert lines[11] == "10/11 checks passed"
 
 
+# Each check's name and its measured value and bound at the default seed.
 VERIFY_CHECKS = (
-    "round trip to source is the identity",
-    "flip ensemble aligns (unit-length ratios)",
-    "pixel-count flip offset equals (1-s)/s",
-    "flip remedy none: mean |x error| = 0.375",
-    "flip remedy snoop: mean |x error| = 0.125",
-    "flip remedy snoop_plus_ec: mean |x error| = 0.0",
-    "disc codec round trip is exact",
-    "one-step Newton decode recovers exact peaks",
-    "quarter-shift decoder: mean |error| = 1/8",
-    "quarter-shift decoder: var |error| = 1/192",
-    "closed-form table matches its constants",
+    ("round trip to source is the identity", "max=3.41e-13, bound 1e-09"),
+    ("flip ensemble aligns (unit-length ratios)", "max=1.42e-14, bound 1e-09"),
+    ("pixel-count flip offset equals (1-s)/s", "max=0.00e+00, bound 1e-09"),
+    ("flip remedy none: mean |x error| = 0.375", "got 0.375000, bound 0.001"),
+    ("flip remedy snoop: mean |x error| = 0.125", "got 0.125000, bound 0.001"),
+    ("flip remedy snoop_plus_ec: mean |x error| = 0.0", "got 0.000000, bound 0.001"),
+    ("disc codec round trip is exact", "max=0.00e+00, bound 1e-12"),
+    ("one-step Newton decode recovers exact peaks", "max=8.88e-16, bound 0.001"),
+    ("quarter-shift decoder: mean |error| = 1/8", "got 0.124559, bound 0.005"),
+    ("quarter-shift decoder: var |error| = 1/192", "got 0.005230, bound 0.000521"),
+    ("closed-form table matches its constants", "max=1.73e-17, bound 1e-12"),
 )
 
 
