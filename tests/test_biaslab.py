@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -737,6 +738,49 @@ class TestAnalyticErrorTable:
             assert closed["mean_abs_x"] == (None if quarter else pytest.approx(0.375))
             assert closed["mean_abs_x_source"] is None
             assert analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
+
+
+def _guard_grid():
+    """Every (cfg, sampler, mode) of a grid that reaches each closed-form
+    guard: three plane pairs, both conventions, each flip remedy and combine,
+    every codec at radii and sigmas on both sides of each bound, rno, five
+    margins and a COCO sampler, in both oracle modes."""
+    planes = ((IN_SIZE, OUT_SIZE), (PlaneSize(128, 128), PlaneSize(64, 64)),
+              (PlaneSize(60, 40), PlaneSize(120, 80)))
+    flips = [(False, Compensation.NONE, Combine.AVERAGE_COORDS)] + [
+        (True, comp, combine) for comp in Compensation for combine in Combine]
+    shapes = [(Codec.CCRF, dict(radius=r)) for r in (0.8, 1.02, 3.0)] + [
+        (codec, dict(sigma=s)) for codec in (Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY)
+        for s in (0.04, 0.05, 0.06, 0.5, 1.3, 2.0, 999.999, 1000.0)]
+    coco = CocoKeypointSampler(instances=COCO_INSTANCES)
+    for (inp, out), convention, (flip, comp, combine), (codec, shape), rno in itertools.product(
+            planes, Convention, flips, shapes, (False, True)):
+        if rno and (codec is Codec.CCRF or flip and combine is Combine.AVERAGE_COORDS):
+            continue  # PipelineConfig refuses these
+        cfg = PipelineConfig(convention, inp, out, flip_test=flip, compensation=comp,
+                             codec=codec, combine=combine, rno=rno, **shape)
+        samplers = [UniformKeypointSampler(default_roi(cfg), margin)
+                    for margin in (None, 0.3, 1.0, 2.6, 6.0)] + [coco]
+        for sampler, mode in itertools.product(samplers, OracleMode):
+            yield cfg, sampler, mode
+
+
+def test_analytic_errors_are_pinned_over_the_guard_grid():
+    # Recorded before the guards became a named table: every value's
+    # float.hex, every None, and every margin the sampler refuses.
+    digest, rows = hashlib.sha256(), 0
+    for cfg, sampler, mode in _guard_grid():
+        try:
+            closed = analytic_errors(cfg, sampler, mode)
+            line = " ".join("None" if closed[k] is None else float.hex(closed[k])
+                            for k in ("mean_abs_x", "var_abs_x", "mean_abs_x_source"))
+        except ValueError:
+            line = "ValueError"
+        digest.update(line.encode() + b"\n")
+        rows += 1
+    assert rows == 20_520
+    assert digest.hexdigest() == (
+        "2cf838c9e5c7d1d9f4dcc36e673b5cd4ca7bae69b142a1c8bf00b81c0e7cac6e")
 
 
 _DIFFERENTIAL_PLANES = {"192x256-48x64": (PlaneSize(192, 256), PlaneSize(48, 64), 20.6),
