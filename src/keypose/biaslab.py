@@ -42,6 +42,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -791,21 +792,22 @@ def monte_carlo(
     ]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(chunks), cpus or 1)
-    if workers > 1:
-        import multiprocessing
+    try:  # only source-plane errors, in crop-box units, can sum past the largest float
+        if workers > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(processes=workers) as pool:
-            partials = pool.starmap(_run_chunk, chunks)
-    else:
-        partials = [_run_chunk(*chunk) for chunk in chunks]
-
-    counts, degenerate, xs, ys, sources = zip(*partials)
+            with multiprocessing.Pool(processes=workers) as pool:
+                partials = pool.starmap(_run_chunk, chunks)
+        else:
+            partials = [_run_chunk(*chunk) for chunk in chunks]
+        counts, degenerate, xs, ys, sources = zip(*partials)
+        source = math.fsum(sources)
+    except OverflowError:
+        raise ValueError("source-plane error sum overflows a float: crop box too large") from None
     used, skipped, failed = (sum(c) for c in zip(*counts))
     if used == 0:
         raise ValueError("every trial was skipped or failed; nothing to aggregate")
-    var_x, var_y = (
-        _merge_m2(parts) / (used - 1) if used > 1 else 0.0 for parts in (xs, ys)
-    )
+    var_x, var_y = (_merge_m2(parts) / (used - 1) if used > 1 else 0.0 for parts in (xs, ys))
     return ErrorStats(
         label=label if label is not None else describe_config(cfg),
         n_trials=used,
@@ -813,7 +815,7 @@ def monte_carlo(
         mean_abs_y=math.fsum(total for _, total, _ in ys) / used,
         var_abs_x=var_x,
         var_abs_y=var_y,
-        mean_abs_x_source=math.fsum(sources) / used,
+        mean_abs_x_source=source / used,
         n_skipped=skipped,
         n_decode_failed=failed,
         n_degenerate=sum(degenerate),
@@ -839,35 +841,40 @@ def _piecewise_moments(lo: float, hi: float, grids, decoded) -> tuple[float, flo
     return mean, math.fsum(p ** 3 - q ** 3) / (3.0 * (hi - lo)) - mean * mean
 
 
+# name: test of cfg ``c`` and run facts ``g`` (``g.half`` is |half|), tried in this
+# order; ``sampler`` goes first, as ``border`` reads a uniform sampler's margin.
+_GUARDS = {
+    "sampler": lambda c, g: not g.uniform and (g.quarter or g.heatmap),
+    "rno": lambda c, g: c.rno,
+    "border": lambda c, g: c.codec is not Codec.CCRF and g.margin < 0.5 + 2.0 * g.half + g.snoop,
+    "disc-overlap": lambda c, g: c.codec is Codec.CCRF and g.apart
+        and c.radius ** 2 <= (0.5 + g.half) ** 2 + 0.25,
+    "two-gaussians": lambda c, g: c.codec is Codec.CF and g.apart,
+    "window": lambda c, g: c.codec is Codec.CF and c.sigma < _min_sigma(4.5),
+    # The log node values carry ~1.1e-16 of rounding, so near sigma = 1000 the
+    # determinant is known only to ~1e-9 relative: stop that far short of it.
+    "newton": lambda c, g: c.codec is Codec.CF and c.sigma >= (1.0 - 1e-9) * _HESSIAN_EPS ** -0.25,
+    "quarter-window":
+        lambda c, g: g.quarter and c.sigma < _min_sigma((1.5 + 2.0 * g.half) ** 2 + 0.25),
+    "quarter-two-peaks": lambda c, g: g.quarter and g.apart and g.half >= 0.5 and g.half > c.sigma,
+    "argmax": lambda c, g: c.codec is Codec.ARGMAX_ONLY,
+}
+
+
 def analytic_errors(
     cfg: PipelineConfig, sampler=None, mode: OracleMode = OracleMode.ANALYTIC_SHIFT
 ) -> dict:
     """Closed-form expected |x error| of a run of ``cfg`` under the oracle
     ``mode`` that draws from ``sampler`` (``monte_carlo``'s default if ``None``).
 
-    Returns a dict with ``mean_abs_x``, ``var_abs_x`` and
-    ``mean_abs_x_source``; entries are ``None`` where no closed form holds
-    (and the source entry also for samplers with many crop boxes).
+    Returns ``mean_abs_x``, ``var_abs_x``, ``mean_abs_x_source`` (``None`` for
+    many crop boxes) and ``refused``: ``None``, or the name of the first of
+    ``_GUARDS`` that refuses the run, and then every value is ``None``.
     Mirrored back, a flipped branch lands ``(1 - s)/s`` nodes from the
     original under pixel-count ratios and on it under unit-length ones, and
     snoop moves it one node more; the averaged map is ``half`` that distance
     off the keypoint, less ``1/(2s)`` under snoop+ec, for any sampled law.
-    The quarter-shift decoder's output is a step function of the output x,
-    integrated exactly over the interval a uniform sampler draws and the
-    input plane keeps.  Rendered maps (heatmap mode) need a uniform sampler,
-    no rno and, for Gaussians, peaks off the border: ``margin >= 1/2 +
-    2|half| + snoop``.  Averaged disc maps ``d`` apart decode to their
-    midpoint only when the discs share a node wherever they fall:
-    ``r^2 > (0.5 + d/2)^2 + 0.25``.  Gaussian maps decode to their keypoints
-    only when no two maps apart are averaged, the 3x3 window, whose corner
-    can be ``d^2 = 4.5`` out, holds normal floats, ``sigma >= sqrt(4.5 /
-    (2 * 1022 ln 2))``, and the Newton step's Hessian determinant
-    ``1/sigma^4`` is not below ``_HESSIAN_EPS`` even after rounding:
-    ``sigma < (1 - 1e-9) * 1000``.  The quarter-shift decoder's compared
-    neighbours, up to ``d^2 = (1.5 + 2|half|)^2 + 0.25`` out, must be normal,
-    and two averaged maps ``|half| >= 1/2`` off have one peak only while
-    ``|half| <= sigma``.  A rendered argmax snaps to a node: no closed form."""
-    na = dict.fromkeys(("mean_abs_x", "var_abs_x", "mean_abs_x_source"))
+    The quarter-shift decoder's steps are integrated exactly (README)."""
     sampler = UniformKeypointSampler(default_roi(cfg)) if sampler is None else sampler
     uniform = isinstance(sampler, UniformKeypointSampler)  # never bind COCO: it costs ms
     margin = sampler.bind(cfg)._margin if uniform else None
@@ -876,19 +883,12 @@ def analytic_errors(
     half = (gap + (s if snoop else 0.0)) / (2.0 * s) if cfg.flip_test else 0.0
     ec = 1.0 / (2.0 * s) if cfg.compensation is Compensation.SNOOP_PLUS_EC else 0.0
     quarter = cfg.codec is Codec.CF_BIASED_DECODE
-    apart = cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0
-    # The log node values carry ~1.1e-16 of rounding, so near sigma = 1000 the
-    # determinant is known only to ~1e-9 relative: stop that far short of it.
-    if quarter and not uniform or mode is OracleMode.FULL_HEATMAP and (
-            cfg.codec is Codec.CCRF and apart and cfg.radius ** 2 <= (0.5 + abs(half)) ** 2 + 0.25
-            or cfg.rno or not uniform
-            or cfg.codec is not Codec.CCRF and margin < 0.5 + 2.0 * abs(half) + snoop
-            or cfg.codec is Codec.CF
-            and (apart or not _min_sigma(4.5) <= cfg.sigma < (1.0 - 1e-9) * _HESSIAN_EPS ** -0.25)
-            or quarter and (cfg.sigma < _min_sigma((1.5 + 2.0 * abs(half)) ** 2 + 0.25)
-                            or apart and abs(half) >= 0.5 and abs(half) > cfg.sigma)
-            or cfg.codec is Codec.ARGMAX_ONLY):
-        return na
+    g = SimpleNamespace(uniform=uniform, margin=margin, half=abs(half), snoop=snoop,
+                        quarter=quarter, heatmap=mode is OracleMode.FULL_HEATMAP,
+                        apart=cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0)
+    for name, test in _GUARDS.items():
+        if (g.heatmap or name == "sampler") and test(cfg, g):
+            return dict(mean_abs_x=None, var_abs_x=None, mean_abs_x_source=None, refused=name)
     mean, var = abs(half - ec), 0.0
     if quarter:  # x from the margin to where its input x leaves the input plane
         w, a = cfg.output.width_units, _coeffs(input_to_output(cfg))[0]
@@ -902,4 +902,4 @@ def analytic_errors(
             mean, var = _piecewise_moments(lo, hi, ((-half, 0.5 * a),),
                                            lambda x: a * _quarter_law((x + half) / a) - ec)
     source = mean * sampler.roi.w / _extents(cfg.output, cfg.convention)[0] if uniform else None
-    return {"mean_abs_x": mean, "var_abs_x": var, "mean_abs_x_source": source}
+    return {"mean_abs_x": mean, "var_abs_x": var, "mean_abs_x_source": source, "refused": None}

@@ -6,6 +6,7 @@ import math
 import os
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,13 +518,13 @@ class TestAnalyticErrorTable:
         cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CCRF,
                        combine=Combine.AVERAGE_HEATMAPS, radius=radius)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 3).mean_abs_x
-        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)
         assert analytic_errors(cfg)["mean_abs_x"] == pytest.approx(0.375)
         if exact:
-            assert closed == pytest.approx(0.375)
+            assert closed["mean_abs_x"] == pytest.approx(0.375)
             assert rendered == pytest.approx(0.375, abs=1e-12)
         else:
-            assert closed is None
+            assert closed["mean_abs_x"] is None and closed["refused"] == "disc-overlap"
             assert rendered > 0.375 + 1e-4
 
     @pytest.mark.parametrize("combine,sigma,exact", [
@@ -543,7 +544,7 @@ class TestAnalyticErrorTable:
             assert rendered.mean_abs_x == pytest.approx(0.375, abs=1e-12)
             assert rendered.var_abs_x < 1e-20
         else:
-            assert closed["mean_abs_x"] is None
+            assert closed["mean_abs_x"] is None and closed["refused"] == "two-gaussians"
             assert rendered.var_abs_x > 1e-12
 
     @pytest.mark.parametrize("sigma,exact", [(0.05, False), (0.0565, True), (0.5, True)])
@@ -555,21 +556,23 @@ class TestAnalyticErrorTable:
         cfg = make_cfg(codec=Codec.CF, sigma=sigma)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
-        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
         if exact:
-            assert closed == 0.0
+            assert closed["mean_abs_x"] == 0.0
             assert rendered.mean_abs_x < 1e-12
         else:
-            assert closed is None
+            assert closed["mean_abs_x"] is None and closed["refused"] == "window"
             assert rendered.n_degenerate > 0 and rendered.mean_abs_x > 0.01
 
     def test_gaussian_closed_form_ends_where_the_window_corner_leaves_the_normal_range(self):
         bound = math.sqrt(4.5 / (2.0 * 1022 * math.log(2.0)))
         assert math.exp(-4.5 / (2.0 * bound * bound)) == pytest.approx(2.0 ** -1022)
-        for sigma, closed in ((bound, 0.0), (math.nextafter(bound, 0.0), None)):
+        below = math.nextafter(bound, 0.0)
+        for sigma, closed, refused in ((bound, 0.0, None), (below, None, "window")):
             cfg = make_cfg(codec=Codec.CF, sigma=sigma)
             sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
-            assert analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"] == closed
+            table = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
+            assert (table["mean_abs_x"], table["refused"]) == (closed, refused)
 
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("sigma,exact", [(999.9, True), (1000.0, False), (1100.0, False)])
@@ -581,14 +584,14 @@ class TestAnalyticErrorTable:
         cfg = make_cfg(codec=Codec.CF, sigma=sigma, **kw)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
-        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
         mean = 0.375 if flip else 0.0
         assert analytic_errors(cfg, sampler)["mean_abs_x"] == mean
         if exact:
-            assert closed == mean and rendered.n_degenerate == 0
+            assert closed["mean_abs_x"] == mean and rendered.n_degenerate == 0
             assert rendered.mean_abs_x == pytest.approx(mean, abs=1e-9)
         else:
-            assert closed is None
+            assert closed["mean_abs_x"] is None and closed["refused"] == "newton"
             assert rendered.n_degenerate > 0 and abs(rendered.mean_abs_x - mean) > 1e-3
 
     @pytest.mark.parametrize("planes", ["topdown", "bottomup"])
@@ -604,13 +607,15 @@ class TestAnalyticErrorTable:
                                   **kw)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
-        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        table = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
+        closed = table["mean_abs_x"]
         if exact:
             assert closed == analytic_errors(cfg, sampler)["mean_abs_x"]
             assert rendered.n_degenerate == 0
             assert rendered.mean_abs_x == pytest.approx(closed, abs=1e-9)
         else:
-            assert closed is None and rendered.n_degenerate > 0
+            assert closed is None and table["refused"] == "newton"
+            assert rendered.n_degenerate > 0
 
     _QUARTER_ROWS = {
         # flags, closed-form mean and variance, and the squared distance of
@@ -635,7 +640,8 @@ class TestAnalyticErrorTable:
         # 0, and the tie counts as uphill, so the rendered map misses the law.
         flags, mean, _, _ = self._QUARTER_ROWS[row]
         rendered, closed = self._quarter_run(flags, 0.02)
-        assert closed == {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
+        assert closed == {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None,
+                          "refused": "quarter-window"}
         assert rendered.mean_abs_x - mean > 20 * rendered.sem_abs_x
 
     @pytest.mark.parametrize("row", list(_QUARTER_ROWS))
@@ -654,7 +660,8 @@ class TestAnalyticErrorTable:
         assert abs(rendered.mean_abs_x - mean) < 5 * rendered.sem_abs_x
         cfg = make_cfg(codec=Codec.CF_BIASED_DECODE, sigma=math.nextafter(bound, 0.0), **flags)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
-        assert analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
+        refused = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
+        assert refused["mean_abs_x"] is None and refused["refused"] == "quarter-window"
         assert analytic_errors(cfg, sampler)["mean_abs_x"] == pytest.approx(mean)
 
     @pytest.mark.parametrize("flip", [False, True])
@@ -666,7 +673,8 @@ class TestAnalyticErrorTable:
         sampler = UniformKeypointSampler(default_roi(cfg), margin=3.0)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 4000, 1, sampler)
         closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)
-        assert closed == {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None}
+        assert closed == {"mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None,
+                          "refused": "argmax"}
         assert analytic_errors(cfg)["var_abs_x"] == 0.0
         assert rendered.mean_abs_x > 0.2 and rendered.var_abs_x > 0.01
 
@@ -675,7 +683,8 @@ class TestAnalyticErrorTable:
         # The bilinear upsample adds its own bias to rendered maps; the
         # coordinate oracle's rno rows are integrated like any other.
         cfg = make_cfg(codec=codec, rno=True)
-        assert analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
+        closed = analytic_errors(cfg, mode=OracleMode.FULL_HEATMAP)
+        assert closed["mean_abs_x"] is None and closed["refused"] == "rno"
         assert analytic_errors(cfg)["mean_abs_x"] is not None
 
     # Two averaged quarter-decoded Gaussians, their midpoint `half` off each
@@ -698,13 +707,13 @@ class TestAnalyticErrorTable:
         cfg = dataclasses.replace(make_cfg(codec=Codec.CF_BIASED_DECODE, sigma=sigma), **flags)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=4.37)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 20_000, 3, sampler)
-        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
         law = analytic_errors(cfg, sampler)["mean_abs_x"]
         if exact:
-            assert closed == law
+            assert closed["mean_abs_x"] == law
             assert abs(rendered.mean_abs_x - law) < 5 * rendered.sem_abs_x
         else:
-            assert closed is None
+            assert closed["mean_abs_x"] is None and closed["refused"] == "quarter-two-peaks"
             assert abs(rendered.mean_abs_x - law) > 10 * rendered.sem_abs_x
 
     @pytest.mark.parametrize("codec", [Codec.CF, Codec.CF_BIASED_DECODE])
@@ -716,14 +725,15 @@ class TestAnalyticErrorTable:
         cfg = make_cfg(codec=codec, sigma=0.1)
         sampler = UniformKeypointSampler(default_roi(cfg), margin=margin)
         rendered = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 20_000, 3, sampler)
-        closed = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"]
+        table = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
+        closed = table["mean_abs_x"]
         law = analytic_errors(cfg, sampler)["mean_abs_x"]
         exact = margin > 0.5
         if exact:
             assert closed == law
             assert abs(rendered.mean_abs_x - law) < 5 * rendered.sem_abs_x + 1e-12
         else:
-            assert closed is None
+            assert closed is None and table["refused"] == "border"
         if margin == 0.3:
             assert abs(rendered.mean_abs_x - law) > 5 * rendered.sem_abs_x
         if codec is Codec.CF:
@@ -737,7 +747,51 @@ class TestAnalyticErrorTable:
             quarter = codec is Codec.CF_BIASED_DECODE
             assert closed["mean_abs_x"] == (None if quarter else pytest.approx(0.375))
             assert closed["mean_abs_x_source"] is None
-            assert analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)["mean_abs_x"] is None
+            assert closed["refused"] == ("sampler" if quarter else None)
+            rendered = analytic_errors(cfg, sampler, OracleMode.FULL_HEATMAP)
+            assert rendered["mean_abs_x"] is None and rendered["refused"] == "sampler"
+
+    # For each guard, a run that it alone refuses: 192x256 -> 48x64 unit-length
+    # planes in heatmap mode unless stated, as (config fields, margin).
+    _ALONE = {
+        "sampler": (dict(codec=Codec.CF_BIASED_DECODE), None),  # COCO sampler, analytic mode
+        "rno": (dict(codec=Codec.CF, rno=True), None),
+        "border": (dict(codec=Codec.CF, sigma=0.1), 0.3),
+        "disc-overlap": (dict(flip_test=True, compensation=Compensation.SNOOP, codec=Codec.CCRF,
+                              combine=Combine.AVERAGE_HEATMAPS, radius=0.8), 0.8),
+        "two-gaussians": (dict(flip_test=True, compensation=Compensation.SNOOP, codec=Codec.CF,
+                               combine=Combine.AVERAGE_HEATMAPS, sigma=0.06), 2.6),
+        "window": (dict(codec=Codec.CF, sigma=0.04), 1.0),
+        "newton": (dict(codec=Codec.CF, sigma=1000.0), 1.0),
+        "quarter-window": (dict(codec=Codec.CF_BIASED_DECODE, sigma=0.04), 1.0),
+        "quarter-two-peaks": (dict(convention=Convention.PIXEL_COUNT, input=PlaneSize(60, 40),
+                                   output=PlaneSize(120, 80), flip_test=True,
+                                   compensation=Compensation.SNOOP, codec=Codec.CF_BIASED_DECODE,
+                                   combine=Combine.AVERAGE_HEATMAPS, sigma=0.5), 6.0),
+        "argmax": (dict(codec=Codec.ARGMAX_ONLY, sigma=0.5), 3.0),
+    }
+
+    @pytest.mark.parametrize("name", list(_ALONE))
+    def test_each_guard_alone_refuses_its_run(self, name, monkeypatch):
+        flags, margin = self._ALONE[name]
+        cfg = PipelineConfig(**{"convention": Convention.UNIT_LENGTH, "input": IN_SIZE,
+                                "output": OUT_SIZE, **flags})
+        mode = OracleMode.ANALYTIC_SHIFT if name == "sampler" else OracleMode.FULL_HEATMAP
+        sampler = (CocoKeypointSampler(instances=COCO_INSTANCES) if name == "sampler"
+                   else UniformKeypointSampler(default_roi(cfg), margin))
+        assert analytic_errors(cfg, sampler, mode) == {
+            "mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None, "refused": name}
+        if name != "sampler":  # no other guard reads an analytic run
+            monkeypatch.delitem(biaslab._GUARDS, name)
+            assert analytic_errors(cfg, sampler, mode)["refused"] is None
+
+    def test_the_readme_guard_table_lists_the_guards_in_order(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        head = "| guard | refuses when | why |\n"
+        assert readme.count(head) == 1
+        rows = readme.split(head)[1].split("\n\n")[0]
+        names = re.findall(r"^\| `([a-z-]+)` \|", rows, flags=re.MULTILINE)
+        assert names == list(biaslab._GUARDS)
 
 
 def _guard_grid():
@@ -1869,6 +1923,28 @@ def test_seed_outside_64_bits_is_refused():
             with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
                 run(seed)
     assert monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 10, (1 << 64) - 1).n_trials == 10
+
+
+_OVERFLOW = "source-plane error sum overflows a float: crop box too large"
+
+
+def test_a_chunk_whose_source_error_sum_overflows_is_refused():
+    # One chunk of 2,000 trials, each source error near 1e308 wide.
+    sampler = UniformKeypointSampler(Roi(1e308, 1.0, 1e308, 1.0))
+    with pytest.raises(ValueError, match=_OVERFLOW):
+        monte_carlo(make_cfg(codec=Codec.CF_BIASED_DECODE), OracleMode.ANALYTIC_SHIFT, 2000, 1,
+                    sampler)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chunk_sums_whose_total_overflows_are_refused(jobs):
+    # Each 4,096-trial chunk sums to a finite ~1e308; two of them overflow.
+    cfg, sampler = make_cfg(codec=Codec.CF_BIASED_DECODE), UniformKeypointSampler(
+        Roi(1e307, 1.0, 1e307, 1.0))
+    one = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4096, 1, sampler)
+    assert math.isfinite(one.mean_abs_x_source * one.n_trials)
+    with pytest.raises(ValueError, match=_OVERFLOW):
+        monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 8192, 1, sampler, jobs=jobs)
 
 
 class TestErrorStats:

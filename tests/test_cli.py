@@ -283,6 +283,13 @@ class TestSimulateCommand:
         assert out.returncode == 2
         assert out.stderr.startswith("error: roi extents must be positive")
 
+    def test_an_overflowing_source_error_sum_is_one_error_line(self):
+        out = run_cli("simulate", "--seed", "1", "-n", "2000", "--roi", "1e308,1,1e308,1",
+                      "--codec", "cf-biased")
+        assert out.returncode == 2
+        assert out.stderr == (
+            "error: source-plane error sum overflows a float: crop box too large\n")
+
     def test_biased_flip_run_reports_known_mean(self, tmp_path):
         report = tmp_path / "stats.csv"
         out = run_cli(
