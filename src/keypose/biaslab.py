@@ -368,6 +368,7 @@ class _Maps:
     def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
         self.w, self.h = cfg.output.width_px, cfg.output.height_px
+        self.plane = cfg.input if cfg.rno else cfg.output  # the decode plane
 
     def keypoints(self, terms):
         """The terms' output-plane keypoints, as lists of x and of y arrays."""
@@ -442,7 +443,6 @@ class _AxisMaps(_Maps):
         super().__init__(cfg)
         self.ccrf = cfg.codec is Codec.CCRF
         self.k = 2.0 * cfg.sigma * cfg.sigma
-        self.plane = cfg.input if cfg.rno else cfg.output  # the decode plane
         if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
             a, _, c, _, e, f = _coeffs(invert(invert(input_to_output(cfg))))
             self.axes = ((a, c), (e, f))
@@ -584,7 +584,9 @@ class _Engine:
         """Crop-box coefficients as a ``(12, R)`` array, one column per
         ``(cx, cy, w, h)`` column of ``boxes``: source -> input, then decode
         plane -> source.  The same routines and checks, in the same order, as
-        ``test_transform``, then ``invert`` (rno) or ``output_to_source``."""
+        ``test_transform``, then ``invert`` (rno) or ``output_to_source``; then
+        a box's corners and the decode plane's far corner (its origin maps to
+        the back chain's checked translation) must map to finite points."""
         cx, cy, w, h = boxes
         if not np.all(np.isfinite(boxes)):
             raise ValueError("roi fields must be finite")
@@ -594,7 +596,15 @@ class _Engine:
         with np.errstate(all="ignore"):
             _finite(forward := _source_to_input(self.cfg, *box))
             back = _invert(forward) if self.cfg.rno else _output_to_source(self.cfg, *box)
-            return _finite((*forward, *back)).reshape(12, -1)
+            table = _finite((*forward, *back)).reshape(12, -1)
+            (x, y, bw, bh), plane = box, self.maps.plane
+            corners = np.array((*_apply(forward, x - 0.5 * bw, y - 0.5 * bh),
+                                *_apply(forward, x + 0.5 * bw, y + 0.5 * bh),
+                                *_apply(back, plane.width_units, plane.height_units)))
+            if not (fits := np.isfinite(corners).reshape(6, -1).all(axis=0)).all():
+                raise ValueError(f"crop box {Roi(*boxes[:, np.argmin(fits)].tolist())} maps a "
+                                 "corner past the largest float")
+            return table
 
     def _terms(self, a, b=None):
         """The map of keypoints ``a``; with ``b``, the flip ensemble: ``b``'s map
@@ -843,8 +853,12 @@ def _piecewise_moments(lo: float, hi: float, grids, decoded) -> tuple[float, flo
 
 # name: test of cfg ``c`` and run facts ``g`` (``g.half`` is |half|), tried in this
 # order; ``sampler`` goes first, as ``border`` reads a uniform sampler's margin.
+# The first two apply in both oracle modes, the rest in heatmap mode only.
 _GUARDS = {
     "sampler": lambda c, g: not g.uniform and (g.quarter or g.heatmap),
+    # Keypoints round to the float spacing at the box's farthest source coordinate,
+    # ``g.spacing`` output nodes, which moves a closed form by a few times that.
+    "resolution": lambda c, g: g.spacing > 1e-7,
     "rno": lambda c, g: c.rno,
     "border": lambda c, g: c.codec is not Codec.CCRF and g.margin < 0.5 + 2.0 * g.half + g.snoop,
     "disc-overlap": lambda c, g: c.codec is Codec.CCRF and g.apart
@@ -883,11 +897,14 @@ def analytic_errors(
     half = (gap + (s if snoop else 0.0)) / (2.0 * s) if cfg.flip_test else 0.0
     ec = 1.0 / (2.0 * s) if cfg.compensation is Compensation.SNOOP_PLUS_EC else 0.0
     quarter = cfg.codec is Codec.CF_BIASED_DECODE
+    (ew, eh), r = _extents(cfg.output, cfg.convention), sampler.roi if uniform else None
+    far = max(abs(r.cx) + 0.5 * r.w, abs(r.cy) + 0.5 * r.h) if uniform else 0.0
     g = SimpleNamespace(uniform=uniform, margin=margin, half=abs(half), snoop=snoop,
                         quarter=quarter, heatmap=mode is OracleMode.FULL_HEATMAP,
-                        apart=cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0)
+                        apart=cfg.combine is Combine.AVERAGE_HEATMAPS and half != 0.0,
+                        spacing=math.ulp(far) * max(ew / r.w, eh / r.h) if uniform else 0.0)
     for name, test in _GUARDS.items():
-        if (g.heatmap or name == "sampler") and test(cfg, g):
+        if (g.heatmap or name in ("sampler", "resolution")) and test(cfg, g):
             return dict(mean_abs_x=None, var_abs_x=None, mean_abs_x_source=None, refused=name)
     mean, var = abs(half - ec), 0.0
     if quarter:  # x from the margin to where its input x leaves the input plane
@@ -901,5 +918,5 @@ def analytic_errors(
             a = a if cfg.rno else 1.0
             mean, var = _piecewise_moments(lo, hi, ((-half, 0.5 * a),),
                                            lambda x: a * _quarter_law((x + half) / a) - ec)
-    source = mean * sampler.roi.w / _extents(cfg.output, cfg.convention)[0] if uniform else None
+    source = mean * r.w / ew if uniform else None
     return {"mean_abs_x": mean, "var_abs_x": var, "mean_abs_x_source": source, "refused": None}

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -350,25 +351,44 @@ def _verify_checks(seed: int):
     """Yield one ``(name, value, expected, tolerance, detail)`` row per check.
 
     A check passes iff ``abs(value - expected) < tolerance``; ``detail``
-    formats ``value`` for its line.
+    formats ``value`` for its line.  Each bound follows one rule: 1e-9 for the
+    float transform chains, 1e-12 for codec and closed-form identities, 5 SEM
+    + 1e-9 for a Monte Carlo mean, and 1/1920 for the one Monte Carlo variance,
+    since a run keeps no standard error for a variance.
     """
     rng = np.random.default_rng(seed)
     unit, pixel = Convention.UNIT_LENGTH, Convention.PIXEL_COUNT
+    analytic, heatmap = OracleMode.ANALYTIC_SHIFT, OracleMode.FULL_HEATMAP
+    none, snoop, ec = Compensation.NONE, Compensation.SNOOP, Compensation.SNOOP_PLUS_EC
+    # The laws checked, each stated once: (cfg, mode, mean |x error|, its variance,
+    # whether a 20,000-trial run also checks it).
+    laws = [
+        (_preset(pixel, True, none, Codec.ARGMAX_ONLY), analytic, F(3, 8), 0, True),
+        (_preset(pixel, True, snoop, Codec.ARGMAX_ONLY), analytic, F(1, 8), 0, True),
+        (_preset(pixel, True, ec, Codec.ARGMAX_ONLY), analytic, F(0), 0, True),
+        (_preset(unit), heatmap, F(1, 8), F(1, 192), True),
+        (_preset(pixel, True, snoop), analytic, F(5, 32), F(37, 3072), False),
+        (_preset(pixel, True, none), analytic, F(3, 8), F(1, 48), False),
+        (_preset(unit, True, snoop), analytic, F(1, 2), F(1, 48), False),
+        (_preset(unit, True, ec), analytic, F(3, 8), F(1, 48), False),
+    ]
+
+    def runs(mode):
+        """Each law of ``mode`` that runs, with its stats, closed form and mean's bound."""
+        for cfg, law_mode, mean, var, run in laws:
+            if run and law_mode is mode:
+                stats = monte_carlo(cfg, mode, 20000, seed)
+                yield cfg, mean, var, stats, analytic_errors(cfg, mode=mode), \
+                    5.0 * stats.sem_abs_x + 1e-9
 
     # Round trip through source -> input -> output -> source.
     worst = 0.0
     for convention in (unit, pixel):
         for _ in range(500):
             cfg = _random_planes(rng, convention)
-            roi = Roi(
-                cx=float(rng.uniform(-200, 800)),
-                cy=float(rng.uniform(-200, 800)),
-                w=float(rng.uniform(5, 500)),
-                h=float(rng.uniform(5, 500)),
-            )
-            chain = compose(
-                output_to_source(roi, cfg), compose(input_to_output(cfg), test_transform(roi, cfg))
-            )
+            roi = Roi(*(float(rng.uniform(*r)) for r in [(-200, 800)] * 2 + [(5, 500)] * 2))
+            chain = compose(output_to_source(roi, cfg),
+                            compose(input_to_output(cfg), test_transform(roi, cfg)))
             p = Point(float(rng.uniform(-300, 900)), float(rng.uniform(-300, 900)))
             q = apply_point(chain, p)
             worst = max(worst, abs(q.x - p.x), abs(q.y - p.y))
@@ -387,71 +407,51 @@ def _verify_checks(seed: int):
     worst = 0.0
     for _ in range(200):
         wop = int(rng.integers(8, 128))
-        cfg = PipelineConfig(
-            convention=pixel,
-            input=PlaneSize(4 * wop, 4 * int(rng.integers(8, 128))),
-            output=PlaneSize(wop, int(rng.integers(8, 128))),
-        )
+        cfg = PipelineConfig(convention=pixel,
+                             input=PlaneSize(4 * wop, 4 * int(rng.integers(8, 128))),
+                             output=PlaneSize(wop, int(rng.integers(8, 128))))
         i2o = input_to_output(cfg)
         offset = compose(_flip_chain(cfg, i2o), invert(i2o)).m[0, 2]
         worst = max(worst, abs(offset - (1.0 - cfg.stride) / cfg.stride))
     yield "pixel-count flip offset equals (1-s)/s", worst, 0.0, 1e-9, "max={:.2e}"
 
     # Monte Carlo means for the remedies, at coordinate level.
-    for comp, expect in (
-        (Compensation.NONE, 0.375),
-        (Compensation.SNOOP, 0.125),
-        (Compensation.SNOOP_PLUS_EC, 0.0),
-    ):
-        cfg = _topdown(pixel, flip_test=True, compensation=comp, codec=Codec.ARGMAX_ONLY)
-        mean = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 20000, seed).mean_abs_x
-        name = f"flip remedy {comp.value}: mean |x error| = {expect}"
-        yield name, mean, expect, 1e-3, "got {:.6f}"
+    for cfg, mean, _, stats, closed, bound in runs(analytic):
+        name = f"flip remedy {cfg.compensation.value}: mean |x error| = {float(mean)}"
+        yield name, stats.mean_abs_x, closed["mean_abs_x"], bound, "got {:.6f}"
 
     # Codec identities.
     dims = PlaneSize(48, 64)
-    worst = _max_codec_error(
-        rng, lambda k: decode_ccrf(encode_ccrf(k, dims, 3.0)), (0, 47), (0, 63)
-    )
+    worst = _max_codec_error(rng, lambda k: decode_ccrf(encode_ccrf(k, dims, 3.0)), (0, 47),
+                             (0, 63))
     yield "disc codec round trip is exact", worst, 0.0, 1e-12, "max={:.2e}"
-    worst = _max_codec_error(
-        rng, lambda k: decode_dark(encode_gaussian(k, dims, 2.0).c), (6, 41), (6, 57)
-    )
-    yield "one-step Newton decode recovers exact peaks", worst, 0.0, 1e-3, "max={:.2e}"
+    worst = _max_codec_error(rng, lambda k: decode_dark(encode_gaussian(k, dims, 2.0).c), (6, 41),
+                             (6, 57))
+    yield "one-step Newton decode recovers exact peaks", worst, 0.0, 1e-12, "max={:.2e}"
 
     # Quarter-shift decoder statistics on rendered maps.
-    cfg = _topdown(unit, codec=Codec.CF_BIASED_DECODE)
-    stats = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 20000, seed)
-    name = "quarter-shift decoder:"
-    yield f"{name} mean |error| = 1/8", stats.mean_abs_x, 0.125, 5e-3, "got {:.6f}"
-    yield f"{name} var |error| = 1/192", stats.var_abs_x, 1.0 / 192.0, 1.0 / 1920.0, "got {:.6f}"
+    for _, mean, var, stats, closed, bound in runs(heatmap):
+        name, got = "quarter-shift decoder:", "got {:.6f}"
+        yield f"{name} mean |error| = {mean}", stats.mean_abs_x, closed["mean_abs_x"], bound, got
+        yield f"{name} var |error| = {var}", stats.var_abs_x, closed["var_abs_x"], 1 / 1920, got
 
-    # Closed forms match their fixed constants (np.max keeps a NaN).
-    errors = []
-    for conv, comp, mean, var in (
-        (pixel, Compensation.SNOOP, 5.0 / 32.0, 37.0 / 3072.0),
-        (pixel, Compensation.NONE, 3.0 / 8.0, 1.0 / 48.0),
-        (unit, Compensation.SNOOP, 1.0 / 2.0, 1.0 / 48.0),
-        (unit, Compensation.SNOOP_PLUS_EC, 3.0 / 8.0, 1.0 / 48.0),
-    ):
-        cfg = _topdown(conv, flip_test=True, compensation=comp, codec=Codec.CF_BIASED_DECODE)
-        closed = analytic_errors(cfg)
-        errors += [abs(closed["mean_abs_x"] - mean), abs(closed["var_abs_x"] - var)]
-    worst = float(np.max(errors))
-    yield "closed-form table matches its constants", worst, 0.0, 1e-12, "max={:.2e}"
+    # Every law's closed form equals its constants (np.max keeps a NaN).
+    gaps = []
+    for cfg, mode, mean, var, _ in laws:
+        closed = analytic_errors(cfg, mode=mode)
+        gaps += [abs(closed["mean_abs_x"] - mean), abs(closed["var_abs_x"] - var)]
+    yield "closed-form table matches its constants", float(np.max(gaps)), 0.0, 1e-12, "max={:.2e}"
 
 
 def cmd_verify(args) -> int:
     biaslab._check_seed(args.seed)
-    passed = total = 0
+    passed = []
     for name, value, expected, tolerance, detail in _verify_checks(args.seed):
-        ok = abs(value - expected) < tolerance
+        passed.append(abs(value - expected) < tolerance)
         tail = f"({detail.format(value)}, bound {tolerance:.3g})"
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  {tail}")
-        passed += ok
-        total += 1
-    print(f"{passed}/{total} checks passed")
-    return 0 if passed == total else 1
+        print(f"{'PASS' if passed[-1] else 'FAIL'}  {name}  {tail}")
+    print(f"{sum(passed)}/{len(passed)} checks passed")
+    return 0 if all(passed) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +459,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _preset(conv, ft=False, comp=Compensation.NONE, codec=Codec.CF_BIASED_DECODE):
+    return _topdown(conv, flip_test=ft, compensation=comp, codec=codec)
+
+
 def _topdown_presets() -> list[tuple[str, PipelineConfig]]:
-    unit, pixel = Convention.UNIT_LENGTH, Convention.PIXEL_COUNT
-
-    def cfg(conv, ft=False, comp=Compensation.NONE, codec=Codec.CF_BIASED_DECODE):
-        return _topdown(conv, flip_test=ft, compensation=comp, codec=codec)
-
+    unit, pixel, cfg = Convention.UNIT_LENGTH, Convention.PIXEL_COUNT, _preset
     return [
         ("A", cfg(pixel)),
         ("B", cfg(unit)),

@@ -755,6 +755,7 @@ class TestAnalyticErrorTable:
     # planes in heatmap mode unless stated, as (config fields, margin).
     _ALONE = {
         "sampler": (dict(codec=Codec.CF_BIASED_DECODE), None),  # COCO sampler, analytic mode
+        "resolution": (dict(codec=Codec.CF_BIASED_DECODE), None),  # a 1e-300 box at (1, 1)
         "rno": (dict(codec=Codec.CF, rno=True), None),
         "border": (dict(codec=Codec.CF, sigma=0.1), 0.3),
         "disc-overlap": (dict(flip_test=True, compensation=Compensation.SNOOP, codec=Codec.CCRF,
@@ -777,13 +778,32 @@ class TestAnalyticErrorTable:
         cfg = PipelineConfig(**{"convention": Convention.UNIT_LENGTH, "input": IN_SIZE,
                                 "output": OUT_SIZE, **flags})
         mode = OracleMode.ANALYTIC_SHIFT if name == "sampler" else OracleMode.FULL_HEATMAP
+        roi = Roi(1.0, 1.0, 1e-300, 1e-300) if name == "resolution" else default_roi(cfg)
         sampler = (CocoKeypointSampler(instances=COCO_INSTANCES) if name == "sampler"
-                   else UniformKeypointSampler(default_roi(cfg), margin))
+                   else UniformKeypointSampler(roi, margin))
         assert analytic_errors(cfg, sampler, mode) == {
             "mean_abs_x": None, "var_abs_x": None, "mean_abs_x_source": None, "refused": name}
         if name != "sampler":  # no other guard reads an analytic run
             monkeypatch.delitem(biaslab._GUARDS, name)
             assert analytic_errors(cfg, sampler, mode)["refused"] is None
+
+    @pytest.mark.parametrize("mode", list(OracleMode))
+    def test_resolution_refuses_a_box_whose_float_spacing_exceeds_its_fraction(self, mode):
+        # At cx = cy = 1 the source spacing is 2**-52; a w x w box maps it to
+        # 2**-52 * 63 / w nodes on the 48x64 unit-length plane: 1.4e-7 at
+        # w = 1e-7 and 7e-8 at w = 2e-7, either side of the guard's 1e-7.
+        cfg = make_cfg(codec=Codec.CF_BIASED_DECODE)
+        refused = {w: analytic_errors(cfg, UniformKeypointSampler(Roi(1.0, 1.0, w, w)), mode)[
+            "refused"] for w in (1e-300, 1e-7, 2e-7)}
+        assert refused == {1e-300: "resolution", 1e-7: "resolution", 2e-7: None}
+
+    def test_a_box_just_above_the_float_spacing_meets_its_closed_form(self):
+        # The run that the closed form at 7e-8 nodes of spacing must predict.
+        cfg = make_cfg(codec=Codec.CF_BIASED_DECODE)
+        sampler = UniformKeypointSampler(Roi(1.0, 1.0, 2e-7, 2e-7))
+        stats = monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 20000, 5, sampler)
+        closed = analytic_errors(cfg, sampler)
+        assert abs(stats.mean_abs_x - closed["mean_abs_x"]) < 5 * stats.sem_abs_x
 
     def test_the_readme_guard_table_lists_the_guards_in_order(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -1187,7 +1207,27 @@ _BAD_BOXES = [
 ]
 
 
+# Boxes whose coefficients are finite and invertible but whose far corners
+# are not finite.
+_HUGE_BOXES = [(1.7e308, 0.0, 1.7e308, 1e-300), (0.0, 1.7e308, 1e-300, 1.7e308)]
+
+
 class TestCropBoxTable:
+    @pytest.mark.parametrize("rno", [False, True])
+    @pytest.mark.parametrize("huge", _HUGE_BOXES)
+    def test_a_box_whose_corner_passes_the_largest_float_is_refused(self, rno, huge):
+        engine = biaslab._Engine(make_cfg(codec=Codec.CF, rno=rno), OracleMode.FULL_HEATMAP)
+        message = f"crop box {Roi(*huge)} maps a corner past the largest float"
+        for columns in ([huge], [(50.0, 50.0, 10.0, 10.0), huge, (1.7e308, 0.0, 1e308, 1e-300)]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                engine.contexts(np.array(columns).T)
+
+    @pytest.mark.parametrize("mode", list(OracleMode))
+    def test_a_run_on_a_box_past_the_largest_float_is_refused_before_any_trial(self, mode):
+        sampler = UniformKeypointSampler(Roi(1.7e308, 1.0, 1.7e308, 1.0))
+        with pytest.raises(ValueError, match="maps a corner past the largest float"):
+            monte_carlo(make_cfg(codec=Codec.CF_BIASED_DECODE), mode, 10, 1, sampler)
+
     @settings(max_examples=300, deadline=None)
     @given(boxes=_crop_box_arrays(), convention=st.sampled_from(Convention), rno=st.booleans())
     def test_equals_the_scalar_chain_bit_for_bit(self, boxes, convention, rno):

@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keypose import cli
 from keypose.geometry import Point
@@ -289,6 +294,26 @@ class TestSimulateCommand:
         assert out.returncode == 2
         assert out.stderr == (
             "error: source-plane error sum overflows a float: crop box too large\n")
+
+    @pytest.mark.parametrize("flags,box", [
+        (["--roi", "1.7e308,1,1.7e308,1", "--codec", "cf-biased"],
+         "cx=1.7e+308, cy=1.0, w=1.7e+308, h=1.0"),
+        (["--mode", "heatmap", "--codec", "cf", "--rno", "--roi=1.7e308,0,1.7e308,1e-300"],
+         "cx=1.7e+308, cy=0.0, w=1.7e+308, h=1e-300"),
+    ])
+    def test_a_box_past_the_largest_float_is_one_error_line(self, flags, box):
+        out = run_cli_strict("simulate", "--seed", "1", "-n", "10", *flags)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: crop box Roi({box}) maps a corner past the largest float\n"
+
+    def test_a_box_below_the_float_spacing_prints_no_closed_form(self, capsys):
+        # Every keypoint rounds to the box centre, so the run cannot meet the
+        # quarter law's 0.125; the resolution guard withholds it.
+        argv = ["simulate", "--seed", "1", "-n", "10000", "--roi", "1,1,1e-300,1e-300",
+                "--codec", "cf-biased"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and "mean|ex|=0.250000" in lines[0]
 
     def test_biased_flip_run_reports_known_mean(self, tmp_path):
         report = tmp_path / "stats.csv"
@@ -744,18 +769,50 @@ class TestVerifyCommand:
         assert [l[:6] for l in lines[:11]] == ["PASS  "] * 6 + ["FAIL  "] + ["PASS  "] * 4
         assert lines[11] == "10/11 checks passed"
 
+    def test_a_monte_carlo_mean_off_its_closed_form_fails(self, monkeypatch, capsys):
+        # 1e-4 is inside the quarter row's 5 SEM (0.00256), but the remedy
+        # runs have no sampling noise, so 5 SEM + 1e-9 leaves them 1e-9.
+        real = cli.monte_carlo
+
+        def off(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            return dataclasses.replace(stats, mean_abs_x=stats.mean_abs_x + 1e-4)
+
+        monkeypatch.setattr(cli, "monte_carlo", off)
+        assert cli.main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == ("FAIL  flip remedy none: mean |x error| = 0.375  "
+                            "(got 0.375100, bound 1e-09)")
+        assert [l[:6] for l in lines[:11]] == ["PASS  "] * 3 + ["FAIL  "] * 3 + ["PASS  "] * 5
+        assert lines[11] == "8/11 checks passed"
+
+    def test_a_newton_decode_off_by_a_nanometre_fails(self, monkeypatch, capsys):
+        real = cli.decode_dark
+
+        def off(plane):
+            d = real(plane)
+            return dataclasses.replace(d, k=Point(d.k.x + 1e-9, d.k.y))
+
+        monkeypatch.setattr(cli, "decode_dark", off)
+        assert cli.main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[7] == ("FAIL  one-step Newton decode recovers exact peaks  "
+                            "(max=1.00e-09, bound 1e-12)")
+        assert [l[:6] for l in lines[:11]] == ["PASS  "] * 7 + ["FAIL  "] + ["PASS  "] * 3
+        assert lines[11] == "10/11 checks passed"
+
 
 # Each check's name and its measured value and bound at the default seed.
 VERIFY_CHECKS = (
     ("round trip to source is the identity", "max=3.41e-13, bound 1e-09"),
     ("flip ensemble aligns (unit-length ratios)", "max=1.42e-14, bound 1e-09"),
     ("pixel-count flip offset equals (1-s)/s", "max=0.00e+00, bound 1e-09"),
-    ("flip remedy none: mean |x error| = 0.375", "got 0.375000, bound 0.001"),
-    ("flip remedy snoop: mean |x error| = 0.125", "got 0.125000, bound 0.001"),
-    ("flip remedy snoop_plus_ec: mean |x error| = 0.0", "got 0.000000, bound 0.001"),
+    ("flip remedy none: mean |x error| = 0.375", "got 0.375000, bound 1e-09"),
+    ("flip remedy snoop: mean |x error| = 0.125", "got 0.125000, bound 1e-09"),
+    ("flip remedy snoop_plus_ec: mean |x error| = 0.0", "got 0.000000, bound 1e-09"),
     ("disc codec round trip is exact", "max=0.00e+00, bound 1e-12"),
-    ("one-step Newton decode recovers exact peaks", "max=8.88e-16, bound 0.001"),
-    ("quarter-shift decoder: mean |error| = 1/8", "got 0.124559, bound 0.005"),
+    ("one-step Newton decode recovers exact peaks", "max=8.88e-16, bound 1e-12"),
+    ("quarter-shift decoder: mean |error| = 1/8", "got 0.124559, bound 0.00256"),
     ("quarter-shift decoder: var |error| = 1/192", "got 0.005230, bound 0.000521"),
     ("closed-form table matches its constants", "max=1.73e-17, bound 1e-12"),
 )
@@ -864,3 +921,29 @@ def test_seed_outside_64_bits_is_usage_error(capsys, command, seed):
 def test_largest_64_bit_seed_still_runs(capsys, command):
     assert cli.main([*_SEED_ARGV[command], "--seed", str((1 << 64) - 1)]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+# Crop-box fields at the float range's edges: zeros, subnormals, tiny and huge
+# values, near the largest float, and the non-finite ones.
+_ROI_FIELDS = ("0", "-0", "1e-320", "-1e-320", "1e-300", "1", "-5", "1e300", "1.7e308",
+               "-1.7e308", "nan", "inf", "-inf")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(roi=st.lists(st.sampled_from(_ROI_FIELDS), min_size=4, max_size=4),
+       codec=st.sampled_from(cli._CODEC_FLAGS), mode=st.sampled_from(["analytic", "heatmap"]),
+       rno=st.booleans(), ft=st.booleans(), n=st.integers(1, 50))
+def test_any_crop_box_runs_or_is_one_usage_error(roi, codec, mode, rno, ft, n):
+    argv = ["simulate", "--seed", "1", "-n", str(n), "--jobs", "1", "--codec", codec,
+            "--mode", mode, f"--roi={','.join(roi)}", "--rno" if rno else "--no-rno",
+            "--ft" if ft else "--no-ft"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 2)
+    assert err.getvalue().count("error:") <= 1
