@@ -47,8 +47,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .codec import _HESSIAN_EPS, NoDetectionError, encode_ccrf, encode_gaussian
-from .dataio import crop_boxes
-from .geometry import Point, Roi, _apply, _coeffs, _finite, _invert, apply_point, invert
+from .dataio import Annotations, crop_boxes
+from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, _apply, _coeffs, _invert
+from .geometry import apply_point, invert
 from .pipeline import (
     Codec,
     Combine,
@@ -242,24 +243,27 @@ class CocoKeypointSampler:
     Each trial picks one (instance, visible keypoint) pair uniformly; the
     crop box comes from the instance bounding box via aspect fixing and
     padding.  Keypoints that leave the simulated planes are skipped and
-    counted, as real crops do clip annotations.
+    counted, as real crops do clip annotations.  ``instances`` are kept as
+    :class:`~keypose.dataio.Annotations`, so binding reads only its columns.
     """
 
-    instances: tuple
+    instances: Annotations
     target_aspect: float | None = None
     padding: float = 1.25
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "instances", Annotations.of(self.instances))
 
     def bind(self, cfg: PipelineConfig) -> "_BoundCoco":
         aspect = self.target_aspect
         if aspect is None:
             aspect = cfg.input.width_px / cfg.input.height_px
-        kps = [inst.keypoints for inst in self.instances]
-        x, y, flag = np.concatenate([np.empty((0, 3)), *kps]).T
-        if not (visible := flag > 0).any():
+        kps = self.instances.keypoints
+        if not (visible := kps[:, 2] > 0).any():
             raise ValueError("no visible keypoints to sample from")
-        idx = np.repeat(np.arange(len(kps)), [len(k) for k in kps])
-        boxes = crop_boxes([inst.bbox for inst in self.instances], aspect, self.padding)
-        return _BoundCoco(np.array(boxes), idx[visible], x[visible], y[visible])
+        boxes = crop_boxes(self.instances.bboxes, aspect, self.padding)
+        return _BoundCoco(np.array(boxes), self.instances.owner[visible],
+                          kps[:, 0][visible], kps[:, 1][visible])
 
 
 class _BoundCoco(_Bound):
@@ -586,24 +590,35 @@ class _Engine:
         plane -> source.  The same routines and checks, in the same order, as
         ``test_transform``, then ``invert`` (rno) or ``output_to_source``; then
         a box's corners and the decode plane's far corner (its origin maps to
-        the back chain's checked translation) must map to finite points."""
+        the back chain's checked translation) must map to finite points.  Each
+        refusal names the first box that fails its check."""
+
+        def refuse(ok, why, error=ValueError):
+            if not ok.all():  # ``ok`` holds one column, or one value, per box
+                j = int(np.argmin(np.reshape(ok, (-1, boxes.shape[1])).all(axis=0)))
+                box = "Roi(cx={}, cy={}, w={}, h={})".format(*boxes[:, j].tolist())
+                raise error(f"crop box {box} {why(j) if callable(why) else why}")
+
         cx, cy, w, h = boxes
-        if not np.all(np.isfinite(boxes)):
-            raise ValueError("roi fields must be finite")
-        if np.any(bad := (w <= 0) | (h <= 0)):
-            raise ValueError(f"roi extents must be positive, got w={w[bad][0]}, h={h[bad][0]}")
+        refuse(np.isfinite(boxes), "has a field that is not finite")
+        refuse((w > 0) & (h > 0), "has an extent that is not positive")
         box = boxes[:, 0].tolist() if boxes.shape[1] == 1 else boxes  # one box: floats, faster
         with np.errstate(all="ignore"):
-            _finite(forward := _source_to_input(self.cfg, *box))
+            forward = _source_to_input(self.cfg, *box)
+            refuse(np.isfinite(forward), "maps to transform entries that are not finite")
+            if self.cfg.rno:
+                det = forward[0] * forward[4] - forward[1] * forward[3]
+                refuse(np.isfinite(det) & (np.abs(det) >= _SINGULAR_EPS),
+                       lambda j: f"maps to a singular transform (det={np.ravel(det)[j]})",
+                       SingularTransformError)
             back = _invert(forward) if self.cfg.rno else _output_to_source(self.cfg, *box)
-            table = _finite((*forward, *back)).reshape(12, -1)
+            table = np.array((*forward, *back), dtype=np.float64).reshape(12, -1)
+            refuse(np.isfinite(table), "maps to transform entries that are not finite")
             (x, y, bw, bh), plane = box, self.maps.plane
             corners = np.array((*_apply(forward, x - 0.5 * bw, y - 0.5 * bh),
                                 *_apply(forward, x + 0.5 * bw, y + 0.5 * bh),
                                 *_apply(back, plane.width_units, plane.height_units)))
-            if not (fits := np.isfinite(corners).reshape(6, -1).all(axis=0)).all():
-                raise ValueError(f"crop box {Roi(*boxes[:, np.argmin(fits)].tolist())} maps a "
-                                 "corner past the largest float")
+            refuse(np.isfinite(corners), "maps a corner past the largest float")
             return table
 
     def _terms(self, a, b=None):
@@ -890,7 +905,7 @@ def analytic_errors(
     off the keypoint, less ``1/(2s)`` under snoop+ec, for any sampled law.
     The quarter-shift decoder's steps are integrated exactly (README)."""
     sampler = UniformKeypointSampler(default_roi(cfg)) if sampler is None else sampler
-    uniform = isinstance(sampler, UniformKeypointSampler)  # never bind COCO: it costs ms
+    uniform = isinstance(sampler, UniformKeypointSampler)
     margin = sampler.bind(cfg)._margin if uniform else None
     s, snoop = cfg.stride, cfg.compensation is not Compensation.NONE
     gap = 1.0 - s if cfg.convention is Convention.PIXEL_COUNT else 0.0

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .geometry import PlaneSize, Roi
 
 __all__ = [
     "AnnotationFormatError",
+    "Annotations",
     "Instance",
     "LoadResult",
     "MissingImageError",
@@ -44,9 +46,10 @@ class Instance:
     """One annotated person: image size, bounding box and keypoints.
 
     ``bbox`` is ``(x, y, w, h)`` with a top-left anchor, in source units.
-    ``keypoints`` is a read-only ``(J, 3)`` float array of COCO's ``x, y,
-    visibility`` rows; visibility 0 is not labeled, 1 labeled but occluded,
-    2 labeled and visible.  Instances compare by identity.
+    ``keypoints`` is a ``(J, 3)`` float array of COCO's ``x, y, visibility``
+    rows; visibility 0 is not labeled, 1 labeled but occluded, 2 labeled and
+    visible.  An instance of :class:`Annotations` holds a read-only view of
+    its rows.  Instances compare by identity.
     """
 
     image_size: PlaneSize
@@ -54,9 +57,54 @@ class Instance:
     keypoints: np.ndarray
 
 
+class Annotations(Sequence):
+    """A set of instances as columns, read as a sequence of :class:`Instance`.
+
+    ``keypoints`` is one read-only ``(K, 3)`` array of every instance's rows
+    in order, ``owner`` the ``(K,)`` index of each row's instance, ``bboxes``
+    the ``(N, 4)`` top-left boxes and ``sizes`` the ``N`` image sizes.
+    Indexing builds an instance once, its keypoints a view of its rows.
+    """
+
+    def __init__(self, sizes, bboxes, keypoints, owner) -> None:
+        self.sizes = tuple(sizes)
+        self.bboxes = np.array(bboxes, dtype=np.float64).reshape(-1, 4)
+        self.keypoints = np.array(keypoints, dtype=np.float64).reshape(-1, 3)
+        self.owner = np.array(owner, dtype=np.intp)
+        for a in (self.bboxes, self.keypoints, self.owner):
+            a.flags.writeable = False
+        self._cuts = np.searchsorted(self.owner, np.arange(len(self.sizes) + 1)).tolist()
+        self._made: dict[int, Instance] = {}
+
+    @classmethod
+    def of(cls, instances) -> "Annotations":
+        """``instances`` itself if columnar, else its instances as columns
+        (joint counts may differ)."""
+        if isinstance(instances, cls):
+            return instances
+        kps = [inst.keypoints for inst in instances]
+        return cls([inst.image_size for inst in instances], [inst.bbox for inst in instances],
+                   np.concatenate([np.empty((0, 3)), *kps]),
+                   np.repeat(np.arange(len(kps)), [len(k) for k in kps]))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        if (i := range(len(self))[i]) not in self._made:  # a tuple's IndexError and negatives
+            lo, hi = self._cuts[i:i + 2]
+            self._made[i] = Instance(self.sizes[i], tuple(self.bboxes[i].tolist()),
+                                     self.keypoints[lo:hi])
+        return self._made[i]
+
+
 @dataclass(frozen=True)
 class LoadResult:
-    instances: tuple[Instance, ...]
+    """The labeled annotations of a file, and how many were ``skipped``."""
+
+    instances: Annotations
     skipped: int
 
 
@@ -104,7 +152,9 @@ def load_coco_keypoints(path) -> LoadResult:
                 raise ValueError("pixel counts must be integers")
             sizes[img["id"]] = PlaneSize(int(w), int(h))
 
-    joint_count, instances, skipped = None, [], 0
+    # One pass over the records, each checked in full before the next; the
+    # labeled ones' values gather into lists that become columns at the end.
+    joint_count, skipped, images, bboxes, values = None, 0, [], [], []
     for pos, ann in enumerate(doc["annotations"]):
         with _record("annotation", pos, ann) as name:
             if (size := sizes.get(ann["image_id"])) is None:
@@ -116,14 +166,17 @@ def load_coco_keypoints(path) -> LoadResult:
             if joint_count not in (None, n_joints):
                 raise ValueError(f"{n_joints} joints, expected {joint_count}")
             joint_count = n_joints
-            kps = np.reshape([f(v) for f, v in zip((float, float, int) * n_joints, flat)], (-1, 3))
-            if not (finite := np.isfinite(kps[:, :2]).all(axis=1)).all():
-                x, y, _ = kps[finite.argmin()].tolist()
-                raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
-            if bad := [v for v in flat[2::3] if float(v) not in (0, 1, 2)]:
+            row = [f(v) for f, v in zip((float, float, int) * n_joints, flat)]
+            xs, ys, vis = row[0::3], row[1::3], row[2::3]
+            # A finite sum has finite terms, so only a sum that is not needs the search.
+            if not math.isfinite(sum(xs) + sum(ys)) and (bad := [
+                    (x, y) for x, y in zip(xs, ys) if not (math.isfinite(x) and math.isfinite(y))]):
+                raise ValueError("point coordinates must be finite, got ({}, {})".format(*bad[0]))
+            # int() keeps a float's whole part, so a value must also equal its raw one.
+            if not {*flat[2::3]} <= {0, 1, 2} and (bad := [
+                    v for v, k in zip(flat[2::3], vis) if k not in (0, 1, 2) or k != float(v)]):
                 raise ValueError(f"keypoint visibility must be 0, 1 or 2, got {bad[0]}")
-            kps.flags.writeable = False
-            if not kps[:, 2].any():
+            if not any(vis):
                 skipped += 1
                 continue
             if len(ann.get("bbox", ())) != 4:
@@ -133,8 +186,11 @@ def load_coco_keypoints(path) -> LoadResult:
                 raise ValueError(f"bbox must be finite, got {[x, y, w, h]}")
             if w <= 0 or h <= 0:
                 raise ValueError(f"bbox extents must be positive, got w={w}, h={h}")
-        instances.append(Instance(image_size=size, bbox=(x, y, w, h), keypoints=kps))
-    return LoadResult(instances=tuple(instances), skipped=skipped)
+        images.append(size)
+        bboxes.append((x, y, w, h))
+        values += row
+    owner = np.repeat(np.arange(len(images)), joint_count or 0)
+    return LoadResult(Annotations(images, bboxes, values, owner), skipped)
 
 
 def crop_boxes(bboxes, target_aspect: float, padding: float = 1.25):

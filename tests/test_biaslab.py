@@ -42,7 +42,7 @@ from keypose.codec import (
     encode_ccrf,
     encode_gaussian,
 )
-from keypose.dataio import Instance, load_coco_keypoints, write_report
+from keypose.dataio import Annotations, Instance, load_coco_keypoints, write_report
 from keypose.geometry import (
     PlaneSize,
     Point,
@@ -1050,6 +1050,58 @@ class TestCocoSampler:
         monkeypatch.undo()
         assert stats == monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, sampler)
 
+    @pytest.mark.parametrize("mode", list(OracleMode))
+    def test_a_loaded_document_runs_as_its_hand_built_instances(self, tmp_path, mode):
+        # The same records loaded as columns and hand-built as Instances give
+        # equal stats.  A ragged hand-built set runs as its document, whose
+        # instances are padded with unlabeled rows to one joint count.
+        many = _many_box_instances()
+        ragged = tuple(Instance(inst.image_size, inst.bbox, inst.keypoints[:1 + i % 4])
+                       for i, inst in enumerate(many))
+        for instances in (many, ragged):
+            doc = {"images": [{"id": 1, "width": 800, "height": 600}],
+                   "annotations": [
+                       {"id": i, "image_id": 1, "bbox": list(inst.bbox),
+                        "keypoints": [*inst.keypoints.ravel().tolist(),
+                                      *[0.0] * (12 - inst.keypoints.size)]}
+                       for i, inst in enumerate(instances)]}
+            path = tmp_path / "ann.json"
+            path.write_text(json.dumps(doc))
+            cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
+            loaded = monte_carlo(cfg, mode, 3000, 5,
+                                 CocoKeypointSampler(load_coco_keypoints(path).instances, 0.8))
+            built = monte_carlo(cfg, mode, 3000, 5, CocoKeypointSampler(instances, 0.8))
+            assert loaded.n_skipped > 0
+            assert loaded == built
+
+    def test_bind_reads_no_instance(self, monkeypatch, tmp_path):
+        # Hand-built instances become columns when the sampler is built; a
+        # run then reads only the columns, never an Instance.
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [{"id": i, "image_id": 1, "bbox": list(inst.bbox),
+                             "keypoints": inst.keypoints.ravel().tolist()}
+                            for i, inst in enumerate(COCO_INSTANCES)]}))
+        samplers = (CocoKeypointSampler(instances=COCO_INSTANCES),
+                    CocoKeypointSampler(load_coco_keypoints(path).instances))
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("__getitem__", "__iter__", "of"):
+            monkeypatch.setattr(Annotations, name, counting(name, getattr(Annotations, name)))
+        monkeypatch.setattr(biaslab._Engine, "contexts",
+                            counting("contexts", biaslab._Engine.contexts))
+        cfg = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
+        stats = [monte_carlo(cfg, OracleMode.ANALYTIC_SHIFT, 4500, 11, s) for s in samplers]
+        assert calls == ["contexts", "contexts"]
+        assert stats[0] == stats[1]
+
     def test_no_visible_keypoints_rejected(self):
         inst = Instance(
             image_size=PlaneSize(64, 64),
@@ -1207,6 +1259,24 @@ _BAD_BOXES = [
 ]
 
 
+# The scalar chain's message for a box, and the crop-box table's words for it.
+_TABLE_WORDS = [
+    (r"^roi fields must be finite$", "has a field that is not finite"),
+    (r"^roi extents must be positive, got .*$", "has an extent that is not positive"),
+    (r"^transform entries must be finite$", "maps to transform entries that are not finite"),
+    (r"^transform is singular (\(det=.*\))$", r"maps to a singular transform \1"),
+]
+
+
+def _chain_error(cfg, column):
+    """The scalar chain's error type and message for one box, or None."""
+    try:
+        _chain_table(cfg, np.array([column]).T)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 # Boxes whose coefficients are finite and invertible but whose far corners
 # are not finite.
 _HUGE_BOXES = [(1.7e308, 0.0, 1.7e308, 1e-300), (0.0, 1.7e308, 1e-300, 1.7e308)]
@@ -1266,7 +1336,7 @@ class TestCropBoxTable:
     @pytest.mark.parametrize("columns", _BAD_BOXES)
     def test_rejects_a_box_as_the_scalar_chain_does(self, rno, columns):
         # Each check runs in the chain's order and names the first box that
-        # fails it, so a box that fails alone gets the chain's error.
+        # fails it: the first box whose chain, alone, fails as the whole does.
         cfg = make_cfg(codec=Codec.CF, rno=rno)
         boxes = np.array(columns).T
         try:
@@ -1275,7 +1345,11 @@ class TestCropBoxTable:
             with pytest.raises(type(exc)) as got:
                 biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
             assert type(got.value) is type(exc)
-            assert str(got.value) == str(exc)
+            box = next(column for column in boxes.T.tolist()
+                       if _chain_error(cfg, column) == (type(exc), str(exc)))
+            words = next(re.sub(chain, table, str(exc)) for chain, table in _TABLE_WORDS
+                         if re.match(chain, str(exc)))
+            assert str(got.value) == "crop box Roi(cx={}, cy={}, w={}, h={}) {}".format(*box, words)
         else:
             got = biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
             assert np.array_equal(got, want)
@@ -1283,7 +1357,8 @@ class TestCropBoxTable:
     def test_singular_box_message_under_rno(self):
         cfg = make_cfg(codec=Codec.CF, rno=True)
         boxes = np.array([[100.0], [100.0], [1e200], [1e200]])
-        with pytest.raises(SingularTransformError, match=r"^transform is singular \(det=0\.0\)$"):
+        message = r"^crop box Roi\(cx=100\.0, cy=100\.0, w=1e\+200, h=1e\+200\) maps to a singular transform \(det=0\.0\)$"  # noqa: E501
+        with pytest.raises(SingularTransformError, match=message):
             biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).contexts(boxes)
 
 

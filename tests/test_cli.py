@@ -617,7 +617,8 @@ class TestSimulateCommand:
         assert err.startswith(f"error: annotation 7: {shown}")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("visibility", [-1, 7, 0.5])
+    @pytest.mark.parametrize("visibility", [-1, 7, 0.5, 1e300, 10 ** 400],
+                             ids=["-1", "7", "0.5", "1e300", "10**400"])
     def test_coco_visibility_outside_0_1_2_is_usage_error(self, tmp_path, capsys, visibility):
         ann = {"id": 7, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
                "keypoints": [160, 160, 2, 130, 200, visibility]}
@@ -674,6 +675,26 @@ class TestSimulateCommand:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("flags,shown", [
+        (["--coco", "{coco}", "--padding", "1e-320"],
+         "crop box Roi(cx=160.0, cy=160.0, w=1.199987e-318, h=1.59998e-318) maps to transform "
+         "entries that are not finite"),
+        (["--roi", "1,1,1e-320,1"],
+         "crop box Roi(cx=1.0, cy=1.0, w=1e-320, h=1.0) maps to transform entries that are "
+         "not finite"),
+        (["--coco", "{coco}", "--aspect", "1e-320"],
+         "crop box Roi(cx=160.0, cy=160.0, w=150.0, h=inf) has a field that is not finite"),
+    ], ids=["coco-padding", "roi", "coco-aspect"])
+    def test_a_refused_crop_box_is_named_on_one_error_line(self, tmp_path, capsys, flags, shown):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [{"id": 7, "image_id": 1, "bbox": [100.0, 80.0, 120.0, 160.0],
+                             "keypoints": [160, 160, 2]}]}))
+        argv = [a.replace("{coco}", str(path)) for a in flags]
+        assert cli.main(["simulate", "--seed", "1", "-n", "10", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {shown}\n")
+
     def test_coco_singular_crop_box_under_rno_is_usage_error(self, tmp_path, capsys):
         # The decode plane -> source map inverts source -> input, whose
         # determinant underflows for a 1e200 box.
@@ -685,7 +706,9 @@ class TestSimulateCommand:
         argv = ["simulate", "--seed", "1", "-n", "20", "--coco", str(path), "--rno",
                 "--codec", "cf"]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: transform is singular (det=0.0)\n"
+        assert capsys.readouterr().err == (
+            "error: crop box Roi(cx=5e+199, cy=5e+199, w=1.2499999999999999e+200, "
+            "h=1.6666666666666667e+200) maps to a singular transform (det=0.0)\n")
 
     @pytest.mark.parametrize("flags", [("--roi", "170,160,120,160"), ("--margin", "5")],
                              ids=["roi", "margin"])

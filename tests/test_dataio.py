@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from keypose.biaslab import ErrorStats
 from keypose.dataio import (
     AnnotationFormatError,
+    Annotations,
+    Instance,
     MissingImageError,
     bbox_to_roi,
     crop_boxes,
@@ -158,6 +161,123 @@ class TestLoadCoco:
         with pytest.raises(AnnotationFormatError) as excinfo:
             load_coco_keypoints(path)
         assert "annotation 10" in str(excinfo.value)
+
+
+# Annotation 11's keypoints are [20, 20, 2, 30, 40, 2, 35, 45, 1]; each case
+# puts ``value`` at ``index``.  Python's conversion messages pass through as
+# they are, and a visibility too large for a float still gets the range check.
+_BAD_KEYPOINT_VALUES = {
+    "null-x": (3, None, "float() argument must be a string or a real number, not 'NoneType'"),
+    "list-y": (4, [1], "float() argument must be a string or a real number, not 'list'"),
+    "dict-x": (3, {"a": 1}, "float() argument must be a string or a real number, not 'dict'"),
+    "text-x": (3, "abc", "could not convert string to float: 'abc'"),
+    "null-visibility": (5, None, "int() argument must be a string, a bytes-like object or a "
+                                 "real number, not 'NoneType'"),
+    "text-visibility": (5, "abc", "invalid literal for int() with base 10: 'abc'"),
+    "huge-x": (3, 10 ** 400, "int too large to convert to float"),
+    "huge-y": (4, -10 ** 400, "int too large to convert to float"),
+    "inf-x": (3, math.inf, "point coordinates must be finite, got (inf, 40.0)"),
+    "nan-y": (4, math.nan, "point coordinates must be finite, got (30.0, nan)"),
+    "nan-visibility": (5, math.nan, "cannot convert float NaN to integer"),
+    "inf-visibility": (5, -math.inf, "cannot convert float infinity to integer"),
+    "visibility-3": (5, 3, "keypoint visibility must be 0, 1 or 2, got 3"),
+    "visibility-negative": (5, -1, "keypoint visibility must be 0, 1 or 2, got -1"),
+    "visibility-half": (5, 1.5, "keypoint visibility must be 0, 1 or 2, got 1.5"),
+    "visibility-text": (5, "7", "keypoint visibility must be 0, 1 or 2, got 7"),
+    "visibility-huge": (5, 10 ** 400, f"keypoint visibility must be 0, 1 or 2, got {10 ** 400}"),
+    "visibility-1e300": (5, 1e300, "keypoint visibility must be 0, 1 or 2, got 1e+300"),
+}
+
+
+def _load_doc(tmp_path, doc):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps(doc))
+    return load_coco_keypoints(path)
+
+
+class TestLoadCocoErrors:
+    @pytest.mark.parametrize("index,value,reason", _BAD_KEYPOINT_VALUES.values(),
+                             ids=_BAD_KEYPOINT_VALUES.keys())
+    def test_a_bad_keypoint_value_names_its_annotation(self, tmp_path, index, value, reason):
+        doc = coco_doc()
+        doc["annotations"][1]["keypoints"][index] = value
+        with pytest.raises(AnnotationFormatError) as excinfo:
+            _load_doc(tmp_path, doc)
+        assert str(excinfo.value) == f"annotation 11: {reason}"
+
+    @pytest.mark.parametrize("keypoints,reason", [
+        ([1, 2, 2, 3], "keypoint list length 4 is not a multiple of 3"),
+        ([1, 2, 2, 3, 4, 2], "2 joints, expected 3"),
+        ([], "0 joints, expected 3"),
+        (None, "object of type 'NoneType' has no len()"),
+    ], ids=["wrong-length", "mixed-joints", "empty", "null"])
+    def test_a_bad_keypoint_list_names_its_annotation(self, tmp_path, keypoints, reason):
+        doc = coco_doc()
+        doc["annotations"][1]["keypoints"] = keypoints
+        with pytest.raises(AnnotationFormatError) as excinfo:
+            _load_doc(tmp_path, doc)
+        assert str(excinfo.value) == f"annotation 11: {reason}"
+
+    @pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "text"])
+    def test_numbers_as_text_float_or_bool_load_as_their_values(self, tmp_path, value):
+        doc = coco_doc()
+        doc["annotations"][1]["keypoints"][5] = value
+        doc["annotations"][1]["keypoints"][3] = "30.5"
+        kps = _load_doc(tmp_path, doc).instances[1].keypoints
+        assert kps[1].tolist() == [30.5, 40.0, 1.0 if value is True else 2.0]
+
+    def test_the_first_bad_annotation_is_reported(self, tmp_path):
+        # Annotation 10's keypoints fail before annotation 11's bbox is read.
+        doc = coco_doc()
+        doc["annotations"][0]["keypoints"][0] = None
+        doc["annotations"][1]["bbox"] = None
+        with pytest.raises(AnnotationFormatError) as excinfo:
+            _load_doc(tmp_path, doc)
+        assert str(excinfo.value) == (
+            "annotation 10: float() argument must be a string or a real number, not 'NoneType'")
+
+    @pytest.mark.parametrize("bbox", [None, [1.0, 2.0], [1.0, 2.0, math.inf, 3.0],
+                                      [1.0, 2.0, -3.0, 4.0], [1.0, 2.0, "x", 4.0]])
+    def test_an_unlabeled_annotation_with_a_bad_bbox_still_loads(self, tmp_path, bbox):
+        # Annotation 12 has no labeled keypoint, so its bbox is never read.
+        doc = coco_doc()
+        doc["annotations"][2]["bbox"] = bbox
+        result = _load_doc(tmp_path, doc)
+        assert (len(result.instances), result.skipped) == (2, 1)
+
+
+class TestAnnotations:
+    def test_loaded_instances_are_views_of_one_read_only_array(self, tmp_path):
+        loaded = _load_doc(tmp_path, coco_doc()).instances
+        assert loaded.keypoints.shape == (6, 3) and loaded.bboxes.shape == (2, 4)
+        assert loaded.owner.tolist() == [0, 0, 0, 1, 1, 1]
+        for i, inst in enumerate(loaded):
+            assert inst is loaded[i] and inst is loaded[i - 2]
+            assert np.shares_memory(inst.keypoints, loaded.keypoints)
+            assert not inst.keypoints.flags.writeable
+            assert np.array_equal(inst.keypoints, loaded.keypoints[3 * i:3 * i + 3])
+        assert loaded[1].bbox == (10.0, 10.0, 50.0, 60.0)
+        assert loaded[1].image_size == PlaneSize(320, 240)
+        assert loaded[:1] == (loaded[0],) and loaded[1] in loaded
+        with pytest.raises(IndexError):
+            loaded[2]
+        with pytest.raises(ValueError):
+            loaded.keypoints[0, 0] = 1.0
+
+    def test_hand_built_ragged_instances_become_the_same_columns(self):
+        instances = (Instance(PlaneSize(64, 48), (1.0, 2.0, 3.0, 4.0), np.array([[5, 6, 2]])),
+                     Instance(PlaneSize(64, 48), (7.0, 8.0, 9.0, 10.0), np.empty((0, 3))),
+                     Instance(PlaneSize(32, 32), (1.5, 2.5, 3.5, 4.5),
+                              np.array([[1.0, 2.0, 0], [3.0, 4.0, 1]])))
+        columns = Annotations.of(instances)
+        assert Annotations.of(columns) is columns
+        assert columns.owner.tolist() == [0, 2, 2]
+        assert columns.keypoints.tolist() == [[5, 6, 2], [1, 2, 0], [3, 4, 1]]
+        assert columns.bboxes.tolist() == [list(inst.bbox) for inst in instances]
+        for inst, got in zip(instances, columns):
+            assert got.image_size == inst.image_size and got.bbox == inst.bbox
+            assert np.array_equal(got.keypoints, inst.keypoints.reshape(-1, 3))
+            assert got.keypoints.dtype == np.float64
 
 
 class TestBboxToRoi:
