@@ -24,8 +24,8 @@ flip ensemble is written once; they differ only in how a map is decoded:
   for bit (over 20 times faster than whole maps; ``BENCH_11.json``); rno reads
   use per-run tap tables and one box of output nodes (``BENCH_24.json``).
 
-Trials run in fixed-size chunks, each as one pass over numpy arrays; the
-rendered-heatmap peak search reads node boxes in blocks of ``_NODES`` values.
+Trials run in fixed-size chunks, each as one pass over numpy arrays; a peak search
+reads node boxes in blocks of ``_NODES`` values, or a disc's row and column distances.
 Each trial's randomness derives only from the run seed and the trial index (a
 splitmix-style generator); a process keeps its last 8 chunks' uniforms, so the
 rows of a grid that share a seed and ``n`` draw each chunk once.  A bound
@@ -451,7 +451,7 @@ class _AxisMaps(_Maps):
     them, with the encoder's formulas; under rno, from each trial's output nodes
     under the warp's taps (per-axis tables built once), read once in one box and
     summed by ``raster._tap_sum`` as ``rno_upsample`` sums them: all equal the 2-D
-    map's bit for bit.  Peak boxes are read in blocks of at most ``_NODES`` values or one box."""
+    map's bit for bit.  Gaussian boxes are read in blocks of ``_NODES``, discs by distances."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
@@ -468,28 +468,47 @@ class _AxisMaps(_Maps):
         out = self.cfg.output
         return (0.0 <= kx) & (kx <= out.width_units) & (0.0 <= ky) & (ky <= out.height_units)
 
+    def _cols(self, m, x, mirrored, shift):
+        """A branch's own columns at output-plane columns ``x`` (B, k), and their
+        squared distances to its keypoints ``m``, infinite where zeros moved in."""
+        own = self.w - 1 + shift - x if mirrored else x - shift
+        d2 = (own - m[:, None]) ** 2
+        return own, np.where(x >= shift, d2, np.inf) if shift else d2  # x is never negative
+
     def _at(self, terms, x, y, offsets=False):
         """The map's first channel at output-plane columns ``x`` (B, k) and
         rows ``y`` (B, l), with ``offsets`` also the disc's offset channels,
         as ``(B, l, k)`` arrays."""
         values = []
         for m, n, mirrored, shift in terms:
-            # The branch's own columns, at infinity where zeros moved in.
-            xs = x - shift
-            own = self.w - 1 - xs if mirrored else xs
-            n = n[:, None]
-            d2 = (np.where(xs >= 0, (own - m[:, None]) ** 2, np.inf)[:, None, :]
-                  + ((y - n) ** 2)[:, :, None])
+            own, dx2 = self._cols(m, x, mirrored, shift)
+            d2 = dx2[:, None, :] + ((y - n[:, None]) ** 2)[:, :, None]
             if self.ccrf:
                 c = (d2 < self.cfg.radius * self.cfg.radius).astype(np.float64)
-            else:  # a tiny sigma overflows -d2 / k to -inf (exp: exact 0); decode allows it
-                c = np.exp(-d2 / self.k)
+            else:  # a tiny sigma overflows d2 / -k to -inf (exp: exact 0); decode allows it
+                c = d2 / -self.k  # a new float array: d2 may hold integers
+                np.exp(c, out=c)
             if not offsets:
                 values.append((c,))
                 continue
             x_off = (m[:, None] - own)[:, None, :] * c
-            values.append((c, -x_off if mirrored else x_off, (n - y)[:, :, None] * c))
-        return values[0] if len(values) == 1 else tuple(0.5 * (a + b) for a, b in zip(*values))
+            values.append((c, -x_off if mirrored else x_off, (n[:, None] - y)[:, :, None] * c))
+        return values[0] if len(values) == 1 else tuple(
+            np.multiply(s := a + b, 0.5, out=s) for a, b in zip(*values))
+
+    def _disc_peak(self, terms, x, y):
+        """The first node in row-major order of box columns ``x`` (B, k) and rows ``y``
+        (B, l) where a disc map peaks (else node 0): a row holds a node of a level (in a
+        disc; averaged: in either, then both) iff ``fl(min dx**2 + dy**2) < r*r``."""
+        r2, trial, ix, iy = self.cfg.radius * self.cfg.radius, np.arange(len(x)), 0, 0
+        dx2 = [self._cols(m, x, mirrored, shift)[1] for m, _, mirrored, shift in terms]
+        dy2 = (y - terms[0][1][:, None]) ** 2  # both branches share their rows
+        for d in dx2 if len(dx2) == 1 else (np.minimum(*dx2), np.maximum(*dx2)):
+            rows = d.min(axis=1)[:, None] + dy2 < r2  # exact: fl(a + c) rises with a
+            j = rows.argmax(axis=1)
+            i, hit = (d + dy2[trial, j, None] < r2).argmax(axis=1), rows[trial, j]
+            ix, iy = np.where(hit, x[trial, i], ix), np.where(hit, y[trial, j], iy)
+        return ix, iy
 
     def _values(self, terms, x, y):
         """The first channel in the decode plane at columns ``x`` and rows ``y``,
@@ -530,12 +549,17 @@ class _AxisMaps(_Maps):
         in a box: a disc map is zero outside its discs, and a Gaussian map
         rises toward its keypoints along each axis (both branches share
         their rows), so its peak lies between the nodes at or beyond them.
-        Box rows and columns ascend, clipped repeats last: ``argmax`` finds it."""
+        Box rows and columns ascend, clipped repeats last: ``argmax`` or ``_disc_peak`` finds it."""
         reach = self.cfg.radius if self.ccrf else 0.0
         (x0, x1), (y0, y1) = (self._span(np.minimum(c[0], c[-1]) - reach,
                                          np.maximum(c[0], c[-1]) + reach, axis)
                               for axis, c in enumerate(self.keypoints(terms)))
         w, h = self.plane.width_px, self.plane.height_px
+        none = np.zeros(len(x0), dtype=bool)
+        if self.ccrf:
+            ix, iy = self._disc_peak(terms, self._box(x0, x1, w), self._box(y0, y1, h))
+            c, x_off, y_off = self._at(terms, ix[:, None], iy[:, None], offsets=True)
+            return ix + x_off[:, 0, 0], iy + y_off[:, 0, 0], none, c[:, 0, 0] == 0.0
         nodes = (np.max(x1 - x0, initial=0) + 1) * (np.max(y1 - y0, initial=0) + 1)
         step, peaks = max(1, _NODES // int(nodes)), []
         for i in range(0, max(len(x0), 1), step):  # an empty chunk keeps its shapes
@@ -549,10 +573,6 @@ class _AxisMaps(_Maps):
         ix, iy, top = peaks[0] if len(peaks) == 1 else (np.concatenate(p) for p in zip(*peaks))
         # An all-zero map peaks at its first node.
         ix, iy = np.where(top > 0.0, ix, 0), np.where(top > 0.0, iy, 0)
-        none = np.zeros(len(ix), dtype=bool)
-        if self.ccrf:
-            _, x_off, y_off = self._at(terms, ix[:, None], iy[:, None], offsets=True)
-            return ix + x_off[:, 0, 0], iy + y_off[:, 0, 0], none, top == 0.0
         if self.cfg.codec is Codec.ARGMAX_ONLY:
             return ix.astype(np.float64), iy.astype(np.float64), none, none
         # The 3x3 window around the peak, neighbours clamped at the borders.

@@ -1542,6 +1542,9 @@ def _oracle_cases():
     snoop = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CCRF,
                      compensation=Compensation.SNOOP, combine=Combine.AVERAGE_HEATMAPS)
     yield pytest.param(snoop, None, set(), id="ccrf-average-heatmaps-snoop")
+    yield pytest.param(snoop, 0.0, {"skipped"}, id="ccrf-average-heatmaps-snoop-margin-0")
+    wide = make_cfg(flip_test=True, codec=Codec.CCRF, combine=Combine.AVERAGE_HEATMAPS, radius=20.0)
+    yield pytest.param(wide, None, set(), id="wide-disc")
     yield pytest.param(make_cfg(codec=Codec.CCRF, radius=0.3), 2.0, {"failed"}, id="tiny-disc")
     border = make_cfg(convention=Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
     yield pytest.param(border, 0.0, {"skipped", "degenerate"}, id="margin-0")
@@ -1691,9 +1694,9 @@ def test_rendered_oracle_blocks(n, sizes, monkeypatch):
 def _partition_configs():
     planes = {"input": PlaneSize(40, 36), "output": PlaneSize(20, 18), "flip_test": True,
               "compensation": Compensation.SNOOP}
-    for codec in (Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY, Codec.CCRF):
+    for codec in (Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY):  # discs read no blocks
         for rno, combine in ((False, Combine.AVERAGE_COORDS), (False, Combine.AVERAGE_HEATMAPS),
-                             (True, Combine.AVERAGE_HEATMAPS))[:2 if codec is Codec.CCRF else 3]:
+                             (True, Combine.AVERAGE_HEATMAPS)):
             cfg = PipelineConfig(convention=Convention.PIXEL_COUNT, codec=codec, rno=rno,
                                  combine=combine, radius=2.5, **planes)
             yield pytest.param(cfg, id=f"{codec.value}-{combine.value}{'-rno' * rno}")
@@ -1714,22 +1717,101 @@ def test_block_partition_changes_no_result(cfg, monkeypatch):
     assert trials[0] == {1} and 1 < max(trials[1]) < live and trials[2] == {live}
 
 
-def test_a_block_holds_at_most_nodes_or_one_trials_box(monkeypatch):
-    # Wide discs: a trial's box holds up to 122 x 122 nodes, so a block of
-    # a fixed trial count would hold tens of MB per temporary array.
+# float.hex pins of the wide-disc runs below (fields as in _CROP_BOX_PIN),
+# recorded while disc maps were still decoded from blocks of node boxes.
+_WIDE_DISC_PIN = {
+    "average_coords": (2000, 0, 0, 0, "0x1.77ef9db22d0e5p-47", "0x0.0p+0", "0x1.1ac4312a0f2e7p-93", "0x0.0p+0", "0x1.5a9fbe76c8b44p-47"),  # noqa: E501
+    "average_heatmaps": (2000, 0, 0, 0, "0x1.000000000003ep-1", "0x0.0p+0", "0x1.71bb19ff3b4b3p-94", "0x0.0p+0", "0x1.0101010101003p-1"),  # noqa: E501
+}
+
+
+@pytest.mark.parametrize("combine", list(_WIDE_DISC_PIN))
+def test_a_disc_decode_reads_one_node_per_trial(combine, monkeypatch):
+    # Wide discs: a trial's box holds up to 122 x 122 nodes.  The peak comes
+    # from per-axis distances, so no node-value pass runs (``_values``) and
+    # ``_at`` reads one node per trial, for the peak's offsets; a return to
+    # (B, rows, cols) boxes fails here.
+    at, reads = biaslab._AxisMaps._at, []
+
+    def spy_at(self, terms, x, y, offsets=False):
+        values = at(self, terms, x, y, offsets)
+        reads.append((offsets, *(v.shape[1:] for v in values)))
+        return values
+
+    def no_values(self, *args):
+        raise AssertionError("a disc decode read a node box")
+
+    monkeypatch.setattr(biaslab._AxisMaps, "_at", spy_at)
+    monkeypatch.setattr(biaslab._AxisMaps, "_values", no_values)
+    heatmaps = combine == "average_heatmaps"
     cfg = PipelineConfig(convention=Convention.UNIT_LENGTH, input=PlaneSize(512, 512),
                          output=PlaneSize(256, 256), flip_test=True, codec=Codec.CCRF,
-                         radius=60.0)
-    blocks, stats = _spy_blocks(monkeypatch), []
-    for nodes in (biaslab._NODES, 1000):
-        monkeypatch.setattr(biaslab, "_NODES", nodes)
-        stats.append(monte_carlo(cfg, OracleMode.FULL_HEATMAP, 100, 1))
-        seen = blocks()
-        assert sum(b for b, _, _ in seen) == 2 * 100  # each branch decodes alone
-        assert max(cols * rows for _, cols, rows in seen) > 1000
-        assert all(b * cols * rows <= nodes or b == 1 for b, cols, rows in seen)
-        assert (max(b for b, _, _ in seen) > 1) == (nodes > 2 * 122 * 122)
-    assert stats[0] == stats[1]
+                         radius=60.0, combine=Combine(combine),
+                         compensation=Compensation.SNOOP if heatmaps else Compensation.NONE)
+    s = monte_carlo(cfg, OracleMode.FULL_HEATMAP, 2000, 1)
+    assert reads == [(True, (1, 1), (1, 1), (1, 1))] * (1 if heatmaps else 2)  # one chunk
+    assert (s.n_trials, s.n_skipped, s.n_decode_failed, s.n_degenerate,
+            *(v.hex() for v in (s.mean_abs_x, s.mean_abs_y, s.var_abs_x, s.var_abs_y,
+                                s.mean_abs_x_source))) == _WIDE_DISC_PIN[combine]
+
+
+def _disc_reference(plane, radius, terms, t):
+    """``decode_ccrf`` of trial ``t``'s 2-D disc map (each term encoded,
+    mirrored and shifted as the term says, two terms averaged), or "failed";
+    and the map's largest value."""
+    maps = []
+    for m, n, mirrored, shift in terms:
+        target = encode_ccrf(Point(m[t], n[t]), plane, radius)
+        grids = [target.c, target.x_off, target.y_off]
+        if mirrored:
+            grids = [flip_heatmap(g) for g in grids]
+            grids[1] = ImageGrid(plane, -grids[1].data)
+        maps.append([_shift_one_node(g) for g in grids] if shift else grids)
+    if len(maps) == 2:
+        maps = [[ImageGrid(plane, 0.5 * (g.data + h.data)) for g, h in zip(*maps)]]
+    top = float(maps[0][0].data.max())
+    try:
+        return decode_ccrf(CcrfTarget(*maps[0], radius=radius)), top
+    except NoDetectionError:
+        return "failed", top
+
+
+@pytest.mark.parametrize("radius,tops", [(1.0, {0.0, 0.5, 1.0}), (2.0, {0.5, 1.0}),
+                                         (2.5, {0.5, 1.0})])
+def test_disc_decode_equals_the_2d_map_on_ties_and_edges(radius, tops, monkeypatch):
+    # Keypoints on integer and half-integer nodes put nodes exactly on the
+    # circle; pairs far apart share no node (the map peaks at 0.5); a
+    # mirrored, shifted map meets the zero column, and at radius 1 with its
+    # keypoint a node past the plane it holds no node (the decode fails).
+    at, peaks = biaslab._AxisMaps._at, []
+
+    def spy_at(self, terms, x, y, offsets=False):
+        peaks.append((x[:, 0], y[:, 0]))  # the decode's one read: the peak's offsets
+        return at(self, terms, x, y, offsets)
+
+    monkeypatch.setattr(biaslab._AxisMaps, "_at", spy_at)
+    plane = PlaneSize(12, 10)
+    maps = biaslab._AxisMaps(PipelineConfig(convention=Convention.PIXEL_COUNT, output=plane,
+                                            input=PlaneSize(24, 20), codec=Codec.CCRF,
+                                            radius=radius))
+    xs, ys = (0.0, 0.5, 1.0, 5.0, 5.5, 10.5, 11.0), (0.0, 0.5, 4.0, 8.5, 9.0)
+    m, n = (np.array(v) for v in zip(*itertools.product(xs, ys)))
+    a, b, nn = (np.array(v) for v in zip(*itertools.product(xs, xs, ys)))
+    seen = set()
+    for terms in ([(m, n, False, 0)], [(m, n, True, 0)], [(m, n, True, 1)],
+                  [(a, nn, False, 0), (b, nn, True, 0)], [(a, nn, False, 0), (b, nn, True, 1)]):
+        peaks.clear()
+        x, y, degenerate, failed = maps.decode(terms)
+        (ix, iy), = peaks
+        assert not degenerate.any()
+        for t in range(len(x)):
+            reference, top = _disc_reference(plane, radius, terms, t)
+            seen.add(top)
+            assert failed[t] == (reference == "failed"), t
+            if not failed[t]:
+                assert (ix[t], iy[t]) == reference.argmax, t
+                assert (x[t], y[t]) == (reference.k.x, reference.k.y), t
+    assert seen == tops
 
 
 @st.composite
