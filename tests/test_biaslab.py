@@ -1458,6 +1458,34 @@ _CROP_BOX_PIN = {
 }
 
 
+def _run_pin_grid():
+    """Both ablate presets in both oracle modes (analytic at 5,000 trials, a
+    full chunk and a partial one; heatmap at 300), and a narrow-disc row whose
+    decodes fail, under the default sampler and under a many-box COCO sampler
+    that skips trials."""
+    narrow = make_cfg(Convention.PIXEL_COUNT, codec=Codec.CCRF, radius=0.45, flip_test=True)
+    presets = _topdown_presets() + _bottomup_presets()
+    for sampler in (None, CocoKeypointSampler(_many_box_instances())):
+        for mode, n in ((OracleMode.ANALYTIC_SHIFT, 5000), (OracleMode.FULL_HEATMAP, 300)):
+            for _, cfg in presets:
+                yield cfg, mode, n, sampler
+        yield narrow, OracleMode.FULL_HEATMAP, 5000, sampler
+
+
+def test_monte_carlo_reports_are_pinned_over_a_run_grid():
+    # Every ErrorStats field of every run, floats as float.hex, so a moved
+    # last bit anywhere in the trial engine changes the digest.
+    digest, rows = hashlib.sha256(), 0
+    for cfg, mode, n, sampler in _run_pin_grid():
+        s = monte_carlo(cfg, mode, n, 5, sampler)
+        digest.update(" ".join(v.hex() if isinstance(v, float) else str(v)
+                               for v in dataclasses.astuple(s)).encode() + b"\n")
+        rows += 1
+    assert rows == 78
+    assert digest.hexdigest() == (
+        "babb85abb82a2170d42d2b44ad701672d33fd2b92c5edde66c138d4c90ffdace")
+
+
 def test_crop_box_path_stats_are_pinned_to_the_last_bit():
     # A many-box COCO sampler (with skips) and a uniform sampler in an
     # unaligned roi, through output_to_source (analytic) and invert (rno).
