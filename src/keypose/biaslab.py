@@ -25,7 +25,7 @@ flip ensemble is written once; they differ only in how a map is decoded:
   use per-run tap tables and one box of output nodes (``BENCH_24.json``).
 
 Trials run in fixed-size chunks, each as one pass over numpy arrays; a peak search
-reads node boxes in blocks of ``_NODES`` values, or a disc's row and column distances.
+reads blocks of ``_NODES`` node values, or of a disc's row and column distances.
 Each trial's randomness derives only from the run seed and the trial index (a
 splitmix-style generator); a process keeps its last 8 chunks' uniforms, so the
 rows of a grid that share a seed and ``n`` draw each chunk once.  A bound
@@ -52,7 +52,7 @@ import numpy as np
 from .codec import _HESSIAN_EPS, NoDetectionError, encode_ccrf, encode_gaussian
 from .dataio import Annotations, crop_boxes
 from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, _apply, _coeffs, _invert
-from .geometry import apply_point, invert
+from .geometry import _resize, _row, apply_point
 from .pipeline import (
     Codec,
     Combine,
@@ -63,14 +63,14 @@ from .pipeline import (
     _output_to_source,
     _source_to_input,
     input_to_output,
-    output_to_source,
 )
 from .raster import BorderPolicy, _axis_taps, _tap_sum
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .codec import _argmax_xy, _ccrf_arrays, _dark_offset, _gaussian_array  # noqa: F401
 from .codec import _quarter_offset  # noqa: F401
-from .pipeline import rno_upsample, test_transform  # noqa: F401
+from .geometry import invert  # noqa: F401
+from .pipeline import output_to_source, rno_upsample, test_transform  # noqa: F401
 
 __all__ = [
     "CocoKeypointSampler",
@@ -235,7 +235,7 @@ class _BoundUniform(_Bound):
 
     def __init__(self, roi: Roi, cfg: PipelineConfig, margin: float) -> None:
         self.boxes = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
-        self._o2s = _coeffs(output_to_source(roi, cfg))
+        self._o2s = _output_to_source(cfg, roi.cx, roi.cy, roi.w, roi.h)
         self._margin = margin
         self._rx = cfg.output.width_units - 2.0 * margin
         self._ry = cfg.output.height_units - 2.0 * margin
@@ -368,7 +368,12 @@ def _quarter_law(v: np.ndarray) -> np.ndarray:
     """Coordinate recovered by the quarter-shift decoder from an exact
     single-peak map centered at ``v``."""
     fl = np.floor(v)
-    return np.where(v - fl < 0.5, fl + 0.25, fl + 0.75)
+    return fl + np.where(v - fl < 0.5, 0.25, 0.75)
+
+
+def _i2o(cfg: PipelineConfig):
+    """The coefficients of ``input_to_output(cfg)``, from floats."""
+    return _resize(*_extents(cfg.input, cfg.convention), *_extents(cfg.output, cfg.convention))
 
 
 class _Maps:
@@ -390,8 +395,8 @@ class _Maps:
                 [n for _, n, _, _ in terms])
 
     def midpoint(self, terms):
-        (x, *xs), (y, *ys) = self.keypoints(terms)
-        return (0.5 * (x + xs[0]), 0.5 * (y + ys[0])) if xs else (x, y)
+        (x, *xs), (y, *ys) = self.keypoints(terms)  # branches may share y: 0.5 * (y + y) is y
+        return (0.5 * (x + xs[0]), y if ys[0] is y else 0.5 * (y + ys[0])) if xs else (x, y)
 
 
 class _PeakMaps(_Maps):
@@ -403,7 +408,7 @@ class _PeakMaps(_Maps):
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
-        self.up = _coeffs(invert(input_to_output(cfg))) if cfg.rno else None
+        self.up = _invert(_i2o(cfg)) if cfg.rno else None
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
 
     @staticmethod
@@ -451,14 +456,14 @@ class _AxisMaps(_Maps):
     them, with the encoder's formulas; under rno, from each trial's output nodes
     under the warp's taps (per-axis tables built once), read once in one box and
     summed by ``raster._tap_sum`` as ``rno_upsample`` sums them: all equal the 2-D
-    map's bit for bit.  Gaussian boxes are read in blocks of ``_NODES``, discs by distances."""
+    map's bit for bit.  Peaks are found in blocks of ``_NODES`` box nodes, or disc distances."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
         self.ccrf = cfg.codec is Codec.CCRF
         self.k = 2.0 * cfg.sigma * cfg.sigma
         if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
-            a, _, c, _, e, f = _coeffs(invert(invert(input_to_output(cfg))))
+            a, _, c, _, e, f = _invert(_invert(_i2o(cfg)))
             self.axes = ((a, c), (e, f))
             sizes = ((cfg.input.width_px, self.w), (cfg.input.height_px, self.h))
             self.taps = [_axis_taps(s * np.arange(n) + o, m, BorderPolicy.ZERO_FILL)
@@ -510,6 +515,16 @@ class _AxisMaps(_Maps):
             ix, iy = np.where(hit, x[trial, i], ix), np.where(hit, y[trial, j], iy)
         return ix, iy
 
+    def _box_peak(self, terms, x, y):
+        """The first node in row-major order of box columns ``x`` (B, k) and
+        rows ``y`` (B, l) where the map peaks; an all-zero map peaks at node 0."""
+        v = self._values(terms, x, y)
+        _, ny, nx = v.shape
+        iy, ix = np.divmod(v.reshape(-1, ny * nx).argmax(axis=1), nx)
+        trial = np.arange(len(v))
+        top = v[trial, iy, ix] > 0.0
+        return np.where(top, x[trial, ix], 0), np.where(top, y[trial, iy], 0)
+
     def _values(self, terms, x, y):
         """The first channel in the decode plane at columns ``x`` and rows ``y``,
         ascending per trial; under rno, ``rno_upsample``'s tap sum on a box of
@@ -549,30 +564,25 @@ class _AxisMaps(_Maps):
         in a box: a disc map is zero outside its discs, and a Gaussian map
         rises toward its keypoints along each axis (both branches share
         their rows), so its peak lies between the nodes at or beyond them.
-        Box rows and columns ascend, clipped repeats last: ``argmax`` or ``_disc_peak`` finds it."""
+        Box rows and columns ascend, clipped repeats last: ``_box_peak`` or
+        ``_disc_peak`` finds it."""
         reach = self.cfg.radius if self.ccrf else 0.0
         (x0, x1), (y0, y1) = (self._span(np.minimum(c[0], c[-1]) - reach,
                                          np.maximum(c[0], c[-1]) + reach, axis)
                               for axis, c in enumerate(self.keypoints(terms)))
         w, h = self.plane.width_px, self.plane.height_px
         none = np.zeros(len(x0), dtype=bool)
-        if self.ccrf:
-            ix, iy = self._disc_peak(terms, self._box(x0, x1, w), self._box(y0, y1, h))
-            c, x_off, y_off = self._at(terms, ix[:, None], iy[:, None], offsets=True)
-            return ix + x_off[:, 0, 0], iy + y_off[:, 0, 0], none, c[:, 0, 0] == 0.0
-        nodes = (np.max(x1 - x0, initial=0) + 1) * (np.max(y1 - y0, initial=0) + 1)
-        step, peaks = max(1, _NODES // int(nodes)), []
+        k, l = (int(np.max(hi - lo, initial=0)) + 1 for lo, hi in ((x0, x1), (y0, y1)))
+        step, peaks = max(1, _NODES // (k + l if self.ccrf else k * l)), []
         for i in range(0, max(len(x0), 1), step):  # an empty chunk keeps its shapes
             b = slice(i, i + step)
             x, y = self._box(x0[b], x1[b], w), self._box(y0[b], y1[b], h)
-            v = self._values([(m[b], n[b], *rest) for m, n, *rest in terms], x, y)
-            _, ny, nx = v.shape
-            iy, ix = np.divmod(v.reshape(-1, ny * nx).argmax(axis=1), nx)
-            trial = np.arange(len(v))
-            peaks.append((x[trial, ix], y[trial, iy], v[trial, iy, ix]))
-        ix, iy, top = peaks[0] if len(peaks) == 1 else (np.concatenate(p) for p in zip(*peaks))
-        # An all-zero map peaks at its first node.
-        ix, iy = np.where(top > 0.0, ix, 0), np.where(top > 0.0, iy, 0)
+            block = [(m[b], n[b], *rest) for m, n, *rest in terms]
+            peaks.append((self._disc_peak if self.ccrf else self._box_peak)(block, x, y))
+        ix, iy = peaks[0] if len(peaks) == 1 else (np.concatenate(p) for p in zip(*peaks))
+        if self.ccrf:
+            c, x_off, y_off = self._at(terms, ix[:, None], iy[:, None], offsets=True)
+            return ix + x_off[:, 0, 0], iy + y_off[:, 0, 0], none, c[:, 0, 0] == 0.0
         if self.cfg.codec is Codec.ARGMAX_ONLY:
             return ix.astype(np.float64), iy.astype(np.float64), none, none
         # The 3x3 window around the peak, neighbours clamped at the borders.
@@ -600,7 +610,7 @@ class _Engine:
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
         self.cfg = cfg
-        self.i2o = _coeffs(input_to_output(cfg))
+        self.i2o = _i2o(cfg)
         self.w_i = cfg.input.width_units
         self.h_i = cfg.input.height_units
         # Decode plane -> output plane; None when they coincide.
@@ -671,8 +681,8 @@ class _Engine:
         return maps.decode(self._terms(ko, kof))
 
     def run(self, ctx: np.ndarray, gx: np.ndarray, gy: np.ndarray):
-        """Simulate a batch of trials with crop-box coefficients ``ctx``,
-        one column per trial or one shared by all.
+        """Simulate a batch of trials with crop-box coefficients ``ctx``, one
+        column per trial or one shared by all (as twelve floats, fastest).
 
         Returns ``(status, ok, (pox, poy), (psx, psy), (kox, koy), deg)``:
         ``status`` per trial, ``ok`` the indices of the ``_OK`` trials, and
@@ -680,12 +690,16 @@ class _Engine:
         """
         kix, kiy = _apply(ctx[:6], gx, gy)
         ko = _apply(self.i2o, kix, kiy)
-        kof = _apply(self.i2o, self.w_i - kix, kiy) if self.cfg.flip_test else None
+        # A resize: the flip moves x only, and the y rows are one array.
+        kof = (_row(*self.i2o[:3], self.w_i - kix, kiy), ko[1]) if self.cfg.flip_test else None
         live = (0.0 <= kix) & (kix <= self.w_i) & (0.0 <= kiy) & (kiy <= self.h_i)
-        live &= self.maps.covers(*ko) & (kof is None or self.maps.covers(*kof))
+        covers = self.maps.covers(*ko) & (kof is None or self.maps.covers(*kof))
+        if covers is not True:  # peak maps cover every keypoint
+            live &= covers
         ok = np.flatnonzero(live)
-        ko = ko[0][ok], ko[1][ok]
-        kof = None if kof is None else (kof[0][ok], kof[1][ok])
+        if len(ok) < len(gx):  # else every gather by ``ok`` is the identity
+            ko = ko[0][ok], ko[1][ok]
+            kof = None if kof is None else (kof[0][ok], ko[1])
         x, y, deg, failed = self._predict(ko, kof)
         status = np.full(len(gx), _SKIPPED)
         status[ok] = np.where(failed, _FAILED, _OK)
@@ -695,7 +709,8 @@ class _Engine:
         if self.ec:
             x = x - self.ec
         po = (x, y) if self.dp2o is None else _apply(self.dp2o, x, y)
-        ps = _apply(ctx[6:, ok] if ctx.shape[1] > 1 else ctx[6:], x, y)
+        shared = np.shape(ctx)[1:] in ((), (1,))  # else one column per trial
+        ps = _apply(ctx[6:] if shared or len(ok) == len(gx) else ctx[6:, ok], x, y)
         return status, ok, po, ps, ko, deg
 
 
@@ -731,8 +746,8 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
     """
     engine = _Engine(cfg, mode)
     box = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
-    status, _, po, ps, _, deg = engine.run(engine.contexts(box), np.array([gt_source.x]),
-                                           np.array([gt_source.y]))
+    status, _, po, ps, _, deg = engine.run(engine.contexts(box)[:, 0].tolist(),
+                                           np.array([gt_source.x]), np.array([gt_source.y]))
     if status[0] == _SKIPPED:
         raise SkipTrial
     if status[0] == _FAILED:
@@ -767,6 +782,8 @@ def _fsum(values: np.ndarray) -> float:
     if not _SHORT <= len(values) <= 1 << (53 - _LIMB):
         return math.fsum(memoryview(values))
     top = float(values.max())
+    if top == 0.0:  # every value is a zero
+        return 0.0
     e = math.frexp(top)[1]  # top < 2**e
     if not (math.isfinite(top) and _LOW_TOP <= e <= _HIGH_TOP):
         return math.fsum(memoryview(values))
@@ -808,11 +825,11 @@ def _run_chunk(engine, bound, ctx, seed, start, stop):
     ``ctx`` is the run's crop-box table, one column per box of ``bound``."""
     roi_idx, gx, gy = bound.sample(_uniforms(seed, start, stop, bound.k))
     status, ok, (pox, poy), (psx, _), (kox, koy), deg = engine.run(
-        ctx if ctx.shape[1] == 1 else ctx[:, roi_idx], gx, gy
+        ctx[:, 0].tolist() if ctx.shape[1] == 1 else ctx[:, roi_idx], gx, gy
     )
     return (np.bincount(status, minlength=3).tolist(), int(np.count_nonzero(deg)),
             _moments(np.abs(pox - kox)), _moments(np.abs(poy - koy)),
-            _fsum(np.abs(psx - gx[ok])))
+            _fsum(np.abs(psx - (gx if len(ok) == len(gx) else gx[ok]))))
 
 
 def monte_carlo(

@@ -197,7 +197,21 @@ def _invert(p):
 
 
 def _apply(p, x, y):
-    return p[0] * x + p[1] * y + p[2], p[3] * x + p[4] * y + p[5]
+    """``(a*x + b*y + c, d*x + e*y + f)`` for finite coefficients, ``x`` and ``y``.
+
+    A float zero ``b`` (``d``) is left out, as axis-aligned chains have them:
+    its product is a zero, and adding a zero changes a sum only from -0.0 to
+    +0.0, which adding the row's constant undoes unless that is -0.0 (IEEE 754).
+    So only a kept term's operand broadcasts into its row."""
+    a, b, c, d, e, f = p
+    return _row(a, b, c, x, y), _row(e, d, f, y, x)
+
+
+def _row(a, b, c, x, y):
+    """``a*x + b*y + c``, without ``b*y`` where ``_apply`` says so."""
+    if type(b) is type(c) is float and b == 0.0 and (c != 0.0 or math.copysign(1.0, c) > 0.0):
+        return a * x + c
+    return a * x + b * y + c
 
 
 def identity() -> Transform2D:

@@ -48,6 +48,7 @@ from keypose.geometry import (
     Point,
     Roi,
     SingularTransformError,
+    _coeffs,
     apply_point,
     invert,
     t_flip,
@@ -1458,6 +1459,30 @@ _CROP_BOX_PIN = {
 }
 
 
+def _coefficient_configs():
+    planes = ((IN_SIZE, OUT_SIZE), (PlaneSize(128, 128), PlaneSize(32, 32)),
+              (PlaneSize(60, 40), PlaneSize(120, 80)), (PlaneSize(37, 23), PlaneSize(11, 7)))
+    for (inp, out), convention in itertools.product(planes, Convention):
+        yield PipelineConfig(convention, inp, out, codec=Codec.CF, rno=True)
+
+
+@pytest.mark.parametrize("cfg", _coefficient_configs())
+def test_run_coefficients_equal_their_transform_forms(cfg):
+    # A run builds its coefficients from floats; each equals, sign bits
+    # included, the validated Transform2D chain it stands for.
+    def bits(p):
+        return [float.hex(v) for v in p]
+
+    i2o = input_to_output(cfg)
+    assert bits(biaslab._Engine(cfg, OracleMode.ANALYTIC_SHIFT).i2o) == bits(_coeffs(i2o))
+    assert bits(biaslab._PeakMaps(cfg).up) == bits(_coeffs(invert(i2o)))
+    a, _, c, _, e, f = _coeffs(invert(invert(i2o)))
+    assert bits(v for axis in biaslab._AxisMaps(cfg).axes for v in axis) == bits((a, c, e, f))
+    for roi in (default_roi(cfg), Roi(101.3, 77.7, 55.1, 73.9), Roi(20.0, 5.0, 40.0, 10.0)):
+        bound = UniformKeypointSampler(roi, 0.0).bind(cfg)
+        assert bits(bound._o2s) == bits(_coeffs(output_to_source(roi, cfg)))
+
+
 def _run_pin_grid():
     """Both ablate presets in both oracle modes (analytic at 5,000 trials, a
     full chunk and a partial one; heatmap at 300), and a narrow-disc row whose
@@ -1722,9 +1747,11 @@ def test_rendered_oracle_blocks(n, sizes, monkeypatch):
 def _partition_configs():
     planes = {"input": PlaneSize(40, 36), "output": PlaneSize(20, 18), "flip_test": True,
               "compensation": Compensation.SNOOP}
-    for codec in (Codec.CF, Codec.CF_BIASED_DECODE, Codec.ARGMAX_ONLY):  # discs read no blocks
+    for codec in Codec:
         for rno, combine in ((False, Combine.AVERAGE_COORDS), (False, Combine.AVERAGE_HEATMAPS),
                              (True, Combine.AVERAGE_HEATMAPS)):
+            if rno and codec is Codec.CCRF:
+                continue  # PipelineConfig refuses it
             cfg = PipelineConfig(convention=Convention.PIXEL_COUNT, codec=codec, rno=rno,
                                  combine=combine, radius=2.5, **planes)
             yield pytest.param(cfg, id=f"{codec.value}-{combine.value}{'-rno' * rno}")
@@ -1743,6 +1770,19 @@ def test_block_partition_changes_no_result(cfg, monkeypatch):
     assert stats[0] == stats[1] == stats[2]
     live = stats[0].n_trials + stats[0].n_decode_failed
     assert trials[0] == {1} and 1 < max(trials[1]) < live and trials[2] == {live}
+
+
+@pytest.mark.parametrize("row", ["G", "H"])
+def test_disc_rows_read_blocks_bounded_by_nodes(row, monkeypatch):
+    # A disc block holds its trials' distance rows, (columns + rows) values per
+    # trial and map term, so it takes _NODES // (columns + rows) trials; small
+    # blocks leave the topdown disc rows' bits as pinned.
+    blocks = _spy_blocks(monkeypatch)
+    monkeypatch.setattr(biaslab, "_NODES", 64)
+    got = _heatmap_ablate_stats([("topdown", row)], jobs=1)
+    sizes = blocks()
+    assert got == {("topdown", row): _HEATMAP_ABLATE_PIN["topdown", row]}
+    assert len(sizes) > 100 and all(t <= max(1, 64 // (k + l)) for t, k, l in sizes)
 
 
 # float.hex pins of the wide-disc runs below (fields as in _CROP_BOX_PIN),
