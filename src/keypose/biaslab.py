@@ -51,8 +51,8 @@ import numpy as np
 
 from .codec import _HESSIAN_EPS, NoDetectionError, encode_ccrf, encode_gaussian
 from .dataio import Annotations, crop_boxes
-from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, _apply, _coeffs, _invert
-from .geometry import _resize, _row, apply_point
+from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, _apply, _invert, _row
+from .geometry import apply_point
 from .pipeline import (
     Codec,
     Combine,
@@ -60,6 +60,7 @@ from .pipeline import (
     Convention,
     PipelineConfig,
     _extents,
+    _input_to_output,
     _output_to_source,
     _source_to_input,
     input_to_output,
@@ -371,11 +372,6 @@ def _quarter_law(v: np.ndarray) -> np.ndarray:
     return fl + np.where(v - fl < 0.5, 0.25, 0.75)
 
 
-def _i2o(cfg: PipelineConfig):
-    """The coefficients of ``input_to_output(cfg)``, from floats."""
-    return _resize(*_extents(cfg.input, cfg.convention), *_extents(cfg.output, cfg.convention))
-
-
 class _Maps:
     """A map is a tuple of branch terms ``(m, n, mirrored, shift)``: the
     encoder's map of keypoints ``(m, n)``, one per trial, optionally mirrored
@@ -408,7 +404,7 @@ class _PeakMaps(_Maps):
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
-        self.up = _invert(_i2o(cfg)) if cfg.rno else None
+        self.up = _invert(_input_to_output(cfg)) if cfg.rno else None
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
 
     @staticmethod
@@ -463,7 +459,7 @@ class _AxisMaps(_Maps):
         self.ccrf = cfg.codec is Codec.CCRF
         self.k = 2.0 * cfg.sigma * cfg.sigma
         if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
-            a, _, c, _, e, f = _invert(_invert(_i2o(cfg)))
+            a, _, c, _, e, f = _invert(_invert(_input_to_output(cfg)))
             self.axes = ((a, c), (e, f))
             sizes = ((cfg.input.width_px, self.w), (cfg.input.height_px, self.h))
             self.taps = [_axis_taps(s * np.arange(n) + o, m, BorderPolicy.ZERO_FILL)
@@ -610,7 +606,7 @@ class _Engine:
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
         self.cfg = cfg
-        self.i2o = _i2o(cfg)
+        self.i2o = _input_to_output(cfg)
         self.w_i = cfg.input.width_units
         self.h_i = cfg.input.height_units
         # Decode plane -> output plane; None when they coincide.
@@ -972,7 +968,7 @@ def analytic_errors(
             return dict(mean_abs_x=None, var_abs_x=None, mean_abs_x_source=None, refused=name)
     mean, var = abs(half - ec), 0.0
     if quarter:  # x from the margin to where its input x leaves the input plane
-        w, a = cfg.output.width_units, _coeffs(input_to_output(cfg))[0]
+        w, a = cfg.output.width_units, _input_to_output(cfg)[0]
         reach = a * cfg.input.width_units
         lo, hi = max(margin, 0.0), min(w - margin, reach)
         if cfg.flip_test and cfg.combine is Combine.AVERAGE_COORDS:  # Q(reach - x), mirrored

@@ -198,11 +198,9 @@ def _invert(p):
 
 def _apply(p, x, y):
     """``(a*x + b*y + c, d*x + e*y + f)`` for finite coefficients, ``x`` and ``y``.
-
-    A float zero ``b`` (``d``) is left out, as axis-aligned chains have them:
-    its product is a zero, and adding a zero changes a sum only from -0.0 to
-    +0.0, which adding the row's constant undoes unless that is -0.0 (IEEE 754).
-    So only a kept term's operand broadcasts into its row."""
+    A float zero ``b`` (``d``) is left out: adding its zero product changes a sum only
+    from -0.0 to +0.0, which adding the row's constant undoes unless that is -0.0
+    (IEEE 754).  A left-out term's operand does not broadcast into its row."""
     a, b, c, d, e, f = p
     return _row(a, b, c, x, y), _row(e, d, f, y, x)
 

@@ -43,7 +43,6 @@ from .geometry import (
     compose,
     invert,
     t_flip,
-    t_resize,
     t_rotate,
 )
 from .raster import ImageGrid, warp
@@ -197,11 +196,14 @@ def test_transform(roi: Roi, cfg: PipelineConfig) -> Transform2D:
     return train_transform(roi, 0.0, False, cfg)
 
 
+def _input_to_output(cfg: PipelineConfig):
+    """Coefficients of :func:`input_to_output`."""
+    return _resize(*_extents(cfg.input, cfg.convention), *_extents(cfg.output, cfg.convention))
+
+
 def input_to_output(cfg: PipelineConfig) -> Transform2D:
     """Network-input -> network-output resize, per convention."""
-    in_w, in_h = _extents(cfg.input, cfg.convention)
-    out_w, out_h = _extents(cfg.output, cfg.convention)
-    return t_resize(in_w, in_h, out_w, out_h)
+    return _transform(_input_to_output(cfg))
 
 
 def output_to_source(roi: Roi, cfg: PipelineConfig) -> Transform2D:
