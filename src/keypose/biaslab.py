@@ -742,8 +742,8 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
     """
     engine = _Engine(cfg, mode)
     box = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
-    status, _, po, ps, _, deg = engine.run(engine.contexts(box)[:, 0].tolist(),
-                                           np.array([gt_source.x]), np.array([gt_source.y]))
+    status, _, po, ps, _, deg = engine.run(engine.contexts(box), np.array([gt_source.x]),
+                                           np.array([gt_source.y]))
     if status[0] == _SKIPPED:
         raise SkipTrial
     if status[0] == _FAILED:
