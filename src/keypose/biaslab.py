@@ -51,7 +51,7 @@ import numpy as np
 
 from .codec import _HESSIAN_EPS, NoDetectionError, encode_ccrf, encode_gaussian
 from .dataio import Annotations, crop_boxes
-from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, _apply, _invert, _row
+from .geometry import _SINGULAR_EPS, Point, Roi, SingularTransformError, _invert
 from .geometry import apply_point
 from .pipeline import (
     Codec,
@@ -236,7 +236,7 @@ class _BoundUniform(_Bound):
 
     def __init__(self, roi: Roi, cfg: PipelineConfig, margin: float) -> None:
         self.boxes = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
-        self._o2s = _output_to_source(cfg, roi.cx, roi.cy, roi.w, roi.h)
+        self._o2s = _axes(_output_to_source(cfg, roi.cx, roi.cy, roi.w, roi.h))
         self._margin = margin
         self._rx = cfg.output.width_units - 2.0 * margin
         self._ry = cfg.output.height_units - 2.0 * margin
@@ -244,7 +244,7 @@ class _BoundUniform(_Bound):
     def sample(self, u: np.ndarray):
         kx = self._margin + u[:, 0] * self._rx
         ky = self._margin + u[:, 1] * self._ry
-        return (np.zeros(len(u), dtype=np.intp), *_apply(self._o2s, kx, ky))
+        return (np.zeros(len(u), dtype=np.intp), *_apply_axes(self._o2s, kx, ky))
 
 
 @dataclass(frozen=True)
@@ -357,12 +357,22 @@ def describe_config(cfg: PipelineConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trial engine.  It runs a batch of trials element-wise on arrays; affine
-# transforms are geometry's six coefficients, either floats shared by the
-# batch or one array entry per trial, and go through geometry's routines.
+# Trial engine.  It runs a batch of trials element-wise on arrays.  Its affine
+# chains are axis-aligned and built by geometry's routines; it keeps ``(a, c, e, f)``
+# of each, as floats shared by the batch or one array entry per trial.
 # ---------------------------------------------------------------------------
 
 _OK, _SKIPPED, _FAILED = 0, 1, 2
+
+
+def _axes(p):
+    """A chain's ``(a, c, e, f)``: dropping its zero ``b`` and ``d`` moves at most a zero's sign."""
+    a, _, c, _, e, f = p
+    return a, c, e, f
+
+
+def _apply_axes(p, x, y):
+    return p[0] * x + p[1], p[2] * y + p[3]
 
 
 def _quarter_law(v: np.ndarray) -> np.ndarray:
@@ -404,7 +414,7 @@ class _PeakMaps(_Maps):
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
-        self.up = _invert(_input_to_output(cfg)) if cfg.rno else None
+        self.up = _axes(_invert(_input_to_output(cfg))) if cfg.rno else None
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
 
     @staticmethod
@@ -414,7 +424,7 @@ class _PeakMaps(_Maps):
     def decode(self, terms):
         x, y = self.midpoint(terms)
         if self.up is not None:
-            x, y = _apply(self.up, x, y)
+            x, y = _apply_axes(self.up, x, y)
         if self.quarter:
             return _quarter_law(x), _quarter_law(y), False, False
         return x, y, False, False
@@ -458,12 +468,12 @@ class _AxisMaps(_Maps):
         super().__init__(cfg)
         self.ccrf = cfg.codec is Codec.CCRF
         self.k = 2.0 * cfg.sigma * cfg.sigma
-        if cfg.rno:  # input node -> output position, per axis, as in rno_upsample's warp
-            a, _, c, _, e, f = _invert(_invert(_input_to_output(cfg)))
-            self.axes = ((a, c), (e, f))
-            sizes = ((cfg.input.width_px, self.w), (cfg.input.height_px, self.h))
-            self.taps = [_axis_taps(s * np.arange(n) + o, m, BorderPolicy.ZERO_FILL)
-                         for (s, o), (n, m) in zip(self.axes, sizes)]  # each input node's taps
+        if cfg.rno:  # input node -> output position, as in rno_upsample's warp, and its taps
+            self.axes = _axes(_invert(_invert(_input_to_output(cfg))))
+            nodes = _apply_axes(self.axes, np.arange(cfg.input.width_px),
+                                np.arange(cfg.input.height_px))
+            self.taps = [_axis_taps(v, m, BorderPolicy.ZERO_FILL)
+                         for v, m in zip(nodes, (self.w, self.h))]
 
     def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         out = self.cfg.output
@@ -543,7 +553,7 @@ class _AxisMaps(_Maps):
         n = (self.plane.width_px, self.plane.height_px)[axis]
         lo, hi = np.floor(lo), np.ceil(hi)
         if self.cfg.rno:
-            scale, offset = self.axes[axis]
+            scale, offset = self.axes[2 * axis:2 * axis + 2]
             lo, hi = np.floor((lo - offset) / scale), np.ceil((hi - offset) / scale)
         return tuple(np.minimum(np.maximum(v, 0), n - 1).astype(np.intp) for v in (lo, hi))
 
@@ -563,9 +573,9 @@ class _AxisMaps(_Maps):
         Box rows and columns ascend, clipped repeats last: ``_box_peak`` or
         ``_disc_peak`` finds it."""
         reach = self.cfg.radius if self.ccrf else 0.0
-        (x0, x1), (y0, y1) = (self._span(np.minimum(c[0], c[-1]) - reach,
-                                         np.maximum(c[0], c[-1]) + reach, axis)
-                              for axis, c in enumerate(self.keypoints(terms)))
+        xs, (y, *_) = self.keypoints(terms)  # both branches share their rows
+        x0, x1 = self._span(np.minimum(xs[0], xs[-1]) - reach, np.maximum(xs[0], xs[-1]) + reach, 0)
+        y0, y1 = self._span(y - reach, y + reach, 1)
         w, h = self.plane.width_px, self.plane.height_px
         none = np.zeros(len(x0), dtype=bool)
         k, l = (int(np.max(hi - lo, initial=0)) + 1 for lo, hi in ((x0, x1), (y0, y1)))
@@ -606,7 +616,7 @@ class _Engine:
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
         self.cfg = cfg
-        self.i2o = _input_to_output(cfg)
+        self.i2o = _axes(_input_to_output(cfg))
         self.w_i = cfg.input.width_units
         self.h_i = cfg.input.height_units
         # Decode plane -> output plane; None when they coincide.
@@ -621,13 +631,12 @@ class _Engine:
             self.ec = 1.0 / (2.0 * cfg.stride) / (self.i2o[0] if cfg.rno else 1.0)
 
     def contexts(self, boxes: np.ndarray) -> np.ndarray:
-        """Crop-box coefficients as a ``(12, R)`` array, one column per
-        ``(cx, cy, w, h)`` column of ``boxes``: source -> input, then decode
-        plane -> source.  The same routines and checks, in the same order, as
-        ``test_transform``, then ``invert`` (rno) or ``output_to_source``; then
-        a box's corners and the decode plane's far corner (its origin maps to
-        the back chain's checked translation) must map to finite points.  Each
-        refusal names the first box that fails its check."""
+        """Crop-box coefficients as an ``(8, R)`` array, one column per ``(cx, cy, w, h)``
+        column of ``boxes``: ``(a, c, e, f)`` of source -> input, then of decode plane ->
+        source.  The same routines and checks, in the same order, as ``test_transform``,
+        then ``invert`` (rno) or ``output_to_source``; then a box's corners and the decode
+        plane's far corner (its origin maps to the back chain's checked translation) must
+        map to finite points.  Each refusal names the first box that fails its check."""
 
         def refuse(ok, why, error=ValueError):
             if not ok.all():  # ``ok`` holds one column, or one value, per box
@@ -643,17 +652,18 @@ class _Engine:
             forward = _source_to_input(self.cfg, *box)
             refuse(np.isfinite(forward), "maps to transform entries that are not finite")
             if self.cfg.rno:
-                det = forward[0] * forward[4] - forward[1] * forward[3]
+                det = forward[0] * forward[4]  # _invert's a*e - b*d: b and d are +0.0
                 refuse(np.isfinite(det) & (np.abs(det) >= _SINGULAR_EPS),
                        lambda j: f"maps to a singular transform (det={np.ravel(det)[j]})",
                        SingularTransformError)
             back = _invert(forward) if self.cfg.rno else _output_to_source(self.cfg, *box)
-            table = np.array((*forward, *back), dtype=np.float64).reshape(12, -1)
+            forward, back = _axes(forward), _axes(back)
+            table = np.array((*forward, *back), dtype=np.float64).reshape(8, -1)
             refuse(np.isfinite(table), "maps to transform entries that are not finite")
             (x, y, bw, bh), plane = box, self.maps.plane
-            corners = np.array((*_apply(forward, x - 0.5 * bw, y - 0.5 * bh),
-                                *_apply(forward, x + 0.5 * bw, y + 0.5 * bh),
-                                *_apply(back, plane.width_units, plane.height_units)))
+            corners = np.array((*_apply_axes(forward, x - 0.5 * bw, y - 0.5 * bh),
+                                *_apply_axes(forward, x + 0.5 * bw, y + 0.5 * bh),
+                                *_apply_axes(back, plane.width_units, plane.height_units)))
             refuse(np.isfinite(corners), "maps a corner past the largest float")
             return table
 
@@ -678,16 +688,16 @@ class _Engine:
 
     def run(self, ctx: np.ndarray, gx: np.ndarray, gy: np.ndarray):
         """Simulate a batch of trials with crop-box coefficients ``ctx``, one
-        column per trial or one shared by all (as twelve floats, fastest).
+        column per trial or one shared by all (as eight floats, fastest).
 
         Returns ``(status, ok, (pox, poy), (psx, psy), (kox, koy), deg)``:
         ``status`` per trial, ``ok`` the indices of the ``_OK`` trials, and
         their arrays in that order (``deg`` is ``False`` for peak maps).
         """
-        kix, kiy = _apply(ctx[:6], gx, gy)
-        ko = _apply(self.i2o, kix, kiy)
+        kix, kiy = _apply_axes(ctx[:4], gx, gy)
+        ko = _apply_axes(self.i2o, kix, kiy)
         # A resize: the flip moves x only, and the y rows are one array.
-        kof = (_row(*self.i2o[:3], self.w_i - kix, kiy), ko[1]) if self.cfg.flip_test else None
+        kof = (self.i2o[0] * (self.w_i - kix) + self.i2o[1], ko[1]) if self.cfg.flip_test else None
         live = (0.0 <= kix) & (kix <= self.w_i) & (0.0 <= kiy) & (kiy <= self.h_i)
         covers = self.maps.covers(*ko) & (kof is None or self.maps.covers(*kof))
         if covers is not True:  # peak maps cover every keypoint
@@ -704,9 +714,9 @@ class _Engine:
             ok, x, y, deg, ko = ok[keep], x[keep], y[keep], deg[keep], (ko[0][keep], ko[1][keep])
         if self.ec:
             x = x - self.ec
-        po = (x, y) if self.dp2o is None else _apply(self.dp2o, x, y)
+        po = (x, y) if self.dp2o is None else _apply_axes(self.dp2o, x, y)
         shared = np.shape(ctx)[1:] in ((), (1,))  # else one column per trial
-        ps = _apply(ctx[6:] if shared or len(ok) == len(gx) else ctx[6:, ok], x, y)
+        ps = _apply_axes(ctx[4:] if shared or len(ok) == len(gx) else ctx[4:, ok], x, y)
         return status, ok, po, ps, ko, deg
 
 
@@ -908,7 +918,7 @@ def _piecewise_moments(lo: float, hi: float, grids, decoded) -> tuple[float, flo
     d = decoded(0.5 * (edges[:-1] + edges[1:]))
     p, q = d - edges[:-1], d - edges[1:]
     mean = math.fsum(p * np.abs(p) - q * np.abs(q)) / (2.0 * (hi - lo))
-    return mean, math.fsum(p ** 3 - q ** 3) / (3.0 * (hi - lo)) - mean * mean
+    return mean, math.fsum(p * p * p - q * q * q) / (3.0 * (hi - lo)) - mean * mean
 
 
 # name: test of cfg ``c`` and run facts ``g`` (``g.half`` is |half|), tried in this

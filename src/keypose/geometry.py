@@ -197,19 +197,8 @@ def _invert(p):
 
 
 def _apply(p, x, y):
-    """``(a*x + b*y + c, d*x + e*y + f)`` for finite coefficients, ``x`` and ``y``.
-    A float zero ``b`` (``d``) is left out: adding its zero product changes a sum only
-    from -0.0 to +0.0, which adding the row's constant undoes unless that is -0.0
-    (IEEE 754).  A left-out term's operand does not broadcast into its row."""
     a, b, c, d, e, f = p
-    return _row(a, b, c, x, y), _row(e, d, f, y, x)
-
-
-def _row(a, b, c, x, y):
-    """``a*x + b*y + c``, without ``b*y`` where ``_apply`` says so."""
-    if type(b) is type(c) is float and b == 0.0 and (c != 0.0 or math.copysign(1.0, c) > 0.0):
-        return a * x + c
-    return a * x + b * y + c
+    return a * x + b * y + c, d * x + e * y + f
 
 
 def identity() -> Transform2D:

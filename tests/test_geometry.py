@@ -249,35 +249,6 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-# Float coefficients and operands around the signed-zero cases of _apply's rule.
-_zero_rule_coefficients = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -2.5, 1e300, -1.7e308]),
-    st.floats(allow_nan=False, allow_infinity=False))
-_zero_rule_operands = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, -3.0]),
-    st.floats(allow_nan=False, allow_infinity=False))
-
-
-def _bits(v):
-    return np.asarray(v, dtype=np.float64).view(np.uint64)
-
-
-@settings(max_examples=500, deadline=None)
-@given(p=st.tuples(*[_zero_rule_coefficients] * 6),
-       xy=st.lists(st.tuples(_zero_rule_operands, _zero_rule_operands), min_size=1, max_size=6),
-       arrays=st.booleans())
-def test_apply_leaves_out_zero_terms_without_changing_a_bit(p, xy, arrays):
-    # Float coefficients take the zero-term rule; the literal rows never do.
-    x, y = (np.array(v) for v in zip(*xy)) if arrays else xy[0]
-    a, b, c, d, e, f = p
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = geometry._apply(p, x, y)
-        want = a * x + b * y + c, d * x + e * y + f
-    for g, w in zip(got, want):
-        assert type(g) is type(w)
-        assert np.array_equal(_bits(g), _bits(w))
-
-
 class TestCoefficientForms:
     """The array forms equal their one-row calls, the public functions."""
 
