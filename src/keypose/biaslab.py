@@ -359,7 +359,8 @@ def describe_config(cfg: PipelineConfig) -> str:
 # ---------------------------------------------------------------------------
 # Trial engine.  It runs a batch of trials element-wise on arrays.  Its affine
 # chains are axis-aligned and built by geometry's routines; it keeps ``(a, c, e, f)``
-# of each, as floats shared by the batch or one array entry per trial.
+# of each crop-box chain, as floats shared by the batch or one array entry per
+# trial, and ``(a, e)`` of each resize, a scale about node 0 under both conventions.
 # ---------------------------------------------------------------------------
 
 _OK, _SKIPPED, _FAILED = 0, 1, 2
@@ -414,7 +415,7 @@ class _PeakMaps(_Maps):
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
-        self.up = _axes(_invert(_input_to_output(cfg))) if cfg.rno else None
+        self.up = _invert(_input_to_output(cfg))[::4] if cfg.rno else None
         self.quarter = cfg.codec is Codec.CF_BIASED_DECODE
 
     @staticmethod
@@ -424,7 +425,7 @@ class _PeakMaps(_Maps):
     def decode(self, terms):
         x, y = self.midpoint(terms)
         if self.up is not None:
-            x, y = _apply_axes(self.up, x, y)
+            x, y = self.up[0] * x, self.up[1] * y
         if self.quarter:
             return _quarter_law(x), _quarter_law(y), False, False
         return x, y, False, False
@@ -469,11 +470,10 @@ class _AxisMaps(_Maps):
         self.ccrf = cfg.codec is Codec.CCRF
         self.k = 2.0 * cfg.sigma * cfg.sigma
         if cfg.rno:  # input node -> output position, as in rno_upsample's warp, and its taps
-            self.axes = _axes(_invert(_invert(_input_to_output(cfg))))
-            nodes = _apply_axes(self.axes, np.arange(cfg.input.width_px),
-                                np.arange(cfg.input.height_px))
-            self.taps = [_axis_taps(v, m, BorderPolicy.ZERO_FILL)
-                         for v, m in zip(nodes, (self.w, self.h))]
+            self.axes = _invert(_invert(_input_to_output(cfg)))[::4]
+            nodes = (cfg.input.width_px, cfg.input.height_px)
+            self.taps = [_axis_taps(a * np.arange(n), m, BorderPolicy.ZERO_FILL)
+                         for a, n, m in zip(self.axes, nodes, (self.w, self.h))]
 
     def covers(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         out = self.cfg.output
@@ -553,8 +553,7 @@ class _AxisMaps(_Maps):
         n = (self.plane.width_px, self.plane.height_px)[axis]
         lo, hi = np.floor(lo), np.ceil(hi)
         if self.cfg.rno:
-            scale, offset = self.axes[2 * axis:2 * axis + 2]
-            lo, hi = np.floor((lo - offset) / scale), np.ceil((hi - offset) / scale)
+            lo, hi = np.floor(lo / self.axes[axis]), np.ceil(hi / self.axes[axis])
         return tuple(np.minimum(np.maximum(v, 0), n - 1).astype(np.intp) for v in (lo, hi))
 
     @staticmethod
@@ -616,11 +615,9 @@ class _Engine:
 
     def __init__(self, cfg: PipelineConfig, mode: OracleMode) -> None:
         self.cfg = cfg
-        self.i2o = _axes(_input_to_output(cfg))
+        self.i2o = _input_to_output(cfg)[::4]  # the resize's two scales, about node 0
         self.w_i = cfg.input.width_units
         self.h_i = cfg.input.height_units
-        # Decode plane -> output plane; None when they coincide.
-        self.dp2o = self.i2o if cfg.rno else None
         self.maps = (_PeakMaps if mode is OracleMode.ANALYTIC_SHIFT else _AxisMaps)(cfg)
         self.snoop = cfg.compensation is not Compensation.NONE
         self.average_coords = cfg.combine is Combine.AVERAGE_COORDS
@@ -695,9 +692,9 @@ class _Engine:
         their arrays in that order (``deg`` is ``False`` for peak maps).
         """
         kix, kiy = _apply_axes(ctx[:4], gx, gy)
-        ko = _apply_axes(self.i2o, kix, kiy)
+        ko = self.i2o[0] * kix, self.i2o[1] * kiy
         # A resize: the flip moves x only, and the y rows are one array.
-        kof = (self.i2o[0] * (self.w_i - kix) + self.i2o[1], ko[1]) if self.cfg.flip_test else None
+        kof = (self.i2o[0] * (self.w_i - kix), ko[1]) if self.cfg.flip_test else None
         live = (0.0 <= kix) & (kix <= self.w_i) & (0.0 <= kiy) & (kiy <= self.h_i)
         covers = self.maps.covers(*ko) & (kof is None or self.maps.covers(*kof))
         if covers is not True:  # peak maps cover every keypoint
@@ -714,7 +711,7 @@ class _Engine:
             ok, x, y, deg, ko = ok[keep], x[keep], y[keep], deg[keep], (ko[0][keep], ko[1][keep])
         if self.ec:
             x = x - self.ec
-        po = (x, y) if self.dp2o is None else _apply_axes(self.dp2o, x, y)
+        po = (self.i2o[0] * x, self.i2o[1] * y) if self.cfg.rno else (x, y)  # decode -> output
         shared = np.shape(ctx)[1:] in ((), (1,))  # else one column per trial
         ps = _apply_axes(ctx[4:] if shared or len(ok) == len(gx) else ctx[4:, ok], x, y)
         return status, ok, po, ps, ko, deg

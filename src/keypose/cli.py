@@ -101,25 +101,30 @@ _BORDER_FLAGS = {"zero": BorderPolicy.ZERO_FILL, "clamp": BorderPolicy.CLAMP_TO_
 # ---------------------------------------------------------------------------
 
 
-def cmd_transform(args) -> int:
+def _elementary(args, **given):
+    """The ``--op`` transform.  Each value comes from ``given``, or else from
+    the flag the op reads, parsed only then; a missing one names its flag."""
+
+    def value(name, names=None, flag=None):
+        if name in given:
+            return given[name]
+        text = getattr(args, name)
+        if text is None:
+            raise UsageError(f"--op {args.op} requires {flag or '--' + name}")
+        return _floats(text, names) if names else text
+
     if args.op == "crop":
-        if args.roi is None:
-            raise UsageError("--op crop requires --roi")
-        t = t_crop(Roi(*_floats(args.roi, "CX,CY,W,H")))
-    elif args.op == "resize":
-        if args.src is None or args.dst is None:
-            raise UsageError("--op resize requires --src and --dst extents")
-        t = t_resize(*_floats(args.src, "W,H"), *_floats(args.dst, "W,H"))
-    elif args.op == "rotate":
-        if args.angle is None or args.center is None:
-            raise UsageError("--op rotate requires --angle (degrees) and --center")
-        t = t_rotate(math.radians(args.angle), Point(*_floats(args.center, "X,Y")))
-    elif args.op == "flip":
-        if args.width is None:
-            raise UsageError("--op flip requires --width")
-        t = t_flip(args.width)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown op {args.op!r}")
+        return t_crop(Roi(*value("roi", "CX,CY,W,H")))
+    if args.op == "resize":
+        return t_resize(*value("src", "W,H"), *value("dst", "W,H"))
+    if args.op == "rotate":
+        angle = math.radians(value("angle", flag="--angle (degrees)"))
+        return t_rotate(angle, Point(*value("center", "X,Y")))
+    return t_flip(value("width"))
+
+
+def cmd_transform(args) -> int:
+    t = _elementary(args)
     if args.invert:
         t = invert(t)
     payload = {"matrix": t.m.tolist()}
@@ -153,28 +158,10 @@ def _write_image(path: str, grid: ImageGrid, maxval: int) -> None:
 def cmd_warp(args) -> int:
     src, maxval = _read_image(args.image)
     dst_size = parse_size(args.dst_size) if args.dst_size else src.size
-    if args.op == "flip":
-        t = t_flip(src.size.width_units)
-    elif args.op == "rotate":
-        if args.angle is None:
-            raise UsageError("--op rotate requires --angle (degrees)")
-        center = (
-            Point(*_floats(args.center, "X,Y"))
-            if args.center is not None
-            else Point(0.5 * src.size.width_units, 0.5 * src.size.height_units)
-        )
-        t = t_rotate(math.radians(args.angle), center)
-    elif args.op == "resize":
-        t = t_resize(
-            src.size.width_units, src.size.height_units,
-            dst_size.width_units, dst_size.height_units,
-        )
-    elif args.op == "crop":
-        if args.roi is None:
-            raise UsageError("--op crop requires --roi")
-        t = t_crop(Roi(*_floats(args.roi, "CX,CY,W,H")))
-    else:  # pragma: no cover
-        raise UsageError(f"unknown op {args.op!r}")
+    w, h = src.size.width_units, src.size.height_units
+    center = {} if args.center is not None else {"center": (0.5 * w, 0.5 * h)}
+    t = _elementary(args, src=(w, h), dst=(dst_size.width_units, dst_size.height_units),
+                    width=w, **center)
     out = warp(src, t, dst_size, _BORDER_FLAGS[args.border])
     _write_image(args.out, out, maxval)
     print(json.dumps({"written": args.out, "size": [dst_size.width_px, dst_size.height_px]}))

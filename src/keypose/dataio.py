@@ -228,14 +228,15 @@ def write_report(stats, fmt: str, path) -> None:
     """Write error statistics rows as ``csv`` or ``json``.
 
     Columns follow the field order of the stats records; floats are emitted
-    with 9 significant digits, which round-trips through reparsing.
+    with 9 significant digits, which round-trips through reparsing.  CSV is
+    UTF-8; JSON escapes any character past ASCII.
     """
     rows = list(stats)
     if not rows:
         raise ValueError("nothing to report")
     columns = [f.name for f in dataclasses.fields(rows[0])]
     if fmt == "csv":
-        with open(path, "w", encoding="ascii", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:

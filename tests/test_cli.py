@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -133,6 +134,57 @@ class TestWarpCommand:
         assert cli.main(["warp", "--image", str(src), "--out", str(tmp_path / "o.grid"),
                          "--op", "resize", "--dst-size", "100000x100000"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+_MISSING_FLAGS = [
+    (["transform", "--op", "crop"], "--op crop requires --roi"),
+    (["transform", "--op", "resize", "--dst", "4,5"], "--op resize requires --src"),
+    (["transform", "--op", "resize", "--src", "4,5"], "--op resize requires --dst"),
+    (["transform", "--op", "rotate", "--center", "0,0"], "--op rotate requires --angle (degrees)"),
+    (["transform", "--op", "rotate", "--angle", "30"], "--op rotate requires --center"),
+    (["transform", "--op", "flip"], "--op flip requires --width"),
+    (["warp", "--op", "crop"], "--op crop requires --roi"),
+    (["warp", "--op", "rotate", "--center", "1,1"], "--op rotate requires --angle (degrees)"),
+]
+
+
+def _with_image(argv, tmp_path):
+    """``argv`` with a 3x3 grid as its ``--image`` and an ``--out`` path, for ``warp``."""
+    if argv[0] != "warp":
+        return argv
+    src = tmp_path / "in.grid"
+    write_grid_text(src, ImageGrid.from_array(np.arange(9, dtype=float).reshape(3, 3)))
+    return [*argv, "--image", str(src), "--out", str(tmp_path / "out.grid")]
+
+
+class TestElementaryBuilder:
+    @pytest.mark.parametrize("argv,message", _MISSING_FLAGS)
+    def test_a_missing_flag_is_named(self, tmp_path, capsys, argv, message):
+        assert cli.main(_with_image(argv, tmp_path)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_malformed_flag_is_named_before_a_later_missing_one(self, capsys):
+        assert cli.main(["transform", "--op", "resize", "--src", "1,2,3"]) == 2
+        assert capsys.readouterr().err == "error: expected W,H, got '1,2,3'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--op", "flip", "--width", "10", "--center", "nan,1"],
+        ["transform", "--op", "crop", "--roi", "1,1,2,2", "--src", "x", "--angle", "nan"],
+        ["warp", "--op", "flip", "--roi", "x"],
+        ["warp", "--op", "resize", "--roi", "x", "--center", "y"],
+    ])
+    def test_a_flag_the_op_does_not_read_is_not_parsed(self, tmp_path, capsys, argv):
+        assert cli.main(_with_image(argv, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_warp_rotates_about_the_grid_center_by_default(self, tmp_path, capsys):
+        argv = _with_image(["warp", "--op", "rotate", "--angle", "30"], tmp_path)
+        assert cli.main(argv) == 0
+        default = (tmp_path / "out.grid").read_bytes()
+        assert cli.main([*argv, "--center", "1,1"]) == 0  # a 3x3 grid spans 2x2 units
+        assert (tmp_path / "out.grid").read_bytes() == default
+        assert cli.main([*argv, "--center", "0,0"]) == 0
+        assert (tmp_path / "out.grid").read_bytes() != default
+
 
 class TestCodecCommands:
     def test_encode_decode_ccrf_round_trip(self, tmp_path):
@@ -503,6 +555,14 @@ class TestSimulateCommand:
         assert run_cli(*args, "--report", str(a)).returncode == 0
         assert run_cli(*args, "--report", str(b)).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_non_ascii_label_reaches_the_csv_report(self, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        assert cli.main(["simulate", "--seed", "1", "-n", "10", "--label", "bias-\u00e9",
+                         "--report", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(report, newline="", encoding="utf-8") as fh:
+            assert [row["label"] for row in csv.DictReader(fh)] == ["bias-\u00e9"]
 
     def test_coco_sampler_smoke(self, tmp_path):
         doc = {

@@ -371,6 +371,14 @@ class TestWriteReport:
                 assert abs(reparsed - reference) <= abs(reference) * 1e-8
         assert [p["n_trials"] for p in parsed] == ["1000", "1000"]
 
+    def test_csv_is_utf8_and_keeps_ascii_bytes(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report([stats_row("bias-\u00e9"), stats_row("plain")], "csv", path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert [row["label"] for row in csv.DictReader(fh)] == ["bias-\u00e9", "plain"]
+        write_report([stats_row("plain")], "csv", path)
+        assert path.read_bytes().decode("ascii").splitlines()[1].startswith("plain,1000,")
+
     def test_csv_column_order_is_declaration_order(self, tmp_path):
         path = tmp_path / "cols.csv"
         write_report([stats_row()], "csv", path)
