@@ -31,7 +31,7 @@ splitmix-style generator); a process keeps its last 8 chunks' uniforms, so the
 rows of a grid that share a seed and ``n`` draw each chunk once.  A bound
 sampler lists its crop boxes and each trial names one of them; a run computes
 their coefficients in one array pass before its first chunk.  Skipped and
-failed trials are status masks, not exceptions.  Each chunk's error sums are
+failed trials are counts, not exceptions.  Each chunk's error sums are
 exact: limb-split sums equal to ``math.fsum`` bit for bit, at array speed
 (``_fsum``; ``BENCH_22.json``).  Its variance partial is a two-pass sum of
 squared deviations; chunks merge in index order, so results are identical for
@@ -363,9 +363,6 @@ def describe_config(cfg: PipelineConfig) -> str:
 # trial, and ``(a, e)`` of each resize, a scale about node 0 under both conventions.
 # ---------------------------------------------------------------------------
 
-_OK, _SKIPPED, _FAILED = 0, 1, 2
-
-
 def _axes(p):
     """A chain's ``(a, c, e, f)``: dropping its zero ``b`` and ``d`` moves at most a zero's sign."""
     a, _, c, _, e, f = p
@@ -397,9 +394,10 @@ class _Maps:
         self.plane = cfg.input if cfg.rno else cfg.output  # the decode plane
 
     def keypoints(self, terms):
-        """The terms' output-plane keypoints, as lists of x and of y arrays."""
-        return ([(self.w - 1 - m if mirrored else m) + shift for m, _, mirrored, shift in terms],
-                [n for _, n, _, _ in terms])
+        """The terms' output-plane keypoints, as lists of x and of y arrays (a zero
+        shift is not added: ``x + 0`` would copy the array)."""
+        return ([x + shift if shift else x for m, _, mirrored, shift in terms
+                 for x in (self.w - 1 - m if mirrored else m,)], [n for _, n, _, _ in terms])
 
     def midpoint(self, terms):
         (x, *xs), (y, *ys) = self.keypoints(terms)  # branches may share y: 0.5 * (y + y) is y
@@ -687,9 +685,11 @@ class _Engine:
         """Simulate a batch of trials with crop-box coefficients ``ctx``, one
         column per trial or one shared by all (as eight floats, fastest).
 
-        Returns ``(status, ok, (pox, poy), (psx, psy), (kox, koy), deg)``:
-        ``status`` per trial, ``ok`` the indices of the ``_OK`` trials, and
-        their arrays in that order (``deg`` is ``False`` for peak maps).
+        Returns ``(ok, lost, (pox, poy), (psx, psy), (kox, koy), deg)``: ``ok``
+        the indices of the trials that decoded, or ``None`` when every trial did;
+        ``lost`` the indices of the live trials whose decode failed (empty unless
+        one did); then the decoded trials' arrays, in index order (``deg`` is
+        ``False`` for peak maps).  A trial in neither was skipped.
         """
         kix, kiy = _apply_axes(ctx[:4], gx, gy)
         ko = self.i2o[0] * kix, self.i2o[1] * kiy
@@ -699,22 +699,22 @@ class _Engine:
         covers = self.maps.covers(*ko) & (kof is None or self.maps.covers(*kof))
         if covers is not True:  # peak maps cover every keypoint
             live &= covers
-        ok = np.flatnonzero(live)
-        if len(ok) < len(gx):  # else every gather by ``ok`` is the identity
+        ok = None if live.all() else np.flatnonzero(live)  # None: every trial, no gather
+        if ok is not None:
             ko = ko[0][ok], ko[1][ok]
             kof = None if kof is None else (kof[0][ok], ko[1])
         x, y, deg, failed = self._predict(ko, kof)
-        status = np.full(len(gx), _SKIPPED)
-        status[ok] = np.where(failed, _FAILED, _OK)
-        if np.any(failed):
-            keep = ~failed
-            ok, x, y, deg, ko = ok[keep], x[keep], y[keep], deg[keep], (ko[0][keep], ko[1][keep])
+        lost = np.flatnonzero(failed)  # positions among the live trials
+        if len(lost):
+            keep, idx = ~failed, np.arange(len(gx)) if ok is None else ok
+            ok, lost, x, y, deg = idx[keep], idx[lost], x[keep], y[keep], deg[keep]
+            ko = ko[0][keep], ko[1][keep]
         if self.ec:
             x = x - self.ec
         po = (self.i2o[0] * x, self.i2o[1] * y) if self.cfg.rno else (x, y)  # decode -> output
         shared = np.shape(ctx)[1:] in ((), (1,))  # else one column per trial
-        ps = _apply_axes(ctx[4:] if shared or len(ok) == len(gx) else ctx[4:, ok], x, y)
-        return status, ok, po, ps, ko, deg
+        ps = _apply_axes(ctx[4:] if shared or ok is None else ctx[4:, ok], x, y)
+        return ok, lost, po, ps, ko, deg
 
 
 # ---------------------------------------------------------------------------
@@ -749,12 +749,10 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
     """
     engine = _Engine(cfg, mode)
     box = np.array([[roi.cx], [roi.cy], [roi.w], [roi.h]])
-    status, _, po, ps, _, deg = engine.run(engine.contexts(box), np.array([gt_source.x]),
-                                           np.array([gt_source.y]))
-    if status[0] == _SKIPPED:
-        raise SkipTrial
-    if status[0] == _FAILED:
-        raise NoDetectionError("classification map is identically zero")
+    ok, lost, po, ps, _, deg = engine.run(engine.contexts(box), np.array([gt_source.x]),
+                                          np.array([gt_source.y]))
+    if ok is not None:  # the trial did not decode
+        raise NoDetectionError("classification map is identically zero") if len(lost) else SkipTrial
     pred_source, pred_output = Point(ps[0][0], ps[1][0]), Point(po[0][0], po[1][0])
     return TrialRecord(gt_source, pred_source, pred_output, cfg, bool(np.any(deg)))
 
@@ -793,9 +791,10 @@ def _fsum(values: np.ndarray) -> float:
     parts, r = [], values
     for s in (e - _LIMB, e - 2 * _LIMB):
         c = math.ldexp(1.5, s + 52)  # r + c rounds r to the grid 2**s
-        q = (r + c) - c
-        r = r - q
+        q = r + c
+        q -= c  # r on the grid
         parts.append(float(q.sum()))
+        r = np.subtract(r, q, out=q)  # a new array: never the caller's
     return math.fsum(parts + r[r != 0].tolist())
 
 
@@ -804,7 +803,7 @@ def _moments(values: np.ndarray) -> tuple[int, float, float]:
     squared deviations from the mean in a second pass, both by ``_fsum``."""
     total = _fsum(values)
     dev = values - total / max(len(values), 1)
-    return len(values), total, _fsum(dev * dev)
+    return len(values), total, _fsum(np.multiply(dev, dev, out=dev))
 
 
 def _merge_m2(parts) -> float:
@@ -827,12 +826,13 @@ def _run_chunk(engine, bound, ctx, seed, start, stop):
     ``(n, sum, M2)`` partials of the x and y errors and the source error sum.
     ``ctx`` is the run's crop-box table, one column per box of ``bound``."""
     roi_idx, gx, gy = bound.sample(_uniforms(seed, start, stop, bound.k))
-    status, ok, (pox, poy), (psx, _), (kox, koy), deg = engine.run(
+    ok, lost, (pox, poy), (psx, _), (kox, koy), deg = engine.run(
         ctx[:, 0].tolist() if ctx.shape[1] == 1 else ctx[:, roi_idx], gx, gy
     )
-    return (np.bincount(status, minlength=3).tolist(), int(np.count_nonzero(deg)),
-            _moments(np.abs(pox - kox)), _moments(np.abs(poy - koy)),
-            _fsum(np.abs(psx - (gx if len(ok) == len(gx) else gx[ok]))))
+    used = len(gx) if ok is None else len(ok)
+    dx, dy, ds = pox - kox, poy - koy, psx - (gx if ok is None else gx[ok])
+    return ([used, len(gx) - used - len(lost), len(lost)], int(np.count_nonzero(deg)),
+            _moments(np.abs(dx, out=dx)), _moments(np.abs(dy, out=dy)), _fsum(np.abs(ds, out=ds)))
 
 
 def monte_carlo(

@@ -6,9 +6,9 @@ codecs), ``simulate`` (Monte Carlo error measurement of one pipeline
 configuration), ``verify`` (identity and closed-form checks), ``ablate``
 (preset configuration grids).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Angles are
-taken in degrees here and converted at the boundary; the library itself
-works in radians.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
+SIGPIPE) when the reader of stdout closes early.  Angles are taken in degrees
+here and converted at the boundary; the library itself works in radians.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -283,6 +284,10 @@ def _print_stats(stats) -> None:
 
 
 def cmd_simulate(args) -> int:
+    try:  # reports hold labels as UTF-8
+        (args.label or "").encode("utf-8")
+    except UnicodeEncodeError:
+        raise UsageError("--label is not valid UTF-8 text") from None
     cfg = _config_from_args(args)
     unused = "sigma" if cfg.codec is Codec.CCRF else "radius"
     if getattr(args, unused) is not None:
@@ -615,7 +620,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # End quietly, as SIGPIPE would; stdout goes to devnull so the flush at exit succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ValueError, OSError, MemoryError, dataio.MissingImageError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from collections.abc import Sequence
@@ -229,18 +230,20 @@ def write_report(stats, fmt: str, path) -> None:
 
     Columns follow the field order of the stats records; floats are emitted
     with 9 significant digits, which round-trips through reparsing.  CSV is
-    UTF-8; JSON escapes any character past ASCII.
+    UTF-8; JSON escapes any character past ASCII.  Every row is encoded
+    before the file is opened, so a row that cannot be leaves ``path`` as it was.
     """
     rows = list(stats)
     if not rows:
         raise ValueError("nothing to report")
     columns = [f.name for f in dataclasses.fields(rows[0])]
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_value(getattr(row, name)) for name in columns])
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_value(getattr(row, name)) for name in columns])
+        data = text.getvalue().encode("utf-8")
     elif fmt == "json":
         payload = []
         for row in rows:
@@ -249,8 +252,8 @@ def write_report(stats, fmt: str, path) -> None:
                 value = getattr(row, name)
                 entry[name] = float(format(value, ".9g")) if isinstance(value, float) else value
             payload.append(entry)
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        data = (json.dumps(payload, indent=2) + "\n").encode("ascii")
     else:
         raise ValueError(f"unknown report format {fmt!r} (expected 'csv' or 'json')")
+    with open(path, "wb") as fh:
+        fh.write(data)

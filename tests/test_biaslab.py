@@ -1311,6 +1311,49 @@ class TestBatchEngine:
         assert degenerate.n_degenerate > 0
 
 
+def _chunk_cases():
+    coco = make_cfg(Convention.PIXEL_COUNT, flip_test=True, codec=Codec.CF)
+    yield pytest.param(coco, OracleMode.ANALYTIC_SHIFT, CocoKeypointSampler(COCO_INSTANCES),
+                       "skipped", id="coco-skips")
+    narrow = make_cfg(Convention.PIXEL_COUNT, codec=Codec.CCRF, radius=0.45, flip_test=True)
+    yield pytest.param(narrow, OracleMode.FULL_HEATMAP, None, "failed", id="narrow-disc-fails")
+    yield pytest.param(make_cfg(flip_test=True, codec=Codec.CF), OracleMode.ANALYTIC_SHIFT, None,
+                       None, id="all-live")
+
+
+@pytest.mark.parametrize("cfg,mode,sampler,reaches", _chunk_cases())
+def test_chunk_counts_equal_run_trial_outcomes(cfg, mode, sampler, reaches):
+    # A chunk reports counts, and the engine the indices of its decoded and
+    # failed trials (none when every trial decoded); both must classify each
+    # trial as run_trial does, one by one.
+    n, seed = 500, 901
+    bound = (sampler or UniformKeypointSampler(default_roi(cfg))).bind(cfg)
+    expected = []
+    for i in range(n):
+        idx, gx, gy = bound.draw(substream(seed, i))
+        try:
+            run_trial(Point(gx, gy), bound.rois[idx], cfg, mode)
+            expected.append("used")
+        except SkipTrial:
+            expected.append("skipped")
+        except NoDetectionError:
+            expected.append("failed")
+    engine = biaslab._Engine(cfg, mode)
+    ctx = engine.contexts(bound.boxes)
+    counts = biaslab._run_chunk(engine, bound, ctx, seed, 0, n)[0]
+    assert counts == [expected.count(k) for k in ("used", "skipped", "failed")]
+    roi_idx, gx, gy = bound.sample(biaslab._uniforms(seed, 0, n, bound.k))
+    ok, lost, *_ = engine.run(ctx[:, roi_idx], gx, gy)
+    outcomes = ["skipped"] * n
+    for i in lost:
+        outcomes[i] = "failed"
+    for i in range(n) if ok is None else ok:
+        outcomes[i] = "used"
+    assert outcomes == expected
+    assert (ok is None) == (reaches is None)
+    assert reaches is None or reaches in expected
+
+
 def _axes(t):
     """``(a, c, e, f)`` of ``t``, whose ``b`` and ``d`` must be zeros: dropping
     them is exact only then."""
@@ -1682,9 +1725,11 @@ def _engine_outcomes(cfg, bound, gx, gy):
     """Per trial of one engine pass: "skipped", "failed" or the output-plane
     prediction with its degenerate flag."""
     engine = biaslab._Engine(cfg, OracleMode.FULL_HEATMAP)
-    status, ok, (pox, poy), _, _, deg = engine.run(engine.contexts(bound.boxes), gx, gy)
-    outcomes = ["skipped" if s == biaslab._SKIPPED else "failed" for s in status]
-    for j, i in enumerate(ok):
+    ok, lost, (pox, poy), _, _, deg = engine.run(engine.contexts(bound.boxes), gx, gy)
+    outcomes = ["skipped"] * len(gx)
+    for i in lost:
+        outcomes[i] = "failed"
+    for j, i in enumerate(range(len(gx)) if ok is None else ok):
         outcomes[i] = (Point(pox[j], poy[j]), bool(deg[j]))
     return outcomes
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -563,6 +564,30 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == ""
         with open(report, newline="", encoding="utf-8") as fh:
             assert [row["label"] for row in csv.DictReader(fh)] == ["bias-\u00e9"]
+
+    def test_a_label_that_is_not_utf8_is_refused_before_any_trial(self, tmp_path):
+        # No stats line: the refusal comes before the run, and no report is opened.
+        report = tmp_path / "r.csv"
+        out = subprocess.run([sys.executable, "-m", "keypose", "simulate", "--seed", "1", "-n",
+                              "10", "--label", b"bias\xff", "--report", str(report)],
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: --label is not valid UTF-8 text\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_ends_quietly_with_the_sigpipe_status(self, unbuffered):
+        # The reader closes before the command prints: a buffered stdout fails
+        # at its flush, an unbuffered one at the first print.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+        proc = subprocess.Popen([sys.executable, "-m", "keypose", "simulate", "--seed", "7",
+                                 "-n", "100"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
     def test_coco_sampler_smoke(self, tmp_path):
         doc = {

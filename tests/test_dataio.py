@@ -402,6 +402,16 @@ class TestWriteReport:
         with pytest.raises(ValueError):
             write_report([], "csv", tmp_path / "y")
 
+    def test_a_row_that_cannot_be_encoded_leaves_the_path_as_it_was(self, tmp_path):
+        # A lone surrogate is how a non-UTF-8 argv byte reaches a label.
+        path, new = tmp_path / "report.csv", tmp_path / "new.csv"
+        path.write_bytes(b"old\n")
+        for target in (path, new):
+            with pytest.raises(UnicodeEncodeError):
+                write_report([stats_row("plain"), stats_row("bias\udcff")], "csv", target)
+        assert path.read_bytes() == b"old\n"
+        assert not new.exists()
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_report([stats_row()], "csv", tmp_path / "no_dir" / "report.csv")
