@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 
@@ -60,8 +59,8 @@ from .pipeline import (
     Compensation,
     Convention,
     PipelineConfig,
-    config_from_text,
     input_to_output,
+    load_config,
     output_to_source,
     parse_size,
     test_transform,
@@ -252,7 +251,7 @@ def _config_from_args(args) -> PipelineConfig:
         comp = Compensation.SNOOP_PLUS_EC if args.ec else Compensation.SNOOP
         fields["compensation"] = comp if args.snoop else Compensation.NONE
     if args.config:
-        return config_from_text(Path(args.config).read_text(encoding="ascii"), **fields)
+        return load_config(args.config, **fields)
     return _topdown(**{"convention": Convention.UNIT_LENGTH, **fields})
 
 
@@ -272,15 +271,23 @@ def _sampler_from_args(args, cfg: PipelineConfig):
     return UniformKeypointSampler(roi, margin=args.margin)
 
 
-_STATS_LINE = (
-    "{label}  n={n_trials}  mean|ex|={mean_abs_x:.6f}  mean|ey|={mean_abs_y:.6f}  "
-    "var|ex|={var_abs_x:.6f}  mean|ex_src|={mean_abs_x_source:.6f}  "
-    "skipped={n_skipped} failed={n_decode_failed} degenerate={n_degenerate}"
-)
-
-
 def _print_stats(stats) -> None:
-    print(_STATS_LINE.format(**stats.__dict__))
+    print("{label}  n={n_trials}  mean|ex|={mean_abs_x:.6f}  mean|ey|={mean_abs_y:.6f}  "
+          "var|ex|={var_abs_x:.6f}  mean|ex_src|={mean_abs_x_source:.6f}  "
+          "skipped={n_skipped} failed={n_decode_failed} degenerate={n_degenerate}"
+          .format(**stats.__dict__))
+
+
+def _run_rows(args, rows, sampler=None) -> list:
+    """Run each ``(label, cfg)`` row under ``--mode``, ``-n``, ``--seed`` and
+    ``--jobs``, through this module's ``monte_carlo`` as it stands at the call,
+    print its stats line as it ends, and return the stats."""
+    done = []
+    for label, cfg in rows:
+        done.append(monte_carlo(cfg, OracleMode(args.mode), args.trials, args.seed, sampler,
+                                label=label, jobs=args.jobs))
+        _print_stats(done[-1])
+    return done
 
 
 def cmd_simulate(args) -> int:
@@ -294,19 +301,15 @@ def cmd_simulate(args) -> int:
         codec = cfg.codec.value.replace("_", "-")
         raise UsageError(f"--{unused} does not apply to the {codec} codec")
     sampler = _sampler_from_args(args, cfg)
-    mode = OracleMode(args.mode)
-    stats = monte_carlo(
-        cfg, mode, args.trials, args.seed, sampler, label=args.label, jobs=args.jobs
-    )
-    _print_stats(stats)
-    closed = analytic_errors(cfg, sampler, mode)
+    rows = _run_rows(args, [(args.label, cfg)], sampler)
+    closed = analytic_errors(cfg, sampler, OracleMode(args.mode))
     if closed["mean_abs_x"] is not None:
         print(
             f"closed-form: mean|ex|={closed['mean_abs_x']:.6f} "
             f"var|ex|={closed['var_abs_x']:.6f}"
         )
     if args.report:
-        dataio.write_report([stats], args.format, args.report)
+        dataio.write_report(rows, args.format, args.report)
     return 0
 
 
@@ -496,19 +499,7 @@ def _bottomup_presets() -> list[tuple[str, PipelineConfig]]:
 
 def cmd_ablate(args) -> int:
     presets = _topdown_presets() if args.preset == "topdown" else _bottomup_presets()
-    mode = OracleMode(args.mode)
-    rows = []
-    for row_id, cfg in presets:
-        stats = monte_carlo(
-            cfg,
-            mode,
-            args.trials,
-            args.seed,
-            label=f"{row_id}:{biaslab.describe_config(cfg)}",
-            jobs=args.jobs,
-        )
-        rows.append(stats)
-        _print_stats(stats)
+    rows = _run_rows(args, [(f"{i}:{biaslab.describe_config(cfg)}", cfg) for i, cfg in presets])
     if args.report:
         dataio.write_report(rows, args.format, args.report)
     return 0

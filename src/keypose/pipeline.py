@@ -45,7 +45,7 @@ from .geometry import (
     t_flip,
     t_rotate,
 )
-from .raster import ImageGrid, warp
+from .raster import ImageGrid, _named, warp
 
 __all__ = [
     "Codec",
@@ -332,6 +332,9 @@ def save_config(path, cfg: PipelineConfig) -> None:
         fh.write(config_to_text(cfg))
 
 
-def load_config(path) -> PipelineConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return config_from_text(fh.read())
+def load_config(path, **overrides) -> PipelineConfig:
+    """The config in the file at ``path``; ``overrides`` as in :func:`config_from_text`.
+    A file that is not ASCII text is refused with its path."""
+    with open(path, "r", encoding="ascii") as fh, _named(path):
+        text = fh.read()
+    return config_from_text(text, **overrides)

@@ -549,6 +549,14 @@ class TestSimulateCommand:
         assert out.returncode == 2
         assert out.stderr == "error: config line 4: duplicate key 'convention'\n"
 
+    def test_config_file_that_is_not_ascii_is_named(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"convention=unit_length\ninput_px=192x256\noutput_px=48x64\n# \xff\n")
+        out = run_cli("simulate", "--seed", "7", "-n", "10", "--config", str(path))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (f"error: {path}: 'ascii' codec can't decode byte 0xff in "
+                              "position 58: ordinal not in range(128)\n")
+
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("simulate", "--seed", "11", "-n", "3000", "--no-ucst", "--ft",
@@ -962,6 +970,23 @@ class TestAblateCommand:
             assert cli.main(["ablate", "--preset", preset, "--mode", "heatmap", "--seed", "6",
                              "-n", "4200", "--jobs", jobs, "--report", str(reports[-1])]) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    @pytest.mark.parametrize("argv,rows", [(["ablate", "--preset", "topdown"], 9),
+                                           (["simulate", "--label", "row"], 1)])
+    def test_rows_run_through_the_module_monte_carlo(self, monkeypatch, capsys, argv, rows):
+        # Row timers replace ``cli.monte_carlo`` after import; every row must reach
+        # the replacement, and print the stats it returns.
+        real, seen = cli.monte_carlo, []
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["label"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "monte_carlo", recorded)
+        assert cli.main([*argv, "--seed", "3", "-n", "50"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(seen) == rows
+        assert [line.split("  ")[0] for line in lines if "  n=50  " in line] == seen
 
     def test_bottomup_grid_rows(self, tmp_path):
         report = tmp_path / "grid.csv"

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keypose.biaslab import _newton_offsets
 from keypose.codec import (
     CcrfTarget,
     GaussianTarget,
     NoDetectionError,
     OutOfBoundsError,
+    _dark_offset,
     _quarter_offset,
     decode_argmax,
     decode_biased_quarter,
@@ -224,6 +226,23 @@ class TestDecodeDark:
         r = decode_dark(ImageGrid(DIMS, np.full((64, 48), 0.5)))
         assert r.degenerate
         assert r.k == Point(0.0, 0.0)
+
+    @pytest.mark.parametrize("background,centre", [
+        (0.5, [[0.5, 0.0, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 0.5]]),
+        (0.01, [[0.99, 0.6, 0.001], [0.6, 1.0, 0.6], [0.001, 0.6, 0.99]]),
+    ], ids=["non-positive-window-value", "refused-hessian"])
+    def test_interior_peak_falls_back_degenerate(self, background, centre):
+        # The peak is inside the map, so these fallbacks come after the border check;
+        # the engine's batched Newton step must give the same triple, bit for bit.
+        c = np.full((5, 5), background)
+        c[1:4, 1:4] = centre
+        r = decode_dark(ImageGrid(PlaneSize(5, 5), c))
+        assert (r.k, r.argmax, r.degenerate) == (Point(2.0, 2.0), (2, 2), True)
+        dx, dy, degenerate = _dark_offset(c, 2, 2)
+        assert (dx.hex(), dy.hex(), degenerate) == ("0x0.0p+0", "0x0.0p+0", True)
+        bdx, bdy, bdegenerate = _newton_offsets(c[None, 1:4, 1:4])
+        assert (float(bdx[0]).hex(), float(bdy[0]).hex(), bool(bdegenerate[0])) == (
+            dx.hex(), dy.hex(), degenerate)
 
     def test_border_peak_falls_back(self):
         c = np.zeros((64, 48))

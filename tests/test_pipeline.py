@@ -98,6 +98,37 @@ class TestConfig:
         save_config(path, cfg)
         assert load_config(path) == cfg
 
+    def test_config_file_passes_overrides_through(self, tmp_path):
+        path = tmp_path / "pipeline.cfg"
+        save_config(path, make_cfg(codec=Codec.CF))
+        assert load_config(path, sigma=1.5) == config_from_text(path.read_text(), sigma=1.5)
+
+    def test_config_file_that_is_not_ascii_is_named(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"convention=unit_length\n# caf\xc3\xa9\ninput_px=8x8\noutput_px=4x4\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == (f"{path}: 'ascii' codec can't decode byte 0xc3 in "
+                                      "position 28: ordinal not in range(128)")
+
+    def test_comment_and_blank_lines_are_skipped(self):
+        text = "# planes\n\nconvention=unit_length\n   \ninput_px=8x8\n  # note\noutput_px=4x4\n"
+        expected = PipelineConfig(convention=Convention.UNIT_LENGTH, input=PlaneSize(8, 8),
+                                  output=PlaneSize(4, 4))
+        assert config_from_text(text) == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("convention=unit_length\ninput_px=8x8\noutput_px=4x4\nflip_test\n",
+         "config line 4: expected key=value, got 'flip_test'"),
+        ("convention=unit_length\ninput_px=8x8\noutput_px=4x4\nflip_test=yes\n",
+         "config key flip_test: expected true/false, got 'yes'"),
+        ("convention=unit_length\n", "missing config keys: ['input_px', 'output_px']"),
+    ], ids=["no-equals-sign", "not-a-boolean", "missing-keys"])
+    def test_malformed_text_is_refused_with_its_reason(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            config_from_text(text)
+        assert str(excinfo.value) == message
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             config_from_text("convention=unit_length\ninput_px=8x8\noutput_px=4x4\nbogus=1\n")
