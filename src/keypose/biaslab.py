@@ -622,7 +622,7 @@ class _Engine:
         # The 1/(2s) residual correction of the flip ensemble, in
         # decode-plane units.
         self.ec = 0.0
-        if cfg.flip_test and cfg.compensation is Compensation.SNOOP_PLUS_EC:
+        if cfg.compensation is Compensation.SNOOP_PLUS_EC:
             self.ec = 1.0 / (2.0 * cfg.stride) / (self.i2o[0] if cfg.rno else 1.0)
 
     def contexts(self, boxes: np.ndarray) -> np.ndarray:

@@ -96,6 +96,13 @@ _CODEC_FLAGS = tuple(c.value.replace("_", "-") for c in Codec)
 _BORDER_FLAGS = {"zero": BorderPolicy.ZERO_FILL, "clamp": BorderPolicy.CLAMP_TO_EDGE}
 
 
+def _refuse_unread_width(args, codec: Codec) -> None:
+    """Refuse ``--sigma`` for the disc codec and ``--radius`` for the others."""
+    unused = "sigma" if codec is Codec.CCRF else "radius"
+    if getattr(args, unused) is not None:
+        raise UsageError(f"--{unused} does not apply to the {codec.value.replace('_', '-')} codec")
+
+
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------
@@ -177,13 +184,15 @@ def cmd_encode(args) -> int:
     dims = parse_size(args.size)
     k = Point(*_floats(args.keypoint, "X,Y"))
     codec = Codec(args.codec.replace("-", "_"))
+    _refuse_unread_width(args, codec)
     if codec is Codec.CCRF:
         radius = args.radius if args.radius is not None else default_ccrf_radius(dims)
         target = encode_ccrf(k, dims, radius)
         stacked = np.dstack([g.data[:, :, 0] for g in (target.c, target.x_off, target.y_off)])
         write_grid_text(args.out, ImageGrid(dims, stacked))
     else:
-        target = encode_gaussian(k, dims, args.sigma)
+        sigma = {} if args.sigma is None else {"sigma": args.sigma}
+        target = encode_gaussian(k, dims, **sigma)
         write_grid_text(args.out, target.c)
     print(json.dumps({"written": args.out, "codec": args.codec}))
     return 0
@@ -201,7 +210,7 @@ def cmd_decode(args) -> int:
             c=ImageGrid(grid.size, grid.data[:, :, 0]),
             x_off=ImageGrid(grid.size, grid.data[:, :, 1]),
             y_off=ImageGrid(grid.size, grid.data[:, :, 2]),
-            radius=args.radius if args.radius is not None else default_ccrf_radius(grid.size),
+            radius=default_ccrf_radius(grid.size),
         )
         result = decode_ccrf(target)
     else:
@@ -296,10 +305,7 @@ def cmd_simulate(args) -> int:
     except UnicodeEncodeError:
         raise UsageError("--label is not valid UTF-8 text") from None
     cfg = _config_from_args(args)
-    unused = "sigma" if cfg.codec is Codec.CCRF else "radius"
-    if getattr(args, unused) is not None:
-        codec = cfg.codec.value.replace("_", "-")
-        raise UsageError(f"--{unused} does not apply to the {codec} codec")
+    _refuse_unread_width(args, cfg.codec)
     sampler = _sampler_from_args(args, cfg)
     rows = _run_rows(args, [(args.label, cfg)], sampler)
     closed = analytic_errors(cfg, sampler, OracleMode(args.mode))
@@ -557,14 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--keypoint", required=True, help="X,Y in output-plane units")
     sp.add_argument("--size", required=True, help="WIDTHxHEIGHT pixels of the map")
     sp.add_argument("--radius", type=float, help="disc radius (default width_px/16)")
-    sp.add_argument("--sigma", type=float, default=2.0, help="gaussian sigma")
+    sp.add_argument("--sigma", type=float, help="gaussian sigma")
     sp.add_argument("--out", required=True, help="output textual grid path")
     sp.set_defaults(func=cmd_encode)
 
     sp = sub.add_parser("decode", help="decode a heatmap file back to a keypoint")
     sp.add_argument("--codec", choices=_CODEC_FLAGS, required=True)
     sp.add_argument("--heatmap", required=True, help="textual grid path")
-    sp.add_argument("--radius", type=float, help="disc radius metadata for ccrf")
     sp.set_defaults(func=cmd_decode)
 
     sp = sub.add_parser("simulate", help="Monte Carlo error measurement of one configuration")

@@ -133,7 +133,8 @@ class Transform2D:
             raise ValueError(f"transform matrix must be 3x3, got shape {m.shape}")
         if m[2, 0] != 0.0 or m[2, 1] != 0.0 or m[2, 2] != 1.0:
             raise ValueError("bottom row must be exactly (0, 0, 1)")
-        _finite(m[:2])
+        if not np.all(np.isfinite(m[:2])):
+            raise ValueError("transform entries must be finite")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
@@ -143,14 +144,6 @@ class Transform2D:
 
     def __call__(self, p: Point) -> Point:
         return apply_point(self, p)
-
-
-def _finite(rows) -> np.ndarray:
-    """``rows`` of coefficients as an array, refused unless all are finite."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("transform entries must be finite")
-    return rows
 
 
 def _coeffs(t: Transform2D) -> tuple[float, ...]:

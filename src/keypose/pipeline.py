@@ -99,14 +99,6 @@ class Combine(Enum):
     AVERAGE_HEATMAPS = "average_heatmaps"
 
 
-def _default_combine(codec: Codec) -> Combine:
-    # Offset maps average exactly at coordinate level; classification maps
-    # are averaged element-wise before a single decode.
-    if codec is Codec.CCRF:
-        return Combine.AVERAGE_COORDS
-    return Combine.AVERAGE_HEATMAPS
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every knob of a simulated train/test pipeline.
@@ -134,7 +126,10 @@ class PipelineConfig:
         if self.compensation is not Compensation.NONE and not self.flip_test:
             raise ValueError("compensation is only meaningful with flip_test enabled")
         _check_sigma(self.sigma)
-        combine = self.combine if self.combine is not None else _default_combine(self.codec)
+        # Offset maps average exactly at coordinate level; classification maps
+        # are averaged element-wise before a single decode.
+        default = Combine.AVERAGE_COORDS if self.codec is Codec.CCRF else Combine.AVERAGE_HEATMAPS
+        combine = self.combine if self.combine is not None else default
         object.__setattr__(self, "combine", combine)
         radius = self.radius if self.radius is not None else default_ccrf_radius(self.output)
         _check_radius(radius)

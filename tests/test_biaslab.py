@@ -2413,3 +2413,11 @@ class TestErrorStats:
                 var_abs_x=0.0, var_abs_y=0.0, mean_abs_x_source=0.0,
                 n_skipped=0, n_decode_failed=0, n_degenerate=0,
             )
+
+    @pytest.mark.parametrize("field", ["var_abs_x", "var_abs_y"])
+    def test_refuses_a_negative_variance(self, field):
+        fields = dict(label="x", n_trials=1, mean_abs_x=0.0, mean_abs_y=0.0, var_abs_x=0.0,
+                      var_abs_y=0.0, mean_abs_x_source=0.0, n_skipped=0, n_decode_failed=0,
+                      n_degenerate=0)
+        with pytest.raises(ValueError, match=r"^variances cannot be negative$"):
+            ErrorStats(**{**fields, field: -1e-300})

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keypose import cli
-from keypose.geometry import Point
+from keypose.codec import encode_gaussian
+from keypose.geometry import PlaneSize, Point
 from keypose.raster import ImageGrid, read_grid_text, write_grid_text, write_pgm
 
 
@@ -74,6 +75,10 @@ class TestTransformCommand:
         out = run_cli("transform", "--op", "rotate", "--angle", "10", "--center", "nan,1")
         assert out.returncode == 2
         assert out.stderr.startswith("error: point coordinates must be finite")
+
+    def test_infinite_angle_is_usage_error(self, capsys):
+        assert cli.main(["transform", "--op", "rotate", "--angle", "inf", "--center", "0,0"]) == 2
+        assert capsys.readouterr() == ("", "error: rotation angle must be finite, got inf\n")
 
     def test_unknown_flag_is_usage_error(self):
         out = run_cli("transform", "--op", "flip", "--width", "10", "--frobnicate")
@@ -283,6 +288,50 @@ class TestCodecCommands:
         assert out.stderr == f"error: {path}: {message}\n"
         assert not (tmp_path / "o.pgm").exists()
 
+    @pytest.mark.parametrize("body,message", [
+        (b"P5\n4", "truncated PGM header"),
+        (b"P6\n2 2\n255\n" + bytes(12), "not a PGM file (magic b'P6')"),
+        (b"P2\n2 2\n0\n0 0 0 0\n", "bad maxval 0"),
+    ], ids=["truncated", "p6", "maxval-0"])
+    def test_bad_pgm_header_is_refused(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(body)
+        out = tmp_path / "o.pgm"
+        assert cli.main(["warp", "--image", str(path), "--out", str(out), "--op", "flip"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("codec,flag", [("ccrf", "--sigma"), ("cf", "--radius")])
+    def test_encode_refuses_the_width_its_codec_does_not_read(self, tmp_path, capsys, codec,
+                                                              flag):
+        out = tmp_path / "t.grid"
+        argv = ["encode", "--codec", codec, flag, "3", "--keypoint", "5.3,7.8", "--size", "16x16",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} does not apply to the {codec} codec\n")
+        assert not out.exists()
+
+    def test_encode_cf_without_sigma_takes_the_encoder_default(self, tmp_path):
+        def encoded(name, *flags):
+            path = tmp_path / name
+            argv = ["encode", "--codec", "cf", "--keypoint", "5.3,7.8", "--size", "16x12",
+                    "--out", str(path), *flags]
+            assert cli.main(argv) == 0
+            return path.read_bytes()
+
+        write_grid_text(tmp_path / "direct.grid",
+                        encode_gaussian(Point(5.3, 7.8), PlaneSize(16, 12)).c)
+        assert encoded("default.grid") == (tmp_path / "direct.grid").read_bytes()
+        assert encoded("default.grid") == encoded("two.grid", "--sigma", "2")
+
+    def test_decode_has_no_radius_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", "--codec", "ccrf", "--heatmap", "t.grid", "--radius", "3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: unrecognized arguments: --radius 3\n")
+
     def test_decode_biased_quarter(self, tmp_path):
         path = tmp_path / "q.grid"
         run_cli("encode", "--codec", "cf", "--keypoint", "20.3,31.0",
@@ -329,6 +378,17 @@ class TestSimulateCommand:
     def test_ec_without_snoop_is_usage_error(self):
         out = run_cli("simulate", "--seed", "1", "-n", "100", "--ft", "--ec")
         assert out.returncode == 2
+
+    def test_ec_without_snoop_names_both_flags(self, capsys):
+        assert cli.main(["simulate", "--seed", "1", "-n", "10", "--ft", "--ec"]) == 2
+        assert capsys.readouterr() == ("", "error: --ec only refines --snoop; pass both\n")
+
+    def test_coco_document_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ann.json"
+        path.write_text("[]")
+        assert cli.main(["simulate", "--seed", "1", "-n", "10", "--coco", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: expected an object with 'images' and 'annotations'\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, jobs):

@@ -102,6 +102,13 @@ class TestEncodeCcrf:
             encode_ccrf(Point(5.0, 5.0), DIMS, value)
 
 
+    def test_channels_of_different_sizes_rejected(self):
+        t = encode_ccrf(Point(5.0, 5.0), DIMS, 3.0)
+        small = ImageGrid.from_array(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match=r"^c, x_off and y_off must share one plane size$"):
+            CcrfTarget(c=t.c, x_off=small, y_off=t.y_off, radius=3.0)
+
+
 class TestDecodeCcrf:
     def test_single_positive_node_with_offsets(self):
         c = np.zeros((64, 48))

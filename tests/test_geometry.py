@@ -66,6 +66,10 @@ class TestTransformType:
         with pytest.raises(ValueError):
             Transform2D([[1, 0, 0], [0, 1, 0], [1e-30, 0, 1]])
 
+    def test_shape_enforced(self):
+        with pytest.raises(ValueError, match=r"^transform matrix must be 3x3, got shape \(2, 3\)$"):
+            Transform2D([[1, 0, 0], [0, 1, 0]])
+
     def test_matrix_is_read_only(self):
         t = identity()
         with pytest.raises(ValueError):

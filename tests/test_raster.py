@@ -71,6 +71,14 @@ class TestImageGrid:
         with pytest.raises(ValueError):
             ImageGrid(PlaneSize(3, 3), data)
 
+    def test_one_dimensional_data_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid data must be 2D or 3D, got ndim=1$"):
+            ImageGrid(PlaneSize(3, 3), np.zeros(9))
+
+    def test_zero_channels_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid must have at least one channel$"):
+            ImageGrid(PlaneSize(3, 3), np.zeros((3, 3, 0)))
+
     def test_data_read_only(self):
         grid = ImageGrid.from_array(np.zeros((3, 3)))
         with pytest.raises(ValueError):
@@ -321,6 +329,18 @@ class TestFileFormats:
         path = tmp_path / "wide.pgm"
         write_pgm(path, grid, maxval=255)
         assert np.array_equal(read_pgm(path).data, grid.data)
+
+    def test_pgm_refuses_more_than_one_channel(self, tmp_path):
+        grid = ImageGrid.from_array(np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError, match=r"^PGM holds one channel, grid has 3$"):
+            write_pgm(tmp_path / "rgb.pgm", grid)
+        assert not (tmp_path / "rgb.pgm").exists()
+
+    def test_pgm_refuses_maxval_zero(self, tmp_path):
+        grid = ImageGrid.from_array(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"^maxval must be in 1\.\.65535, got 0$"):
+            write_pgm(tmp_path / "zero.pgm", grid, maxval=0)
+        assert not (tmp_path / "zero.pgm").exists()
 
     def test_pgm_comments_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
