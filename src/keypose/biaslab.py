@@ -32,10 +32,10 @@ rows of a grid that share a seed and ``n`` draw each chunk once.  A bound
 sampler lists its crop boxes and each trial names one of them; a run computes
 their coefficients in one array pass before its first chunk.  Skipped and
 failed trials are counts, not exceptions.  Each chunk's error sums are
-exact: limb-split sums equal to ``math.fsum`` bit for bit, at array speed
-(``_fsum``; ``BENCH_22.json``).  Its variance partial is a two-pass sum of
-squared deviations; chunks merge in index order, so results are identical for
-any worker count.
+exact: one grid split and a rounding check give ``math.fsum``'s result bit
+for bit, at array speed (``_fsum``; ``BENCH_22.json``, ``BENCH_36.json``).
+Its variance partial is a two-pass sum of squared deviations; chunks merge
+in index order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -762,45 +762,38 @@ def run_trial(gt_source: Point, roi: Roi, cfg: PipelineConfig, mode: OracleMode)
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096
-_LIMB = 41  # bits per limb of _fsum; a column of 2**(53 - _LIMB) limbs sums exactly
-# Top exponents _fsum splits: a limb column sums below 2**1024, and the last c is normal.
-_LOW_TOP, _HIGH_TOP = 2 * _LIMB - 1074, 1023 - (53 - _LIMB)
-_SHORT = 768  # shorter arrays sum faster in math.fsum (crossover ~700 on a 2-vCPU Xeon)
+_SHORT = 768  # shorter arrays go to math.fsum (the split wins from ~400 values on a 2-vCPU Xeon)
 
 
 def _fsum(values: np.ndarray) -> float:
     """``math.fsum(values)`` bit for bit, at array speed, for a float64 array
     of non-negative values; arrays shorter than ``_SHORT`` go to fsum itself.
-
-    Two limbs, each rounded to the grid ``2**(e - _LIMB * k)`` below the top
-    value's binade as ``(r + c) - c`` (Rump, Ogita and Oishi, SIAM J. Sci.
-    Comput. 2008), are peeled off every value; both steps are exact, and so
-    is each limb column's float sum for up to ``2**(53 - _LIMB)`` values.
-    The limb totals and the non-zero, signed remainders then sum exactly to
-    the array's sum, which fsum rounds correctly, as it does the array
-    itself (Neal, arXiv 1505.05571; Demmel and Hida, SIAM J. Sci. Comput. 2003).
-    """
-    if not _SHORT <= len(values) <= 1 << (53 - _LIMB):
+    ``(v + c) - c`` puts every value on a grid ``2**g`` whose float sums are
+    exact in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 2008); the
+    remainders' float sum lies within ``d`` of theirs (Higham, 2002, 4.2).  If
+    both ends of that interval round alike, so does the true sum."""
+    n = len(values)
+    if n < _SHORT:
         return math.fsum(memoryview(values))
     top = float(values.max())
     if top == 0.0:  # every value is a zero
         return 0.0
-    e = math.frexp(top)[1]  # top < 2**e
-    if not (math.isfinite(top) and _LOW_TOP <= e <= _HIGH_TOP):
+    g = math.frexp(top)[1] + n.bit_length() - 50  # the sum is below 2**(g + 50)
+    if not (math.isfinite(top) and -1021 <= g <= 971):  # c finite, d >= 2**-1074
         return math.fsum(memoryview(values))
-    parts, r = [], values
-    for s in (e - _LIMB, e - 2 * _LIMB):
-        c = math.ldexp(1.5, s + 52)  # r + c rounds r to the grid 2**s
-        q = r + c
-        q -= c  # r on the grid
-        parts.append(float(q.sum()))
-        r = np.subtract(r, q, out=q)  # a new array: never the caller's
-    return math.fsum(parts + r[r != 0].tolist())
+    c = math.ldexp(1.5, g + 52)
+    q = values + c
+    q -= c  # every value on the grid 2**g
+    hi = float(q.sum())
+    lo = float(np.subtract(values, q, out=q).sum())  # each remainder within 2**(g - 1)
+    d = math.ldexp(n * n, g - 53)
+    a = math.fsum((hi, lo, -d))
+    return a if a == math.fsum((hi, lo, d)) else math.fsum(memoryview(values))
 
 
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """``(n, sum, M2)`` of ``values``: an exact sum, and the exact sum of
-    squared deviations from the mean in a second pass, both by ``_fsum``."""
+    """``(n, sum, M2)`` of ``values``, both sums correctly rounded by ``_fsum``;
+    M2 sums the squared deviations from the mean, each square rounded first."""
     total = _fsum(values)
     dev = values - total / max(len(values), 1)
     return len(values), total, _fsum(np.multiply(dev, dev, out=dev))

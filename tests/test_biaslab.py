@@ -928,10 +928,11 @@ def test_analytic_errors_are_pinned_over_the_guard_grid():
     assert _guard_grid_digest() == _GUARD_GRID_PIN
 
 
-@pytest.mark.parametrize("level", ["baseline", "below-avx512"])
-def test_guard_grid_pin_holds_at_lower_numpy_dispatch_levels(level):
-    # numpy picks its SIMD kernels by CPU level, and some differ in the last
-    # bit; a process can only lower its level, so each runs in a subprocess.
+def _at_dispatch_level(level, func):
+    """The printed result of ``test_biaslab``'s function ``func``, called with
+    no arguments in a subprocess where numpy dispatches at ``level``.  numpy
+    picks its SIMD kernels by CPU level, and some differ in the last bit; a
+    process can only lower its level, so each level gets its own process."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__ as features
     except ImportError:  # numpy 1.x
@@ -941,14 +942,22 @@ def test_guard_grid_pin_holds_at_lower_numpy_dispatch_levels(level):
                       if name.startswith("AVX512") or name == "X86_V4"), len(features))
         features = features[first:]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "from test_biaslab import _guard_grid_digest; print(_guard_grid_digest())")
+            f"import test_biaslab; print(test_biaslab.{func}())")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
                PYTHONWARNINGS=os.environ.get("PYTHONWARNINGS", "") + ",always::ImportWarning")
     out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert "NPY_DISABLE_CPU_FEATURES" not in out.stderr  # numpy warns on names it does not dispatch
-    assert out.stdout == f"{_GUARD_GRID_PIN}\n"
+    return out.stdout
+
+
+_DISPATCH_LEVELS = ["baseline", "below-avx512"]
+
+
+@pytest.mark.parametrize("level", _DISPATCH_LEVELS)
+def test_guard_grid_pin_holds_at_lower_numpy_dispatch_levels(level):
+    assert _at_dispatch_level(level, "_guard_grid_digest") == f"{_GUARD_GRID_PIN}\n"
 
 
 _DIFFERENTIAL_PLANES = {"192x256-48x64": (PlaneSize(192, 256), PlaneSize(48, 64), 20.6),
@@ -2199,18 +2208,57 @@ def _same_float(got: float, want: float) -> bool:
     return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+_EDGE_ARRAYS = [
+    [], [0.0], [0.0] * 4096, [5e-324], [1.0], [1e300], [0.1] * 3,
+    [5e-324] * 4096, [2.2250738585072014e-308, 5e-324, 1e-310],
+    [1.0, 1e-30, 2.0**-1074], [1e300, 1.0, 5e-324], [2.0**41 - 1.0, 0.5, 2.0**-83],
+    [1.0, 2.0**-53, 2.0**-120],  # only 2**-120 breaks the rounding tie
+]
+
+
+def _exact_sum_arrays():
+    """The edge arrays, each also padded with ``_SHORT`` zeros, and seeded
+    chunks: uniform, quarter steps, one dominant value and wide binade spans."""
+    rng = np.random.default_rng(36)
+    yield from (np.asarray(v, dtype=np.float64) for v in _EDGE_ARRAYS)
+    yield from (np.concatenate([v, np.zeros(biaslab._SHORT)]) for v in _EDGE_ARRAYS)
+    for _ in range(8):
+        yield rng.random(biaslab._CHUNK) * 0.5
+        yield rng.integers(0, 4, biaslab._CHUNK) / 8
+        yield np.concatenate(([1e12], rng.random(biaslab._CHUNK - 1)))
+        bits = rng.integers(1, 54, biaslab._CHUNK)
+        mantissa = np.floor(np.ldexp(rng.random(biaslab._CHUNK), bits))
+        yield np.ldexp(mantissa, rng.integers(-1074, 990, biaslab._CHUNK) - bits)
+
+
+def _exact_sum_mismatches():
+    """How many arrays ``_exact_sum_arrays`` yields, and which of them
+    ``_fsum`` sums to other bits than ``math.fsum``."""
+    arrays = list(_exact_sum_arrays())
+    return len(arrays), [i for i, v in enumerate(arrays)
+                         if not _same_float(biaslab._fsum(v), math.fsum(memoryview(v)))]
+
+
 class TestExactSum:
     """``_fsum`` against ``math.fsum``, bit for bit."""
 
     @staticmethod
     def _check(values):
         # Zeros leave the sum alone; padded to _SHORT, a short array takes
-        # the limb split too.
+        # the grid split too.
         values = np.asarray(values, dtype=np.float64)
         want = math.fsum(memoryview(values))
         for v in (values, np.concatenate([values, np.zeros(biaslab._SHORT)])):
             got = biaslab._fsum(v)
             assert _same_float(got, want), (len(v), got, want)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Patch ``math.fsum`` to record the type of each argument ``_fsum``
+        passes it: tuples on the fast path, a memoryview on the fallback."""
+        fsum, seen = math.fsum, []
+        monkeypatch.setattr(biaslab.math, "fsum", lambda v: seen.append(type(v)) or fsum(v))
+        return fsum, seen
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=64))
@@ -2218,12 +2266,12 @@ class TestExactSum:
         self._check(values)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 1 << (53 - biaslab._LIMB)), seed=st.integers(0, 2**32 - 1),
+    @given(n=st.integers(0, biaslab._CHUNK), seed=st.integers(0, 2**32 - 1),
            lo=st.integers(-1074, 996), span=st.integers(0, 2070), zeros=st.floats(0.0, 1.0))
     def test_long_arrays_of_wide_binade_spans(self, n, seed, lo, span, zeros):
         # Mantissas of 1 to 53 bits below 2**top for tops across `span`
         # binades from 2**lo (at most 2**996, about 7e299), and a share of
-        # exact zeros: the remainder tail and subnormals run.
+        # exact zeros: signed remainders and subnormals run.
         rng = np.random.default_rng(seed)
         bits = rng.integers(1, 54, n)
         mantissa = np.floor(np.ldexp(rng.random(n), bits))
@@ -2232,12 +2280,8 @@ class TestExactSum:
         values[rng.random(n) < zeros] = 0.0
         self._check(values)
 
-    @pytest.mark.parametrize("values", [
-        [], [0.0], [0.0] * 4096, [5e-324], [1.0], [1e300], [0.1] * 3,
-        [5e-324] * 4096, [2.2250738585072014e-308, 5e-324, 1e-310],
-        [1.0, 1e-30, 2.0**-1074], [1e300, 1.0, 5e-324], [2.0**41 - 1.0, 0.5, 2.0**-83],
-        [1.0, 2.0**-53, 2.0**-120],  # only the remainder tail breaks the rounding tie
-    ], ids=lambda v: f"{len(v)}x{v[0] if v else 'empty'}")
+    @pytest.mark.parametrize("values", _EDGE_ARRAYS,
+                             ids=lambda v: f"{len(v)}x{v[0] if v else 'empty'}")
     def test_edge_arrays(self, values):
         self._check(values)
 
@@ -2253,17 +2297,18 @@ class TestExactSum:
         with pytest.raises(OverflowError):
             biaslab._fsum(values)
 
-    @pytest.mark.parametrize("e", [biaslab._LOW_TOP - 1, biaslab._LOW_TOP,
-                                   biaslab._HIGH_TOP, biaslab._HIGH_TOP + 1])
-    def test_tops_on_each_side_of_the_limb_window(self, monkeypatch, e):
-        # Every value just below 2**e rounds up to 2**e in the first limb, so
-        # at the upper limit a chunk's limb column must still sum below
-        # 2**1024; at the lower limit the second limb's grid reaches 2**-1074.
+    @pytest.mark.parametrize("g", [-1022, -1021, 971, 972, 987])
+    def test_tops_on_each_side_of_the_split_window(self, monkeypatch, g):
+        # A chunk whose top lies just below 2**e has the grid 2**g.  Every
+        # value rounds up to 2**e on it, so at the upper limit the grid
+        # column must still sum below 2**1024; past the lower limit, the
+        # slack d of a short array could fall below 2**-1074.  At g = 987
+        # the top is the largest float, and the chunk's sum overflows.
+        e = g + 50 - biaslab._CHUNK.bit_length()
         below = math.ldexp(1.0 - 2.0**-53, e)
-        rng, n = np.random.default_rng(e & 0xFFFF), biaslab._CHUNK - 1
+        rng, n = np.random.default_rng(g & 0xFFFF), biaslab._CHUNK - 1
         spread = np.ldexp(rng.random(n), rng.integers(e - 120, e, n))  # signed remainders
-        fsum, seen = math.fsum, []
-        monkeypatch.setattr(biaslab.math, "fsum", lambda v: seen.append(type(v)) or fsum(v))
+        fsum, seen = self._spy(monkeypatch)
         for values in (np.full(biaslab._CHUNK, below), np.concatenate(([below], spread))):
             try:
                 want = fsum(memoryview(values))
@@ -2273,22 +2318,48 @@ class TestExactSum:
                 got = biaslab._fsum(values)
             except OverflowError:
                 got = OverflowError
-            assert got == want, (e, got, want)
-        inside = biaslab._LOW_TOP <= e <= biaslab._HIGH_TOP
-        assert seen == [list if inside else memoryview] * 2
+            assert got == want, (g, got, want)
+        inside = -1021 <= g <= 971
+        assert seen == ([tuple, tuple] if inside else [memoryview]) * 2
 
-    def test_the_limb_path_covers_a_chunk_and_falls_back_past_it(self, monkeypatch):
-        # A chunk larger than one exact limb column would send every chunk
-        # to the slow fallback and still pass every equality test above.
-        assert biaslab._SHORT <= biaslab._CHUNK <= 1 << (53 - biaslab._LIMB)
-        fsum, seen = math.fsum, []
-        monkeypatch.setattr(biaslab.math, "fsum", lambda v: seen.append(v) or fsum(v))
-        values = np.random.default_rng(5).random(biaslab._CHUNK + 1)
-        lengths = (biaslab._SHORT - 1, biaslab._SHORT, biaslab._CHUNK, biaslab._CHUNK + 1)
-        for n in lengths:
-            assert biaslab._fsum(values[:n]) == fsum(memoryview(values[:n]))
-        assert [type(v) for v in seen] == [memoryview, list, list, memoryview]
-        assert [len(v) for v in seen[::3]] == [lengths[0], lengths[3]]
+    def test_the_split_path_covers_a_chunk(self, monkeypatch):
+        # A chunk the fast path refused would go to the slow fallback and
+        # still pass every equality test above.
+        assert biaslab._SHORT <= biaslab._CHUNK
+        fsum, seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(5)
+        uniform = rng.random(biaslab._CHUNK) * 0.5
+        dominant = np.concatenate(([1e12], rng.random(biaslab._CHUNK - 1)))
+        for values in (uniform[:biaslab._SHORT - 1], uniform[:biaslab._SHORT], uniform, dominant):
+            assert biaslab._fsum(values) == fsum(memoryview(values))
+        assert seen == [memoryview] + [tuple, tuple] * 3
+
+    def test_a_rounding_midpoint_takes_the_fallback(self, monkeypatch):
+        # 1 + 2**-53 lies halfway between two floats: the remainders' sum,
+        # off by up to d, cannot tell which way it rounds.
+        values = np.concatenate([[1.0, 2.0**-53], np.zeros(biaslab._SHORT)])
+        fsum, seen = self._spy(monkeypatch)
+        assert biaslab._fsum(values) == fsum(memoryview(values)) == 1.0
+        assert seen == [tuple, tuple, memoryview]
+
+    def test_a_permuted_chunk_sums_to_the_same_bits(self, monkeypatch):
+        # numpy's summation order changes with the order of the values; the
+        # fast path's result must not.
+        fsum, seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(7)
+        bits = rng.integers(1, 54, biaslab._CHUNK)
+        values = np.ldexp(np.floor(np.ldexp(rng.random(biaslab._CHUNK), bits)),
+                          rng.integers(-60, 0, biaslab._CHUNK) - bits)
+        want = fsum(memoryview(values))
+        for order in [values[::-1], np.sort(values), np.sort(values)[::-1]] + [
+                rng.permutation(values) for _ in range(8)]:
+            assert _same_float(biaslab._fsum(np.ascontiguousarray(order)), want)
+        assert memoryview not in seen
+
+    @pytest.mark.parametrize("level", _DISPATCH_LEVELS)
+    def test_sums_hold_at_lower_numpy_dispatch_levels(self, level):
+        count = len(list(_exact_sum_arrays()))
+        assert _at_dispatch_level(level, "_exact_sum_mismatches") == f"{(count, [])}\n"
 
 
 # Every analytic ablate row at ``-n 10000`` (chunks of 4,096, 4,096 and
