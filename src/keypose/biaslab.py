@@ -17,12 +17,12 @@ flip ensemble is written once; they differ only in how a map is decoded:
   the single-peak approximation of classification-map averaging; decoding
   is exact for the unbiased codecs, and the quarter-shift decoder applies
   its closed-form quantization law.
-* ``FULL_HEATMAP`` mode decodes the configured encoder's real heatmaps,
-  flipped, shifted and averaged, with the real decoders' rules, so it also
-  captures what the coordinate-level approximation leaves out.  Only the
-  node values a decoder reads are computed, each equal to the 2-D map's bit
-  for bit (over 20 times faster than whole maps; ``BENCH_11.json``); rno reads
-  use per-run tap tables and one box of output nodes (``BENCH_24.json``).
+* ``FULL_HEATMAP`` mode decodes the configured encoder's real heatmaps, flipped, shifted and
+  averaged, with the real decoders' rules, so it also captures what the coordinate-level
+  approximation leaves out.  Only the node values a decoder reads are computed, each equal
+  to the 2-D map's bit for bit (over 20 times faster than whole maps; ``BENCH_11.json``), as
+  ``(rows, cols, trials)`` arrays (``BENCH_37.json``); rno reads use per-run tap tables and
+  one box of output nodes (``BENCH_24.json``).
 
 Trials run in fixed-size chunks, each as one pass over numpy arrays; a peak search
 reads blocks of ``_NODES`` node values, or of a disc's row and column distances.
@@ -438,16 +438,16 @@ def _min_sigma(d2: float) -> float:
 
 
 def _newton_offsets(window: np.ndarray):
-    """``codec._dark_offset`` on stacked 3x3 windows ``(B, 3, 3)`` around
-    peak nodes: one log-space Newton step, ``(dx, dy, degenerate)`` arrays,
+    """``codec._dark_offset`` on 3x3 windows around peak nodes, stacked as
+    ``(3, 3, B)``: one log-space Newton step, ``(dx, dy, degenerate)`` arrays,
     with its formulas and degenerate rules; the caller flags border peaks."""
-    degenerate = np.any(window <= 0.0, axis=(1, 2))
-    log_w = np.log(np.where(degenerate[:, None, None], 1.0, window))
-    gx = (log_w[:, 1, 2] - log_w[:, 1, 0]) / 2.0
-    gy = (log_w[:, 2, 1] - log_w[:, 0, 1]) / 2.0
-    hxx = log_w[:, 1, 2] - 2.0 * log_w[:, 1, 1] + log_w[:, 1, 0]
-    hyy = log_w[:, 2, 1] - 2.0 * log_w[:, 1, 1] + log_w[:, 0, 1]
-    hxy = (log_w[:, 2, 2] - log_w[:, 2, 0] - log_w[:, 0, 2] + log_w[:, 0, 0]) / 4.0
+    degenerate = np.any(window <= 0.0, axis=(0, 1))
+    log_w = np.log(np.where(degenerate, 1.0, window))
+    gx = (log_w[1, 2] - log_w[1, 0]) / 2.0
+    gy = (log_w[2, 1] - log_w[0, 1]) / 2.0
+    hxx = log_w[1, 2] - 2.0 * log_w[1, 1] + log_w[1, 0]
+    hyy = log_w[2, 1] - 2.0 * log_w[1, 1] + log_w[0, 1]
+    hxy = (log_w[2, 2] - log_w[2, 0] - log_w[0, 2] + log_w[0, 0]) / 4.0
     det = hxx * hyy - hxy * hxy
     degenerate |= (np.abs(det) < _HESSIAN_EPS) | (hxx >= 0.0) | (det <= 0.0)
     det = np.where(degenerate, 1.0, det)
@@ -457,11 +457,12 @@ def _newton_offsets(window: np.ndarray):
 
 
 class _AxisMaps(_Maps):
-    """Rendered-heatmap oracle.  Node values are computed where a decoder reads
-    them, with the encoder's formulas; under rno, from each trial's output nodes
-    under the warp's taps (per-axis tables built once), read once in one box and
-    summed by ``raster._tap_sum`` as ``rno_upsample`` sums them: all equal the 2-D
-    map's bit for bit.  Peaks are found in blocks of ``_NODES`` box nodes, or disc distances."""
+    """Rendered-heatmap oracle.  Node values are computed where a decoder reads them, with the
+    encoder's formulas; under rno, from each trial's output nodes under the warp's taps
+    (per-axis tables built once), read once in one box and summed by ``raster._tap_sum`` as
+    ``rno_upsample`` sums them: all equal the 2-D map's bit for bit.  Peaks are found in blocks
+    of ``_NODES`` box nodes, or disc distances.  The trial axis is last: ``B`` trials' columns
+    are ``(k, B)``, rows ``(l, B)`` and node values ``(l, k, B)``."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
         super().__init__(cfg)
@@ -478,20 +479,20 @@ class _AxisMaps(_Maps):
         return (0.0 <= kx) & (kx <= out.width_units) & (0.0 <= ky) & (ky <= out.height_units)
 
     def _cols(self, m, x, mirrored, shift):
-        """A branch's own columns at output-plane columns ``x`` (B, k), and their
+        """A branch's own columns at output-plane columns ``x`` (k, B), and their
         squared distances to its keypoints ``m``, infinite where zeros moved in."""
         own = self.w - 1 + shift - x if mirrored else x - shift
-        d2 = (own - m[:, None]) ** 2
+        d2 = (own - m) ** 2
         return own, np.where(x >= shift, d2, np.inf) if shift else d2  # x is never negative
 
     def _at(self, terms, x, y, offsets=False):
-        """The map's first channel at output-plane columns ``x`` (B, k) and
-        rows ``y`` (B, l), with ``offsets`` also the disc's offset channels,
-        as ``(B, l, k)`` arrays."""
+        """The map's first channel at output-plane columns ``x`` (k, B) and
+        rows ``y`` (l, B), with ``offsets`` also the disc's offset channels,
+        as ``(l, k, B)`` arrays."""
         values = []
         for m, n, mirrored, shift in terms:
             own, dx2 = self._cols(m, x, mirrored, shift)
-            d2 = dx2[:, None, :] + ((y - n[:, None]) ** 2)[:, :, None]
+            d2 = dx2 + ((y - n) ** 2)[:, None]
             if self.ccrf:
                 c = (d2 < self.cfg.radius * self.cfg.radius).astype(np.float64)
             else:  # a tiny sigma overflows d2 / -k to -inf (exp: exact 0); decode allows it
@@ -500,49 +501,48 @@ class _AxisMaps(_Maps):
             if not offsets:
                 values.append((c,))
                 continue
-            x_off = (m[:, None] - own)[:, None, :] * c
-            values.append((c, -x_off if mirrored else x_off, (n[:, None] - y)[:, :, None] * c))
+            x_off = (m - own) * c
+            values.append((c, -x_off if mirrored else x_off, (n - y)[:, None] * c))
         return values[0] if len(values) == 1 else tuple(
             np.multiply(s := a + b, 0.5, out=s) for a, b in zip(*values))
 
     def _disc_peak(self, terms, x, y):
-        """The first node in row-major order of box columns ``x`` (B, k) and rows ``y``
-        (B, l) where a disc map peaks (else node 0): a row holds a node of a level (in a
+        """The first node in row-major order of box columns ``x`` (k, B) and rows ``y``
+        (l, B) where a disc map peaks (else node 0): a row holds a node of a level (in a
         disc; averaged: in either, then both) iff ``fl(min dx**2 + dy**2) < r*r``."""
-        r2, trial, ix, iy = self.cfg.radius * self.cfg.radius, np.arange(len(x)), 0, 0
+        r2, trial, ix, iy = self.cfg.radius * self.cfg.radius, np.arange(x.shape[1]), 0, 0
         dx2 = [self._cols(m, x, mirrored, shift)[1] for m, _, mirrored, shift in terms]
-        dy2 = (y - terms[0][1][:, None]) ** 2  # both branches share their rows
+        dy2 = (y - terms[0][1]) ** 2  # both branches share their rows
         for d in dx2 if len(dx2) == 1 else (np.minimum(*dx2), np.maximum(*dx2)):
-            rows = d.min(axis=1)[:, None] + dy2 < r2  # exact: fl(a + c) rises with a
-            j = rows.argmax(axis=1)
-            i, hit = (d + dy2[trial, j, None] < r2).argmax(axis=1), rows[trial, j]
-            ix, iy = np.where(hit, x[trial, i], ix), np.where(hit, y[trial, j], iy)
+            rows = d.min(axis=0) + dy2 < r2  # exact: fl(a + c) rises with a
+            j = rows.argmax(axis=0)
+            i, hit = (d + dy2[j, trial] < r2).argmax(axis=0), rows[j, trial]
+            ix, iy = np.where(hit, x[i, trial], ix), np.where(hit, y[j, trial], iy)
         return ix, iy
 
     def _box_peak(self, terms, x, y):
-        """The first node in row-major order of box columns ``x`` (B, k) and
-        rows ``y`` (B, l) where the map peaks; an all-zero map peaks at node 0."""
+        """The first node in row-major order of box columns ``x`` (k, B) and
+        rows ``y`` (l, B) where the map peaks; an all-zero map peaks at node 0."""
         v = self._values(terms, x, y)
-        _, ny, nx = v.shape
-        iy, ix = np.divmod(v.reshape(-1, ny * nx).argmax(axis=1), nx)
-        trial = np.arange(len(v))
-        top = v[trial, iy, ix] > 0.0
-        return np.where(top, x[trial, ix], 0), np.where(top, y[trial, iy], 0)
+        (ny, nx, b), trial = v.shape, np.arange(x.shape[1])
+        iy, ix = np.divmod(v.reshape(ny * nx, b).argmax(axis=0), nx)
+        top = v[iy, ix, trial] > 0.0
+        return np.where(top, x[ix, trial], 0), np.where(top, y[iy, trial], 0)
 
     def _values(self, terms, x, y):
-        """The first channel in the decode plane at columns ``x`` and rows ``y``,
-        ascending per trial; under rno, ``rno_upsample``'s tap sum on a box of
-        output nodes per trial, from its first low to its last high tap."""
+        """The first channel in the decode plane at columns ``x`` (k, B) and rows ``y``
+        (l, B), ascending per trial, as ``(l, k, B)``; under rno, ``rno_upsample``'s tap
+        sum on a box of output nodes per trial, from its first low to its last high tap."""
         if not self.cfg.rno:
             return self._at(terms, x, y)[0]
-        xt = [(i[x[:, None]], wt[x[:, None]]) for i, wt in self.taps[0]]  # (B, 1, k)
-        yt = [(i[y[..., None]], wt[y[..., None]]) for i, wt in self.taps[1]]  # (B, l, 1)
-        x0, y0 = xt[0][0][:, 0, :1], yt[0][0][:, :1, 0]  # each trial's first low taps
-        box = self._at(terms, *(lo + np.arange(np.max(hi - lo, initial=0) + 1) for lo, hi in
-                                ((x0, xt[1][0][:, 0, -1:]), (y0, yt[1][0][:, -1:, 0]))))[0]
-        _, l, k = box.shape  # tap (yi, xi) of trial t is box entry (t, yi - y0[t], xi - x0[t])
-        rows = (l * np.arange(len(box))[:, None, None] - y0[:, None]) * k
-        xt, yt = [(xi - x0[:, None], wt) for xi, wt in xt], [(rows + yi * k, wt) for yi, wt in yt]
+        xt = [(i[x[None]], wt[x[None]]) for i, wt in self.taps[0]]  # (1, k, B)
+        yt = [(i[y[:, None]], wt[y[:, None]]) for i, wt in self.taps[1]]  # (l, 1, B)
+        x0, y0 = xt[0][0][0, 0], yt[0][0][0, 0]  # each trial's first low taps
+        box = self._at(terms, *(lo + np.arange(np.max(hi - lo, initial=0) + 1)[:, None]
+                                for lo, hi in ((x0, xt[1][0][0, -1]), (y0, yt[1][0][-1, 0]))))[0]
+        _, k, b = box.shape  # tap (yi, xi) of trial t is box entry (yi - y0[t], xi - x0[t], t)
+        cols, rows = np.arange(b) - x0 * b, -y0 * (k * b)  # as flat indices into the box
+        xt, yt = [(xi * b + cols, wt) for xi, wt in xt], [(yi * k * b + rows, wt) for yi, wt in yt]
         return _tap_sum(lambda yi, xi: box.take(yi + xi), xt, yt)
 
     def _span(self, lo, hi, axis):
@@ -556,9 +556,9 @@ class _AxisMaps(_Maps):
 
     @staticmethod
     def _box(lo, hi, n):
-        """Nodes ``lo`` to ``hi`` per trial as ``(B, k)`` rows, padded to the
+        """Nodes ``lo`` to ``hi`` per trial as ``(k, B)`` columns, padded to the
         widest with the nodes after ``hi``, clipped, so repeats come last."""
-        return np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), n - 1)
+        return np.minimum(lo + np.arange(np.max(hi - lo, initial=0) + 1)[:, None], n - 1)
 
     @np.errstate(over="ignore")  # a tiny sigma's exponents, in _at
     def decode(self, terms):
@@ -584,17 +584,17 @@ class _AxisMaps(_Maps):
             peaks.append((self._disc_peak if self.ccrf else self._box_peak)(block, x, y))
         ix, iy = peaks[0] if len(peaks) == 1 else (np.concatenate(p) for p in zip(*peaks))
         if self.ccrf:
-            c, x_off, y_off = self._at(terms, ix[:, None], iy[:, None], offsets=True)
-            return ix + x_off[:, 0, 0], iy + y_off[:, 0, 0], none, c[:, 0, 0] == 0.0
+            c, x_off, y_off = self._at(terms, ix[None], iy[None], offsets=True)
+            return ix + x_off[0, 0], iy + y_off[0, 0], none, c[0, 0] == 0.0
         if self.cfg.codec is Codec.ARGMAX_ONLY:
             return ix.astype(np.float64), iy.astype(np.float64), none, none
-        # The 3x3 window around the peak, neighbours clamped at the borders.
-        window = self._values(terms, np.minimum(np.maximum(ix[:, None] + (-1, 0, 1), 0), w - 1),
-                              np.minimum(np.maximum(iy[:, None] + (-1, 0, 1), 0), h - 1))
+        # The (3, 3, B) windows around the peaks, neighbours clamped at the borders.
+        window = self._values(terms, np.minimum(np.maximum(ix + [[-1], [0], [1]], 0), w - 1),
+                              np.minimum(np.maximum(iy + [[-1], [0], [1]], 0), h - 1))
         if self.cfg.codec is Codec.CF_BIASED_DECODE:
             # As _quarter_offset: a zero central difference counts as uphill.
-            dx = np.where(window[:, 1, 2] - window[:, 1, 0] >= 0.0, 0.25, -0.25)
-            dy = np.where(window[:, 2, 1] - window[:, 0, 1] >= 0.0, 0.25, -0.25)
+            dx = np.where(window[1, 2] - window[1, 0] >= 0.0, 0.25, -0.25)
+            dy = np.where(window[2, 1] - window[0, 1] >= 0.0, 0.25, -0.25)
             return ix + dx, iy + dy, none, none
         dx, dy, degenerate = _newton_offsets(window)
         border = (ix < 1) | (ix > w - 2) | (iy < 1) | (iy > h - 2)

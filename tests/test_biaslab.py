@@ -1810,7 +1810,7 @@ def _spy_blocks(monkeypatch):
         return nodes
 
     def blocks():  # the blocks since the last call
-        got = [(len(x), x.shape[1], y.shape[1]) for x, y in zip(calls[::2], calls[1::2])]
+        got = [(x.shape[1], len(x), len(y)) for x, y in zip(calls[::2], calls[1::2])]
         calls.clear()
         return got
 
@@ -1894,12 +1894,12 @@ def test_a_disc_decode_reads_one_node_per_trial(combine, monkeypatch):
     # Wide discs: a trial's box holds up to 122 x 122 nodes.  The peak comes
     # from per-axis distances, so no node-value pass runs (``_values``) and
     # ``_at`` reads one node per trial, for the peak's offsets; a return to
-    # (B, rows, cols) boxes fails here.
+    # (rows, cols, B) boxes fails here.
     at, reads = biaslab._AxisMaps._at, []
 
     def spy_at(self, terms, x, y, offsets=False):
         values = at(self, terms, x, y, offsets)
-        reads.append((offsets, *(v.shape[1:] for v in values)))
+        reads.append((offsets, *(v.shape[:2] for v in values)))
         return values
 
     def no_values(self, *args):
@@ -1950,7 +1950,7 @@ def test_disc_decode_equals_the_2d_map_on_ties_and_edges(radius, tops, monkeypat
     at, peaks = biaslab._AxisMaps._at, []
 
     def spy_at(self, terms, x, y, offsets=False):
-        peaks.append((x[:, 0], y[:, 0]))  # the decode's one read: the peak's offsets
+        peaks.append((x[0], y[0]))  # the decode's one read: the peak's offsets
         return at(self, terms, x, y, offsets)
 
     monkeypatch.setattr(biaslab._AxisMaps, "_at", spy_at)
@@ -1979,58 +1979,73 @@ def test_disc_decode_equals_the_2d_map_on_ties_and_edges(radius, tops, monkeypat
 
 
 @st.composite
-def _rno_node_reads(draw):
-    """An rno configuration, the terms of a chunk of 0 to 4 trials (one map,
-    or a mirrored pair, shifted or not) and ascending decode-plane columns
-    and rows per trial, edges and clipped repeats included."""
-    wo, ho = draw(st.integers(2, 96)), draw(st.integers(2, 96))
+def _node_reads(draw):
+    """A configuration (rno with Gaussian maps, or no rno with Gaussian or
+    disc maps), the terms of a chunk of 0 to 4 trials (one map, or a mirrored
+    pair, shifted or not) and ascending decode-plane columns and rows as
+    ``(nodes, trials)`` arrays, edges and clipped repeats included."""
+    # Small planes often, so that some requested nodes fall inside the discs.
+    wo, ho = (draw(st.integers(2, 12) | st.integers(2, 96)) for _ in "xy")
     wi, hi = (draw(st.integers(max(2, n // 2), min(4 * n, 200))) for n in (wo, ho))
+    rno = draw(st.booleans())
     cfg = PipelineConfig(convention=draw(st.sampled_from(Convention)), input=PlaneSize(wi, hi),
-                         output=PlaneSize(wo, ho), codec=Codec.CF, rno=True,
-                         sigma=draw(st.sampled_from((0.05, 0.4, 1.0, 2.0, 7.5))))
+                         output=PlaneSize(wo, ho), rno=rno,
+                         codec=Codec.CF if rno else draw(st.sampled_from((Codec.CF, Codec.CCRF))),
+                         sigma=draw(st.sampled_from((0.05, 0.4, 1.0, 2.0, 7.5))),
+                         radius=draw(st.sampled_from((0.5, 1.0, 1.5, 2.0, 2.5)) | st.floats(0.1, 40.0)))
     trials, pair = draw(st.integers(0, 4)), draw(st.booleans())
 
-    def keypoints(extent):
-        edges = st.sampled_from((0.0, extent))
-        return np.array(draw(st.lists(edges | st.floats(0.0, extent), min_size=trials,
-                                      max_size=trials)))
+    def keypoints(extent):  # half nodes put disc nodes on the circle
+        edges, halves = st.sampled_from((0.0, extent)), st.integers(0, 2 * extent)
+        return np.array(draw(st.lists(edges | halves.map(lambda v: v / 2) | st.floats(0.0, extent),
+                                      min_size=trials, max_size=trials)))
 
-    def nodes(n):
+    def nodes(n, keypoints, size):  # size: the output plane's nodes on this axis
         k, edges = draw(st.integers(1, 5)), st.sampled_from((0, n - 1))
-        return np.array([sorted(draw(st.lists(edges | st.integers(0, n - 1), min_size=k,
-                                              max_size=k))) for _ in range(trials)],
-                        dtype=np.intp).reshape(trials, k)
+
+        def near(c):  # nodes around a keypoint, where the map is not zero
+            return st.integers(-3, 3).map(lambda d: min(max(int(c * n / size) + d, 0), n - 1))
+
+        return np.array([sorted(draw(st.lists(edges | near(c) | st.integers(0, n - 1),
+                                              min_size=k, max_size=k))) for c in keypoints],
+                        dtype=np.intp).reshape(trials, k).T
 
     terms = [(keypoints(wo - 1), keypoints(ho - 1), False, 0)]
     if pair:
         terms.append((keypoints(wo - 1), keypoints(ho - 1), True, draw(st.integers(0, 1))))
-    return cfg, terms, nodes(wi), nodes(hi)
+    (m, n, *_), = terms[:1]
+    return cfg, terms, nodes(wi if rno else wo, m, wo), nodes(hi if rno else ho, n, ho)
 
 
-def _rendered_rno_map(cfg, terms, t):
-    """``rno_upsample`` of trial ``t``'s 2-D map: each term encoded, mirrored
-    and shifted as the term says, two terms averaged."""
+def _rendered_map(cfg, terms, t):
+    """Trial ``t``'s 2-D map in the decode plane (its first channel): each term
+    encoded, mirrored and shifted as the term says, two terms averaged, and
+    under rno ``rno_upsample``'d."""
     maps = []
     for m, n, mirrored, shift in terms:
-        grid = encode_gaussian(Point(m[t], n[t]), cfg.output, cfg.sigma).c
+        k = Point(m[t], n[t])
+        grid = (encode_ccrf(k, cfg.output, cfg.radius) if cfg.codec is Codec.CCRF
+                else encode_gaussian(k, cfg.output, cfg.sigma)).c
         grid = flip_heatmap(grid) if mirrored else grid
         maps.append(_shift_one_node(grid).data if shift else grid.data)
     data = maps[0] if len(maps) == 1 else 0.5 * (maps[0] + maps[1])
-    return rno_upsample(ImageGrid(cfg.output, data), cfg).data[:, :, 0]
+    return (rno_upsample(ImageGrid(cfg.output, data), cfg).data if cfg.rno else data)[:, :, 0]
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_rno_node_reads())
+@given(case=_node_reads())
 def test_rno_node_values_equal_the_upsampled_map_bit_for_bit(case):
     # Every requested node, not only the decoded peak: a wrong value off the
-    # peak leaves most decodes unchanged.
+    # peak leaves most decodes unchanged.  Without rno, the disc and Gaussian
+    # maps' nodes equal the encoded, flipped, shifted and averaged map's.
     cfg, terms, x, y = case
     with np.errstate(over="ignore"):  # the smallest sigma's exponents, as decode allows
         got = biaslab._AxisMaps(cfg)._values(terms, x, y)
-    assert got.shape == (len(x), y.shape[1], x.shape[1])
-    for t in range(len(x)):
-        want = _rendered_rno_map(cfg, terms, t)[np.ix_(y[t], x[t])]
-        assert got[t].tobytes() == want.tobytes(), t
+    trials = x.shape[1]
+    assert got.shape == (len(y), len(x), trials)
+    for t in range(trials):
+        want = _rendered_map(cfg, terms, t)[np.ix_(y[:, t], x[:, t])]
+        assert got[..., t].tobytes() == want.tobytes(), t
 
 
 def test_rno_values_read_the_output_nodes_once(monkeypatch):

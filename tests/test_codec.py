@@ -28,6 +28,28 @@ from keypose.geometry import PlaneSize, Point
 from keypose.raster import ImageGrid
 
 DIMS = PlaneSize(48, 64)
+_ROW, _COL = np.mgrid[-1:2, -1:2]  # a 3x3 window's node offsets from its centre
+
+
+@st.composite
+def _windows(draw):
+    """A 3x3 window: any mix of positive, zero and negative entries; a flat
+    window; a sampled Gaussian, whose Newton step is taken; or ``exp`` of any
+    quadratic in the node offsets, such as a saddle or a log-linear window,
+    whose Hessian is mostly refused."""
+    entry = (st.sampled_from((0.0, -0.0, -1.0, 1.0, 5e-324)) | st.floats(-2.0, 2.0)
+             | st.floats(1e-300, 1e300))
+    kind = draw(st.sampled_from(("mix", "flat", "gaussian", "quadratic")))
+    if kind == "mix":
+        return np.reshape(draw(st.lists(entry, min_size=9, max_size=9)), (3, 3))
+    if kind == "flat":
+        return np.full((3, 3), draw(entry))
+    coefficient = st.sampled_from((0.0, -1.0)) | st.floats(-2.0, 2.0)
+    curvature = st.floats(-2.0, -0.05) if kind == "gaussian" else coefficient
+    coupling = st.floats(-0.1, 0.1) if kind == "gaussian" else coefficient
+    a, b, c = draw(curvature), draw(curvature), draw(coupling)
+    gx, gy = draw(coefficient), draw(coefficient)
+    return np.exp(a * _COL**2 + b * _ROW**2 + c * _ROW * _COL + gx * _COL + gy * _ROW)
 
 
 def brute_force_quadratic_max(gx, gy, hxx, hxy, hyy):
@@ -247,9 +269,20 @@ class TestDecodeDark:
         assert (r.k, r.argmax, r.degenerate) == (Point(2.0, 2.0), (2, 2), True)
         dx, dy, degenerate = _dark_offset(c, 2, 2)
         assert (dx.hex(), dy.hex(), degenerate) == ("0x0.0p+0", "0x0.0p+0", True)
-        bdx, bdy, bdegenerate = _newton_offsets(c[None, 1:4, 1:4])
+        bdx, bdy, bdegenerate = _newton_offsets(c[1:4, 1:4, None])
         assert (float(bdx[0]).hex(), float(bdy[0]).hex(), bool(bdegenerate[0])) == (
             dx.hex(), dy.hex(), degenerate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows=st.lists(_windows(), min_size=1, max_size=6))
+    def test_batched_newton_step_equals_the_scalar_one_on_drawn_windows(self, windows):
+        # Every trial of a (3, 3, B) stack takes _dark_offset's step or its
+        # fallback, bit for bit, whatever the other trials' windows hold.
+        dx, dy, degenerate = _newton_offsets(np.stack(windows, axis=-1))
+        for t, window in enumerate(windows):
+            want_dx, want_dy, want_degenerate = _dark_offset(window, 1, 1)
+            assert (float(dx[t]).hex(), float(dy[t]).hex(), bool(degenerate[t])) == (
+                float(want_dx).hex(), float(want_dy).hex(), want_degenerate), t
 
     def test_border_peak_falls_back(self):
         c = np.zeros((64, 48))
